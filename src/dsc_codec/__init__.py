@@ -27,6 +27,7 @@ from .errors import (
     DecodeError,
     FormatError,
     FrequencyTableError,
+    HeaderMismatchError,
     InsufficientDataError,
     MessageParseError,
     ShapeMismatchError,
@@ -75,6 +76,7 @@ from .simulate import (
     ScenarioConfig,
     Scene,
     empirical_correlation,
+    generate_frames,
     generate_scene,
     load_scenario,
     observe,

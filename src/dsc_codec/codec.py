@@ -32,14 +32,15 @@ from .errors import (
     CodebookMismatchError,
     ConfigError,
     FormatError,
+    HeaderMismatchError,
     InsufficientDataError,
     ShapeMismatchError,
     StepRejectedError,
 )
 from .features import FeatureMap, Mask
 from .quantizer import Codebook, dequantize, quantize_map
-from .rans import RANS_L, FrequencyTable, build_freq_table, rans_decode, rans_encode
-from .wire import Message
+from .rans import MIN_PRECISION, RANS_L, FrequencyTable, build_freq_table, rans_decode, rans_encode
+from .wire import MAX_MESSAGE_PRECISION, Message
 
 DEFAULT_PRECISION = 12
 
@@ -226,8 +227,14 @@ def encode_message(
     """Quantize and entropy-code the unpruned cells into a wire message.
 
     Encoding takes no receiver-side input whatsoever: the message is a pure
-    function of (f_pruned, mask, params, cb, precision).
+    function of (f_pruned, mask, params, cb, precision). precision must lie
+    in [MIN_PRECISION, MAX_MESSAGE_PRECISION] = [8, 15], the range whose
+    frequencies (up to 2^p for a single-symbol map) fit the wire's u16 table.
     """
+    if not MIN_PRECISION <= precision <= MAX_MESSAGE_PRECISION:
+        raise ConfigError(
+            f"precision must be in [{MIN_PRECISION},{MAX_MESSAGE_PRECISION}], got {precision}"
+        )
     if (f_pruned.height, f_pruned.width) != (mask.height, mask.width):
         raise ShapeMismatchError("mask does not match the feature map")
     if f_pruned.channels != params.channels:
@@ -390,7 +397,7 @@ def _check_decode_inputs(msg: Message, params: CodecParams, cb: Codebook) -> Non
     if msg.codebook_size != cb.size or msg.embed_dim != cb.dim:
         raise CodebookMismatchError("message header disagrees with the codebook geometry")
     if msg.channels != params.channels:
-        raise ShapeMismatchError(
+        raise HeaderMismatchError(
             f"message carries {msg.channels} channels, codec expects {params.channels}"
         )
 
@@ -406,7 +413,7 @@ def decode_message(
     if params.w_cond is None:
         raise ConfigError("conditional decoder weights are not fitted")
     if f_local.shape != (msg.channels, msg.height, msg.width):
-        raise ShapeMismatchError(
+        raise HeaderMismatchError(
             f"local feature shape {f_local.shape} does not match message header "
             f"({msg.channels},{msg.height},{msg.width})"
         )

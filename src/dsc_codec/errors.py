@@ -47,6 +47,10 @@ class CodebookMismatchError(DecodeError):
     """Codebook version hashes disagree between message, params and codebook."""
 
 
+class HeaderMismatchError(DecodeError, ShapeMismatchError):
+    """A message header disagrees with the codec parameters or the local feature."""
+
+
 class SymbolOutOfRangeError(DecodeError):
     """A decoded symbol index falls outside the codebook."""
 

@@ -11,11 +11,18 @@ reports two metrics:
     result an unconstrained link would have produced. With the whole
     communication path replaced by an identity channel this is exactly 0.
 
-Sweeps aggregate link runs over independently seeded scenes. Rate and
-robustness sweeps share one evaluation path, so the unperturbed robustness
-row is bit-identical to the rate-distortion point at the same knobs. All
-rows carry the full knob tuple and are emitted in sorted key order, making
-CSV outputs reproducible byte-for-byte.
+Every link is evaluated by one per-scene routine. It walks the scene's AR(1)
+chain once, observes the receiver once and the sender once per distinct
+(delayed) frame, and prunes and encodes each (pose noise, delay) message
+once; that one message then feeds every requested decoder, conditional and
+unconditional. A single link (run_link) is the routine on a one-point grid;
+the robustness sweep runs it once per scene over the whole grid.
+
+Sweeps aggregate links over independently seeded scenes. Rate and
+robustness sweeps share that one evaluation path, so the unperturbed
+robustness row is bit-identical to the rate-distortion point at the same
+knobs. All rows carry the full knob tuple and are emitted in sorted key
+order, making CSV outputs reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from .simulate import (
     STREAM_POSE,
     ScenarioConfig,
     derive_seed,
+    generate_frames,
     generate_scene,
     observe,
     perturb_pose,
@@ -225,6 +233,79 @@ def fuse_all(f_local: FeatureMap, reconstructions: Sequence[FeatureMap]) -> Feat
     return fused
 
 
+def _scene_links(
+    cfg: ScenarioConfig,
+    t: int,
+    sender: int,
+    receiver: int,
+    params: CodecParams,
+    cb: Codebook,
+    tau: float,
+    sigmas: Sequence[float],
+    delays: Sequence[int],
+    budget: int | None,
+    decoders: Sequence[bool],
+) -> dict[tuple[float, int, bool], LinkResult]:
+    """Every (sigma, delay, conditional) link of one scene at frame t.
+
+    Arguments are validated before any simulation. The chain is walked once,
+    the receiver is observed once and the sender once per distinct frame
+    max(0, t - delay); each (sigma, delay) message is encoded once and
+    decoded by every decoder in decoders.
+    """
+    if sender == receiver:
+        raise ConfigError("sender and receiver must differ")
+    for sigma in sigmas:
+        if not sigma >= 0.0:
+            raise ConfigError(f"sigma_pose must be >= 0, got {sigma}")
+    for delay in delays:
+        if delay < 0:
+            raise ConfigError(f"delay must be >= 0, got {delay}")
+
+    frames = generate_frames(cfg, t)
+    f_local = observe(frames[t], receiver, cfg)
+    stale = {}
+    for delay in delays:
+        t_send = max(0, t - delay)
+        if t_send not in stale:
+            stale[t_send] = observe(frames[t_send], sender, cfg)
+    pose_seed = derive_seed(cfg.seed, STREAM_POSE, sender, t)
+
+    links = {}
+    for sigma in sigmas:
+        for delay in delays:
+            f_sender = perturb_pose(stale[max(0, t - delay)], sigma, pose_seed)
+            mask = mask_from_scores(score_map(f_sender), tau)
+            pruned = FeatureMap(f_sender.values * mask.bits[np.newaxis])
+            msg = encode_message(pruned, mask, params, cb)
+            payload = len(msg.to_bytes())
+            within = budget is None or payload <= budget
+            oracle = fuse_all(f_local, [f_sender])
+            for conditional in decoders:
+                failed = False
+                recon = FeatureMap.zeros(*f_sender.shape)
+                if within:
+                    try:
+                        if conditional:
+                            recon = decode_message(msg, f_local, params, cb)
+                        else:
+                            recon = decode_unconditional(msg, params, cb)
+                    except DecodeError:
+                        failed = True
+                fused = fuse_all(f_local, [recon] if (within and not failed) else [])
+                links[(sigma, delay, conditional)] = LinkResult(
+                    sender=sender,
+                    receiver=receiver,
+                    payload_bytes=payload,
+                    budget=budget,
+                    within_budget=within,
+                    recon_mse=mse(recon, pruned),
+                    fusion_mse=mse(fused, oracle),
+                    failed=failed,
+                )
+    return links
+
+
 def run_link(
     cfg: ScenarioConfig,
     t: int,
@@ -244,51 +325,13 @@ def run_link(
     pose-shifted; the receiver decodes against its current local feature. A
     link whose serialized message exceeds the budget is dropped (truncation
     would break entropy decodability), as is a link whose decode fails; the
-    receiver then falls back to its local feature only.
+    receiver then falls back to its local feature only. A negative
+    sigma_pose or delay raises ConfigError before anything is simulated.
     """
-    if sender == receiver:
-        raise ConfigError("sender and receiver must differ")
-    if delay < 0:
-        raise ConfigError(f"delay must be >= 0, got {delay}")
-
-    f_local = observe(generate_scene(cfg, t), receiver, cfg)
-    t_send = max(0, t - delay)
-    f_sender = observe(generate_scene(cfg, t_send), sender, cfg)
-    if sigma_pose > 0.0:
-        f_sender = perturb_pose(
-            f_sender, sigma_pose, derive_seed(cfg.seed, STREAM_POSE, sender, t)
-        )
-
-    mask = mask_from_scores(score_map(f_sender), tau)
-    pruned = FeatureMap(f_sender.values * mask.bits[np.newaxis])
-    msg = encode_message(pruned, mask, params, cb)
-    payload = len(msg.to_bytes())
-    within = budget is None or payload <= budget
-
-    failed = False
-    recon = FeatureMap.zeros(*f_sender.shape)
-    if within:
-        try:
-            if conditional:
-                recon = decode_message(msg, f_local, params, cb)
-            else:
-                recon = decode_unconditional(msg, params, cb)
-        except DecodeError:
-            failed = True
-            recon = FeatureMap.zeros(*f_sender.shape)
-
-    fused = fuse_all(f_local, [recon] if (within and not failed) else [])
-    oracle = fuse_all(f_local, [f_sender])
-    return LinkResult(
-        sender=sender,
-        receiver=receiver,
-        payload_bytes=payload,
-        budget=budget,
-        within_budget=within,
-        recon_mse=mse(recon, pruned),
-        fusion_mse=mse(fused, oracle),
-        failed=failed,
+    links = _scene_links(
+        cfg, t, sender, receiver, params, cb, tau, (sigma_pose,), (delay,), budget, (conditional,)
     )
+    return links[(sigma_pose, delay, conditional)]
 
 
 @dataclass(frozen=True)
@@ -296,6 +339,15 @@ class PointStats:
     payload_bytes: float
     recon_mse: float
     fusion_mse: float
+
+
+def _mean_stats(results: Sequence[LinkResult]) -> PointStats:
+    """Mean link metrics, accumulated in the given (scene) order."""
+    return PointStats(
+        payload_bytes=float(np.mean([r.payload_bytes for r in results])),
+        recon_mse=float(np.mean([r.recon_mse for r in results])),
+        fusion_mse=float(np.mean([r.fusion_mse for r in results])),
+    )
 
 
 def evaluate_point(
@@ -315,29 +367,23 @@ def evaluate_point(
     """Mean link metrics over independently seeded evaluation scenes."""
     if scenes < 1:
         raise ConfigError(f"scenes must be >= 1, got {scenes}")
-    payloads, recons, fusions = [], [], []
-    for s in range(scenes):
-        cfg_s = scene_config(cfg, s, stream="eval")
-        res = run_link(
-            cfg_s,
-            t_eval,
-            sender,
-            receiver,
-            params,
-            cb,
-            tau=tau,
-            sigma_pose=sigma_pose,
-            delay=delay,
-            budget=budget,
-            conditional=conditional,
-        )
-        payloads.append(res.payload_bytes)
-        recons.append(res.recon_mse)
-        fusions.append(res.fusion_mse)
-    return PointStats(
-        payload_bytes=float(np.mean(payloads)),
-        recon_mse=float(np.mean(recons)),
-        fusion_mse=float(np.mean(fusions)),
+    return _mean_stats(
+        [
+            run_link(
+                scene_config(cfg, s, stream="eval"),
+                t_eval,
+                sender,
+                receiver,
+                params,
+                cb,
+                tau=tau,
+                sigma_pose=sigma_pose,
+                delay=delay,
+                budget=budget,
+                conditional=conditional,
+            )
+            for s in range(scenes)
+        ]
     )
 
 
@@ -416,36 +462,49 @@ def robustness_sweep(
 ) -> list[SweepRow]:
     """Full sigma x delay grid, one row per combination per decoder variant.
 
-    Each combination is evaluated twice - conditional and unconditional
-    decoding on identical scene data - so the side-information benefit under
-    perturbation can be read off row pairs.
+    Each combination is decoded twice from one message - conditional and
+    unconditional decoding on identical scene data - so the side-information
+    benefit under perturbation can be read off row pairs. Each scene is
+    simulated once for the whole grid; a row is the scene-order mean of the
+    same links run_link evaluates, so it equals evaluate_point at its knobs.
     """
     if not sigmas or not delays:
         raise ConfigError("sigma and delay lists must be non-empty")
+    if scenes < 1:
+        raise ConfigError(f"scenes must be >= 1, got {scenes}")
+    sigmas = [float(sigma) for sigma in sigmas]
+    delays = [int(delay) for delay in delays]
     d = params.embed_dim if embed_dim is None else embed_dim
+    per_scene = [
+        _scene_links(
+            scene_config(cfg, s, stream="eval"),
+            t_eval,
+            sender=1,
+            receiver=0,
+            params=params,
+            cb=cb,
+            tau=tau,
+            sigmas=sigmas,
+            delays=delays,
+            budget=None,
+            decoders=(True, False),
+        )
+        for s in range(scenes)
+    ]
     rows = []
     for sigma in sigmas:
         for delay in delays:
             for conditional in (1, 0):
-                stats = evaluate_point(
-                    cfg,
-                    params,
-                    cb,
-                    tau=tau,
-                    sigma_pose=float(sigma),
-                    delay=int(delay),
-                    scenes=scenes,
-                    conditional=bool(conditional),
-                    t_eval=t_eval,
-                )
+                key = (sigma, delay, bool(conditional))
+                stats = _mean_stats([links[key] for links in per_scene])
                 rows.append(
                     SweepRow(
                         tau=float(tau),
                         codebook_size=cb.size,
                         embed_dim=int(d),
                         rho=cfg.rho,
-                        sigma_pose=float(sigma),
-                        delay=int(delay),
+                        sigma_pose=sigma,
+                        delay=delay,
                         payload_bytes=stats.payload_bytes,
                         recon_mse=stats.recon_mse,
                         fusion_mse=stats.fusion_mse,

@@ -127,16 +127,28 @@ class Scene:
         object.__setattr__(self, "latent", arr)
 
 
-def generate_scene(cfg: ScenarioConfig, t: int) -> Scene:
-    """Latent field at frame t, deterministic in (cfg.seed, t)."""
-    if t < 0:
-        raise ConfigError(f"frame index must be >= 0, got {t}")
+def generate_frames(cfg: ScenarioConfig, t_max: int) -> list[Scene]:
+    """Latent fields for frames 0..t_max from one walk of the AR(1) chain.
+
+    Element t is the scene at frame t. Callers that need several frames of
+    one scene get them all from one walk instead of replaying the chain from
+    frame 0 per frame.
+    """
+    if t_max < 0:
+        raise ConfigError(f"frame index must be >= 0, got {t_max}")
     z = _unit_field(_rng(cfg.seed, STREAM_SCENE, 0), cfg.channels, cfg.height, cfg.width)
+    frames = [Scene(z, 0)]
     innov = np.sqrt(1.0 - cfg.alpha**2)
-    for step in range(1, t + 1):
+    for step in range(1, t_max + 1):
         eps = _unit_field(_rng(cfg.seed, STREAM_SCENE, step), cfg.channels, cfg.height, cfg.width)
         z = cfg.alpha * z + innov * eps
-    return Scene(z, t)
+        frames.append(Scene(z, step))
+    return frames
+
+
+def generate_scene(cfg: ScenarioConfig, t: int) -> Scene:
+    """Latent field at frame t, deterministic in (cfg.seed, t)."""
+    return generate_frames(cfg, t)[-1]
 
 
 def _covisible_cells(cfg: ScenarioConfig) -> int:

@@ -9,7 +9,9 @@ Layout, all little-endian, nothing uncounted:
     payload length u32 | payload bytes | final coder state u32
 
 The reported rate of a message is the total serialized length in bytes.
-Frequencies are the quantized counts summing to 2^p; a zero-symbol message
+Frequencies are the quantized counts summing to 2^p with p in [8, 15], so
+every frequency, up to 2^p for a single-symbol map, fits its u16 field (the
+coder itself admits p = 16). A zero-symbol message
 (N = 0) carries an all-zero table, an empty payload, and the initial coder
 state. Parsing is strict: any trailing or missing bytes, a bad magic, or an
 inconsistent table raises MessageParseError rather than returning garbage.
@@ -24,10 +26,13 @@ import numpy as np
 
 from .errors import ConfigError, MessageParseError
 from .features import Mask
-from .rans import MAX_PRECISION, MIN_PRECISION, RANS_L
+from .rans import MIN_PRECISION, RANS_L
 
 MESSAGE_MAGIC = b"DSC1"
 MESSAGE_VERSION = 1
+# Largest table precision the wire carries: a single-symbol table holds 2^p
+# in one u16 frequency field.
+MAX_MESSAGE_PRECISION = 15
 
 _FIXED_HEADER = struct.Struct("<4sBBHHHHHBQ")
 _U32 = struct.Struct("<I")
@@ -39,6 +44,8 @@ def pack_mask(mask: Mask) -> bytes:
 
 
 def unpack_mask(data: bytes, height: int, width: int) -> Mask:
+    if height < 1 or width < 1:
+        raise MessageParseError(f"mask dimensions must be >= 1, got {height}x{width}")
     expected = (height * width + 7) // 8
     if len(data) != expected:
         raise MessageParseError(f"mask section is {len(data)} bytes, expected {expected}")
@@ -66,6 +73,8 @@ class Message:
     flags: int = 0
 
     def __post_init__(self) -> None:
+        if not MIN_PRECISION <= self.precision <= MAX_MESSAGE_PRECISION:
+            raise ConfigError(f"precision {self.precision} out of range")
         arr = np.array(self.freqs, dtype=np.int64, order="C")
         if arr.ndim != 1 or arr.size != self.codebook_size:
             raise ConfigError(
@@ -84,8 +93,6 @@ class Message:
             raise ConfigError(
                 f"symbol count {self.num_symbols} != mask population {self.mask.count()}"
             )
-        if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
-            raise ConfigError(f"precision {self.precision} out of range")
         if self.num_symbols == 0 and self.final_state != RANS_L:
             raise ConfigError("zero-symbol messages must carry the initial coder state")
         arr.flags.writeable = False

@@ -6,13 +6,16 @@ full overlap) is shared across criteria through module-scoped fixtures.
 """
 
 import dataclasses
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsc_codec
 from dsc_codec import (
     Codebook,
     CodecParams,
@@ -275,10 +278,18 @@ seed = 7
 """
 
 
+# The package's own import root, absolute, so the CLI subprocess imports the
+# code under test whatever its working directory.
+_SRC = str(Path(dsc_codec.__file__).resolve().parent.parent)
+
+
 def _run_cli(args, cwd) -> None:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": _SRC + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "dsc_codec", *args],
         cwd=cwd,
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -208,3 +208,17 @@ def test_bad_env_seed_reports_diagnostic(tmp_path, scenario_file, monkeypatch, c
     status = cli_dispatch(["gen", "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])
     assert status == 1
     assert "DSC_SEED" in capsys.readouterr().err
+
+
+def test_sweep_robust_rejects_negative_sigma(tmp_path, scenario_file, capsys):
+    out = tmp_path / "robust.csv"
+    status = cli_dispatch(
+        [
+            "sweep-robust", "--scenario", str(scenario_file), "--sigmas=0,-1",
+            "--delays", "0", "--codebook-size", "8", "--embed-dim", "8",
+            "--scenes", "1", "--train-scenes", "2", "--out", str(out),
+        ]
+    )
+    assert status == 1
+    assert "sigma_pose must be >= 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,16 +1,22 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsc_codec import (
     Codebook,
     CodebookMismatchError,
     CodecParams,
     ConfigError,
+    DecodeError,
     FeatureMap,
     FrequencyTable,
+    HeaderMismatchError,
     InsufficientDataError,
+    ShapeMismatchError,
     Mask,
     MessageParseError,
     StepRejectedError,
@@ -27,8 +33,10 @@ from dsc_codec import (
     si_context,
 )
 from dsc_codec.codec import project_cells
+from dsc_codec.pruning import mask_from_scores, score_map
 from dsc_codec.quantizer import quantize_map
-from dsc_codec.wire import Message
+from dsc_codec.simulate import generate_scene, observe
+from dsc_codec.wire import MAX_MESSAGE_PRECISION, Message
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -189,6 +197,105 @@ def test_decode_error_taxonomy(small_cfg, small_fitted, rng):
 
     with pytest.raises(SymbolOutOfRangeError):
         dequantize([cb.size], cb)
+
+
+# ------------------------------------------------------ receiver contract
+
+# Fixed header: magic, version, flags, C, H, W, D, K, p, codebook hash.
+_HEADER = struct.Struct("<4sBBHHHHHBQ")
+_HEADER_FIELD_BITS = (32, 8, 8, 16, 16, 16, 16, 16, 8, 64)
+
+
+@pytest.fixture(scope="module")
+def coded_link(small_cfg, small_fitted):
+    """A real small-scene message at tau=0.5 (a mixed mask) and its receiver map."""
+    scene = generate_scene(small_cfg, 0)
+    sender, local = observe(scene, 1, small_cfg), observe(scene, 0, small_cfg)
+    mask = mask_from_scores(score_map(sender), 0.5)
+    pruned = FeatureMap(sender.values * mask.bits[np.newaxis])
+    msg = encode_message(pruned, mask, small_fitted.params, small_fitted.codebook)
+    return msg.to_bytes(), local
+
+
+def _receive(data, f_local, fitted, conditional):
+    msg = Message.from_bytes(data)
+    if conditional:
+        return decode_message(msg, f_local, fitted.params, fitted.codebook)
+    return decode_unconditional(msg, fitted.params, fitted.codebook)
+
+
+def _corrupt(draw, data: bytes) -> bytes:
+    kind = draw(st.sampled_from(["flip", "truncate", "header"]))
+    if kind == "flip":
+        out = bytearray(data)
+        for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1), min_size=1, max_size=3)):
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    fields = list(_HEADER.unpack_from(data))
+    i = draw(st.integers(1, len(fields) - 1))
+    fields[i] = draw(st.integers(0, (1 << _HEADER_FIELD_BITS[i]) - 1))
+    return _HEADER.pack(*fields) + data[_HEADER.size :]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_corrupted_message_decodes_or_raises_decode_error(coded_link, small_fitted, data):
+    # The receiver contract: whatever bytes arrive, parse + decode either
+    # returns a reconstruction or raises a DecodeError subclass.
+    clean, local = coded_link
+    corrupted = _corrupt(data.draw, clean)
+    conditional = data.draw(st.booleans())
+    try:
+        recon = _receive(corrupted, local, small_fitted, conditional)
+    except DecodeError:
+        return
+    assert isinstance(recon, FeatureMap)
+
+
+def test_header_disagreements_raise_decode_errors(coded_link, small_fitted):
+    clean, local = coded_link
+    # Bit 0 of byte 6 is the low bit of C: the message now claims 9 channels.
+    flipped = bytearray(clean)
+    flipped[6] ^= 1
+    for conditional in (True, False):
+        with pytest.raises(HeaderMismatchError) as info:
+            _receive(bytes(flipped), local, small_fitted, conditional)
+        assert isinstance(info.value, DecodeError)
+        assert isinstance(info.value, ShapeMismatchError)
+    # A local map whose shape disagrees with the header.
+    wrong = FeatureMap(np.zeros((local.channels, local.height, local.width + 1)))
+    with pytest.raises(HeaderMismatchError):
+        _receive(clean, wrong, small_fitted, True)
+    # Zero height with an empty mask section parses as nothing valid.
+    fields = list(_HEADER.unpack_from(clean))
+    mask_len = struct.unpack_from("<I", clean, _HEADER.size)[0]
+    fields[4] = 0
+    zero_h = (
+        _HEADER.pack(*fields) + struct.pack("<I", 0) + clean[_HEADER.size + 4 + mask_len :]
+    )
+    with pytest.raises(MessageParseError):
+        Message.from_bytes(zero_h)
+
+
+def test_single_symbol_map_codes_at_every_wire_precision(small_cfg, small_fitted):
+    # A constant map quantizes every cell to one codeword, whose frequency
+    # is the whole 2^p; the wire's u16 table carries it up to p = 15.
+    params, cb = small_fitted.params, small_fitted.codebook
+    f = FeatureMap(np.ones((small_cfg.channels, small_cfg.height, small_cfg.width)))
+    mask = Mask.ones(f.height, f.width)
+    for p in (8, 12, MAX_MESSAGE_PRECISION):
+        msg = encode_message(f, mask, params, cb, precision=p)
+        assert np.count_nonzero(msg.freqs) == 1 and msg.freqs.max() == 1 << p
+        parsed = Message.from_bytes(msg.to_bytes())
+        assert parsed.to_bytes() == msg.to_bytes()
+        a = decode_unconditional(parsed, params, cb)
+        b = decode_unconditional(msg, params, cb)
+        assert np.array_equal(a.values, b.values)
+    for p in (7, MAX_MESSAGE_PRECISION + 1):
+        with pytest.raises(ConfigError):
+            encode_message(f, mask, params, cb, precision=p)
 
 
 def test_encode_rejects_mismatched_codebook(small_cfg, small_fitted, rng):

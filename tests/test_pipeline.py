@@ -15,6 +15,7 @@ from dsc_codec import (
     robustness_sweep,
     write_csv,
 )
+from dsc_codec import pipeline, simulate
 from dsc_codec.pipeline import (
     CSV_HEADER,
     DEFAULT_EVAL_T,
@@ -119,6 +120,46 @@ def test_run_link_validation(small_cfg, small_fitted):
         run_link(small_cfg, 0, 1, 0, params, cb, delay=-1)
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"sigma_pose": -1.0}, {"sigma_pose": float("nan")}, {"delay": -1}],
+)
+def test_run_link_rejects_invalid_perturbation_before_simulating(
+    monkeypatch, small_cfg, small_fitted, kwargs
+):
+    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    with pytest.raises(ConfigError):
+        run_link(small_cfg, 4, 1, 0, small_fitted.params, small_fitted.codebook, **kwargs)
+    assert frames == []
+
+
+@pytest.mark.parametrize(
+    "sigmas, delays",
+    [([0.0, 1.0, -1.0], [0, 1]), ([0.0], [0, 2, -2]), ([float("nan")], [0])],
+)
+def test_robustness_sweep_rejects_invalid_grid_before_simulating(
+    monkeypatch, small_cfg, small_fitted, sigmas, delays
+):
+    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    with pytest.raises(ConfigError):
+        robustness_sweep(
+            small_cfg, sigmas, delays, small_fitted.params, small_fitted.codebook, scenes=2
+        )
+    assert frames == []
+
+
 def test_run_link_delay_uses_stale_sender_frame(small_cfg, small_fitted):
     params, cb = small_fitted.params, small_fitted.codebook
     cfg_s = scene_config(small_cfg, 3, stream="eval")
@@ -187,6 +228,57 @@ def test_robustness_sweep_grid_and_unperturbed_row(small_cfg, small_fitted):
         stats.recon_mse,
         stats.fusion_mse,
     )
+
+
+def test_robustness_rows_equal_scene_mean_of_run_link(small_cfg, small_fitted):
+    params, cb = small_fitted.params, small_fitted.codebook
+    sigmas, delays, scenes = [0.0, 1.5], [0, 2, 5], 2
+    rows = robustness_sweep(small_cfg, sigmas, delays, params, cb, tau=0.3, scenes=scenes)
+    assert len(rows) == 2 * len(sigmas) * len(delays)
+    for row in rows:
+        links = [
+            run_link(
+                scene_config(small_cfg, s, stream="eval"),
+                DEFAULT_EVAL_T,
+                1,
+                0,
+                params,
+                cb,
+                tau=0.3,
+                sigma_pose=row.sigma_pose,
+                delay=row.delay,
+                conditional=bool(row.conditional),
+            )
+            for s in range(scenes)
+        ]
+        assert row.payload_bytes == float(np.mean([r.payload_bytes for r in links]))
+        assert row.recon_mse == float(np.mean([r.recon_mse for r in links]))
+        assert row.fusion_mse == float(np.mean([r.fusion_mse for r in links]))
+
+
+def test_robustness_sweep_simulates_each_scene_once(monkeypatch, small_cfg, small_fitted):
+    # small_cfg has sigma_obs = 0, so observe draws exactly one unit field.
+    fields = _count_calls(monkeypatch, simulate, "_unit_field")
+    observes = _count_calls(monkeypatch, pipeline, "observe")
+    encodes = _count_calls(monkeypatch, pipeline, "encode_message")
+    sigmas, delays, scenes = [0.0, 1.0, 2.0], [0, 1, 4, 6], 2
+    rows = robustness_sweep(
+        small_cfg, sigmas, delays, small_fitted.params, small_fitted.codebook, scenes=scenes
+    )
+    assert len(rows) == 2 * len(sigmas) * len(delays)
+    sender_frames = len({max(0, DEFAULT_EVAL_T - d) for d in delays})
+    assert len(observes) == scenes * (1 + sender_frames)
+    assert len(fields) == scenes * (DEFAULT_EVAL_T + 1 + 1 + sender_frames)
+    assert len(encodes) == scenes * len(sigmas) * len(delays)
+
+
+def test_run_link_simulates_its_scene_once(monkeypatch, small_cfg, small_fitted):
+    fields = _count_calls(monkeypatch, simulate, "_unit_field")
+    encodes = _count_calls(monkeypatch, pipeline, "encode_message")
+    run_link(small_cfg, 3, 1, 0, small_fitted.params, small_fitted.codebook, delay=2)
+    # Chain frames 0..3, then one field each for the receiver and sender.
+    assert len(fields) == 3 + 1 + 2
+    assert len(encodes) == 1
 
 
 def test_csv_roundtrip_and_sorted_emission(tmp_path, small_cfg):

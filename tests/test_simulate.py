@@ -10,6 +10,7 @@ from dsc_codec import (
     ScenarioConfig,
     UndefinedCorrelationError,
     empirical_correlation,
+    generate_frames,
     generate_scene,
     load_scenario,
     observe,
@@ -17,7 +18,14 @@ from dsc_codec import (
     save_scenario,
     translate,
 )
-from dsc_codec.simulate import covisible_mask, scene_config, visibility_mask
+from dsc_codec.simulate import (
+    STREAM_SCENE,
+    _rng,
+    _unit_field,
+    covisible_mask,
+    scene_config,
+    visibility_mask,
+)
 
 
 def cfg_with(**kw) -> ScenarioConfig:
@@ -50,6 +58,26 @@ def test_scene_determinism():
     assert np.array_equal(a.latent, b.latent)
     c = generate_scene(dataclasses.replace(cfg, seed=12), 3)
     assert not np.array_equal(a.latent, c.latent)
+
+
+def test_generate_frames_walks_the_chain_once_bit_exactly():
+    cfg = cfg_with(channels=4, height=16, width=16)
+    frames = generate_frames(cfg, 3)
+    assert [f.t for f in frames] == [0, 1, 2, 3]
+    # Independent replay of the documented recursion, frame by frame.
+    shape = (cfg.channels, cfg.height, cfg.width)
+    z = _unit_field(_rng(cfg.seed, STREAM_SCENE, 0), *shape)
+    for t, frame in enumerate(frames):
+        if t > 0:
+            eps = _unit_field(_rng(cfg.seed, STREAM_SCENE, t), *shape)
+            z = cfg.alpha * z + np.sqrt(1.0 - cfg.alpha**2) * eps
+        assert np.array_equal(frame.latent, z)
+        assert np.array_equal(generate_scene(cfg, t).latent, frame.latent)
+    assert len(generate_frames(cfg, 0)) == 1
+    with pytest.raises(ConfigError):
+        generate_frames(cfg, -1)
+    with pytest.raises(ConfigError):
+        generate_scene(cfg, -1)
 
 
 def test_alpha_zero_gives_independent_frames():
