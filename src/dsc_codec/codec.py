@@ -185,6 +185,14 @@ def project_cells(cells: np.ndarray, params: CodecParams) -> np.ndarray:
     return (cells - params.mean) @ params.projection.T
 
 
+def _box_mean_cells(f: FeatureMap, radius: int) -> np.ndarray:
+    values = f.values.astype(np.float64)
+    if radius > 0:
+        size = (1, 2 * radius + 1, 2 * radius + 1)
+        values = uniform_filter(values, size=size, mode="constant", cval=0.0)
+    return values.reshape(f.channels, -1).T
+
+
 def si_context(f_local: FeatureMap, params: CodecParams) -> ContextMap:
     """Project the (2r+1)^2 box-mean around each cell; zero padding at borders.
 
@@ -195,13 +203,7 @@ def si_context(f_local: FeatureMap, params: CodecParams) -> ContextMap:
         raise ShapeMismatchError(
             f"local feature has {f_local.channels} channels, codec expects {params.channels}"
         )
-    r = params.context_radius
-    values = f_local.values.astype(np.float64)
-    if r > 0:
-        size = (1, 2 * r + 1, 2 * r + 1)
-        values = uniform_filter(values, size=size, mode="constant", cval=0.0)
-    cells = values.reshape(params.channels, -1).T
-    ctx = project_cells(cells, params)
+    ctx = project_cells(_box_mean_cells(f_local, params.context_radius), params)
     return ContextMap(ctx.reshape(f_local.height, f_local.width, params.embed_dim))
 
 
@@ -445,14 +447,6 @@ def decode_unconditional(msg: Message, params: CodecParams, cb: Codebook) -> Fea
         recon = x @ params.w_uncond
         out.reshape(msg.channels, -1)[:, flat] = recon.T.astype(np.float32)
     return FeatureMap(out)
-
-
-def _box_mean_cells(f: FeatureMap, radius: int) -> np.ndarray:
-    values = f.values.astype(np.float64)
-    if radius > 0:
-        size = (1, 2 * radius + 1, 2 * radius + 1)
-        values = uniform_filter(values, size=size, mode="constant", cval=0.0)
-    return values.reshape(f.channels, -1).T
 
 
 def finetune_step(

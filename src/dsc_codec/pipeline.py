@@ -11,12 +11,21 @@ reports two metrics:
     result an unconstrained link would have produced. With the whole
     communication path replaced by an identity channel this is exactly 0.
 
-Every link is evaluated by one per-scene routine. It walks the scene's AR(1)
-chain once, observes the receiver once and the sender once per distinct
-(delayed) frame, and prunes and encodes each (pose noise, delay) message
-once; that one message then feeds every requested decoder, conditional and
-unconditional. A single link (run_link) is the routine on a one-point grid;
-the robustness sweep runs it once per scene over the whole grid.
+Every link is evaluated by one per-scene routine over a grid of codecs,
+pruning thresholds, pose noises and delays. It walks the scene's AR(1) chain
+once, observes the receiver once and the sender once per distinct (delayed)
+frame, scores each (pose noise, delay) sender view once, and prunes and
+encodes each (codec, tau, pose noise, delay) message once; that one message
+then feeds every requested decoder, conditional and unconditional. A single
+link (run_link) is the routine on a one-point grid; each sweep runs it once
+per scene over its whole grid.
+
+A codec fit has a K-independent part - training scenes, their observations,
+the PCA projection, the pruning masks and the pooled latents - and a per-K
+part: the k-means codebook and the ridge decoders. fit_codec does both; the
+rate-distortion sweep builds the training set once and fits every codebook
+size on it, so one sweep does one training set and one scene walk per
+evaluation scene.
 
 Sweeps aggregate links over independently seeded scenes. Rate and
 robustness sweeps share that one evaluation path, so the unperturbed
@@ -43,8 +52,8 @@ from .codec import (
     fit_encoder_projection,
     project_cells,
 )
-from .errors import ConfigError, DecodeError
-from .features import FeatureMap, elementwise_max, mse
+from .errors import ConfigError, DecodeError, InsufficientDataError
+from .features import FeatureMap, Mask, elementwise_max, mse
 from .pruning import mask_from_scores, score_map
 from .quantizer import Codebook, train_codebook
 from .simulate import (
@@ -155,6 +164,107 @@ class FittedCodec:
     decoder_fit: DecoderFit
 
 
+def _check_taus(taus: Sequence[float]) -> None:
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"tau must be in [0,1], got {tau}")
+
+
+def _check_codebook_sizes(sizes: Sequence[int]) -> None:
+    for k in sizes:
+        if k < 1:
+            raise ConfigError(f"codebook size must be >= 1, got {k}")
+
+
+@dataclass(frozen=True)
+class _TrainingSet:
+    """The K-independent part of a codec fit.
+
+    The PCA projection and mean, the k-means sample of training latents
+    that survive pruning and its seed, and the (pruned sender, mask,
+    receiver) decoder pairs. One training set serves a codec fit at every
+    codebook size.
+    """
+
+    projection: np.ndarray
+    mean: np.ndarray
+    kmeans_sample: np.ndarray
+    kmeans_seed: int
+    pairs: list[tuple[FeatureMap, Mask, FeatureMap]]
+
+
+def _training_set(
+    cfg: ScenarioConfig, embed_dim: int, train_scenes: int, train_tau: float
+) -> _TrainingSet:
+    if train_scenes < 1:
+        raise ConfigError(f"train_scenes must be >= 1, got {train_scenes}")
+    if embed_dim < 1:
+        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
+    _check_taus((train_tau,))
+    observations: list[list[FeatureMap]] = []
+    for s in range(train_scenes):
+        cfg_s = scene_config(cfg, s, stream="train")
+        scene = generate_scene(cfg_s, 0)
+        observations.append([observe(scene, a, cfg_s) for a in range(cfg.num_agents)])
+
+    pooled = [f for per_scene in observations for f in per_scene]
+    projection, mean = fit_encoder_projection(pooled, embed_dim)
+    encoder = CodecParams(projection=projection, mean=mean, codebook_hash=0)
+
+    masks = [
+        [mask_from_scores(score_map(f), train_tau) for f in per_scene]
+        for per_scene in observations
+    ]
+    latent_blocks = []
+    for per_scene, per_masks in zip(observations, masks):
+        for f, m in zip(per_scene, per_masks):
+            flat = m.bits.ravel()
+            if flat.any():
+                latent_blocks.append(project_cells(f.cell_vectors()[flat], encoder))
+    if not latent_blocks:
+        raise InsufficientDataError(f"train_tau={train_tau} prunes every training cell")
+    latents = np.concatenate(latent_blocks, axis=0)
+    step = max(1, -(-latents.shape[0] // _KMEANS_SAMPLE_LIMIT))
+
+    pairs = []
+    for per_scene, per_masks in zip(observations, masks):
+        for j in range(cfg.num_agents):
+            for i in range(cfg.num_agents):
+                if i == j:
+                    continue
+                pruned = FeatureMap(per_scene[j].values * per_masks[j].bits[np.newaxis])
+                pairs.append((pruned, per_masks[j], per_scene[i]))
+    return _TrainingSet(
+        projection=projection,
+        mean=mean,
+        kmeans_sample=latents[::step],
+        kmeans_seed=derive_seed(cfg.seed, STREAM_KMEANS),
+        pairs=pairs,
+    )
+
+
+def _fit_on(
+    training: _TrainingSet,
+    codebook_size: int,
+    kmeans_iters: int = 25,
+    ridge_lambda: float = 1e-3,
+    context_radius: int = 1,
+) -> FittedCodec:
+    """Codebook and ridge decoders of one codebook size on a shared training set."""
+    codebook = train_codebook(
+        training.kmeans_sample, codebook_size, kmeans_iters, training.kmeans_seed
+    )
+    params = CodecParams(
+        projection=training.projection,
+        mean=training.mean,
+        codebook_hash=codebook.version_hash,
+        context_radius=context_radius,
+        ridge_lambda=ridge_lambda,
+    )
+    fit = fit_conditional_decoder(training.pairs, params, codebook)
+    return FittedCodec(params=params.with_decoder_fit(fit), codebook=codebook, decoder_fit=fit)
+
+
 def fit_codec(
     cfg: ScenarioConfig,
     codebook_size: int = 64,
@@ -170,59 +280,14 @@ def fit_codec(
     Training scenes come from a dedicated seed stream, so evaluation scenes
     drawn from the default stream are held out. The codebook is trained on
     the latents of cells that survive pruning at train_tau; decoder rows use
-    every ordered agent pair of every training scene.
+    every ordered agent pair of every training scene. A codebook_size,
+    embed_dim or train_scenes below 1, or a train_tau outside [0, 1], raises
+    ConfigError before any scene is simulated; a train_tau that prunes every
+    training cell raises InsufficientDataError.
     """
-    if train_scenes < 1:
-        raise ConfigError(f"train_scenes must be >= 1, got {train_scenes}")
-    observations: list[list[FeatureMap]] = []
-    for s in range(train_scenes):
-        cfg_s = scene_config(cfg, s, stream="train")
-        scene = generate_scene(cfg_s, 0)
-        observations.append([observe(scene, a, cfg_s) for a in range(cfg.num_agents)])
-
-    pooled = [f for per_scene in observations for f in per_scene]
-    projection, mean = fit_encoder_projection(pooled, embed_dim)
-    params = CodecParams(
-        projection=projection,
-        mean=mean,
-        codebook_hash=0,
-        context_radius=context_radius,
-        ridge_lambda=ridge_lambda,
-    )
-
-    masks = [
-        [mask_from_scores(score_map(f), train_tau) for f in per_scene]
-        for per_scene in observations
-    ]
-    latent_blocks = []
-    for per_scene, per_masks in zip(observations, masks):
-        for f, m in zip(per_scene, per_masks):
-            flat = m.bits.ravel()
-            if flat.any():
-                latent_blocks.append(project_cells(f.cell_vectors()[flat], params))
-    latents = np.concatenate(latent_blocks, axis=0)
-    step = max(1, -(-latents.shape[0] // _KMEANS_SAMPLE_LIMIT))
-    codebook = train_codebook(
-        latents[::step], codebook_size, kmeans_iters, derive_seed(cfg.seed, STREAM_KMEANS)
-    )
-    params = CodecParams(
-        projection=projection,
-        mean=mean,
-        codebook_hash=codebook.version_hash,
-        context_radius=context_radius,
-        ridge_lambda=ridge_lambda,
-    )
-
-    pairs = []
-    for per_scene, per_masks in zip(observations, masks):
-        for j in range(cfg.num_agents):
-            for i in range(cfg.num_agents):
-                if i == j:
-                    continue
-                pruned = FeatureMap(per_scene[j].values * per_masks[j].bits[np.newaxis])
-                pairs.append((pruned, per_masks[j], per_scene[i]))
-    fit = fit_conditional_decoder(pairs, params, codebook)
-    return FittedCodec(params=params.with_decoder_fit(fit), codebook=codebook, decoder_fit=fit)
+    _check_codebook_sizes((codebook_size,))
+    training = _training_set(cfg, embed_dim, train_scenes, train_tau)
+    return _fit_on(training, codebook_size, kmeans_iters, ridge_lambda, context_radius)
 
 
 def fuse_all(f_local: FeatureMap, reconstructions: Sequence[FeatureMap]) -> FeatureMap:
@@ -238,23 +303,26 @@ def _scene_links(
     t: int,
     sender: int,
     receiver: int,
-    params: CodecParams,
-    cb: Codebook,
-    tau: float,
+    codecs: Sequence[tuple[CodecParams, Codebook]],
+    taus: Sequence[float],
     sigmas: Sequence[float],
     delays: Sequence[int],
     budget: int | None,
     decoders: Sequence[bool],
-) -> dict[tuple[float, int, bool], LinkResult]:
-    """Every (sigma, delay, conditional) link of one scene at frame t.
+) -> dict[tuple[int, int, int, int, bool], LinkResult]:
+    """Every (codec, tau, sigma, delay, conditional) link of one scene at frame t.
 
+    Results are keyed by grid position (codec, tau, sigma and delay index)
+    and decoder flag, so repeated grid entries give repeated links.
     Arguments are validated before any simulation. The chain is walked once,
     the receiver is observed once and the sender once per distinct frame
-    max(0, t - delay); each (sigma, delay) message is encoded once and
-    decoded by every decoder in decoders.
+    max(0, t - delay); each (sigma, delay) sender view is scored once, each
+    (codec, tau, sigma, delay) message is encoded once and decoded by every
+    decoder in decoders.
     """
     if sender == receiver:
         raise ConfigError("sender and receiver must differ")
+    _check_taus(taus)
     for sigma in sigmas:
         if not sigma >= 0.0:
             raise ConfigError(f"sigma_pose must be >= 0, got {sigma}")
@@ -272,37 +340,40 @@ def _scene_links(
     pose_seed = derive_seed(cfg.seed, STREAM_POSE, sender, t)
 
     links = {}
-    for sigma in sigmas:
-        for delay in delays:
+    for si, sigma in enumerate(sigmas):
+        for di, delay in enumerate(delays):
             f_sender = perturb_pose(stale[max(0, t - delay)], sigma, pose_seed)
-            mask = mask_from_scores(score_map(f_sender), tau)
-            pruned = FeatureMap(f_sender.values * mask.bits[np.newaxis])
-            msg = encode_message(pruned, mask, params, cb)
-            payload = len(msg.to_bytes())
-            within = budget is None or payload <= budget
+            scores = score_map(f_sender)
             oracle = fuse_all(f_local, [f_sender])
-            for conditional in decoders:
-                failed = False
-                recon = FeatureMap.zeros(*f_sender.shape)
-                if within:
-                    try:
-                        if conditional:
-                            recon = decode_message(msg, f_local, params, cb)
-                        else:
-                            recon = decode_unconditional(msg, params, cb)
-                    except DecodeError:
-                        failed = True
-                fused = fuse_all(f_local, [recon] if (within and not failed) else [])
-                links[(sigma, delay, conditional)] = LinkResult(
-                    sender=sender,
-                    receiver=receiver,
-                    payload_bytes=payload,
-                    budget=budget,
-                    within_budget=within,
-                    recon_mse=mse(recon, pruned),
-                    fusion_mse=mse(fused, oracle),
-                    failed=failed,
-                )
+            for ti, tau in enumerate(taus):
+                mask = mask_from_scores(scores, tau)
+                pruned = FeatureMap(f_sender.values * mask.bits[np.newaxis])
+                for ci, (params, cb) in enumerate(codecs):
+                    msg = encode_message(pruned, mask, params, cb)
+                    payload = len(msg.to_bytes())
+                    within = budget is None or payload <= budget
+                    for conditional in decoders:
+                        failed = False
+                        recon = FeatureMap.zeros(*f_sender.shape)
+                        if within:
+                            try:
+                                if conditional:
+                                    recon = decode_message(msg, f_local, params, cb)
+                                else:
+                                    recon = decode_unconditional(msg, params, cb)
+                            except DecodeError:
+                                failed = True
+                        fused = fuse_all(f_local, [recon] if (within and not failed) else [])
+                        links[(ci, ti, si, di, conditional)] = LinkResult(
+                            sender=sender,
+                            receiver=receiver,
+                            payload_bytes=payload,
+                            budget=budget,
+                            within_budget=within,
+                            recon_mse=mse(recon, pruned),
+                            fusion_mse=mse(fused, oracle),
+                            failed=failed,
+                        )
     return links
 
 
@@ -325,13 +396,15 @@ def run_link(
     pose-shifted; the receiver decodes against its current local feature. A
     link whose serialized message exceeds the budget is dropped (truncation
     would break entropy decodability), as is a link whose decode fails; the
-    receiver then falls back to its local feature only. A negative
-    sigma_pose or delay raises ConfigError before anything is simulated.
+    receiver then falls back to its local feature only. A tau outside [0, 1]
+    or a negative sigma_pose or delay raises ConfigError before anything is
+    simulated.
     """
     links = _scene_links(
-        cfg, t, sender, receiver, params, cb, tau, (sigma_pose,), (delay,), budget, (conditional,)
+        cfg, t, sender, receiver, [(params, cb)], (tau,), (sigma_pose,), (delay,), budget,
+        (conditional,),
     )
-    return links[(sigma_pose, delay, conditional)]
+    return links[(0, 0, 0, 0, conditional)]
 
 
 @dataclass(frozen=True)
@@ -397,24 +470,43 @@ def rd_sweep(
     budget: int | None = None,
     t_eval: int = DEFAULT_EVAL_T,
 ) -> list[RDPoint]:
-    """Rate-distortion grid over tau and codebook size, one codec fit per size."""
+    """Rate-distortion grid over codebook size and tau, one point per pair.
+
+    Every argument is validated before any simulation. The training set is
+    built once and shared by the codec fit of every size; each evaluation
+    scene is simulated once for the whole grid. A point is the scene-order
+    mean of the links evaluate_point averages, with the codec that fit_codec
+    gives at that size.
+    """
     if not taus or not codebook_sizes:
         raise ConfigError("sweep grids must be non-empty")
-    points = []
-    for k in codebook_sizes:
-        fitted = fit_codec(
-            cfg, codebook_size=k, embed_dim=embed_dim, train_scenes=train_scenes
+    _check_taus(taus)
+    _check_codebook_sizes(codebook_sizes)
+    if scenes_per_point < 1:
+        raise ConfigError(f"scenes_per_point must be >= 1, got {scenes_per_point}")
+    # _training_set checks its own arguments before it simulates anything.
+    training = _training_set(cfg, embed_dim, train_scenes, train_tau=0.0)
+    fits = [_fit_on(training, k) for k in codebook_sizes]
+    codecs = [(f.params, f.codebook) for f in fits]
+    per_scene = [
+        _scene_links(
+            scene_config(cfg, s, stream="eval"),
+            t_eval,
+            sender=1,
+            receiver=0,
+            codecs=codecs,
+            taus=taus,
+            sigmas=(0.0,),
+            delays=(0,),
+            budget=budget,
+            decoders=(True,),
         )
-        for tau in taus:
-            stats = evaluate_point(
-                cfg,
-                fitted.params,
-                fitted.codebook,
-                tau=tau,
-                scenes=scenes_per_point,
-                budget=budget,
-                t_eval=t_eval,
-            )
+        for s in range(scenes_per_point)
+    ]
+    points = []
+    for ci, k in enumerate(codebook_sizes):
+        for ti, tau in enumerate(taus):
+            stats = _mean_stats([links[(ci, ti, 0, 0, True)] for links in per_scene])
             points.append(
                 RDPoint(
                     tau=float(tau),
@@ -481,9 +573,8 @@ def robustness_sweep(
             t_eval,
             sender=1,
             receiver=0,
-            params=params,
-            cb=cb,
-            tau=tau,
+            codecs=[(params, cb)],
+            taus=(tau,),
             sigmas=sigmas,
             delays=delays,
             budget=None,
@@ -492,10 +583,10 @@ def robustness_sweep(
         for s in range(scenes)
     ]
     rows = []
-    for sigma in sigmas:
-        for delay in delays:
+    for si, sigma in enumerate(sigmas):
+        for di, delay in enumerate(delays):
             for conditional in (1, 0):
-                key = (sigma, delay, bool(conditional))
+                key = (0, 0, si, di, bool(conditional))
                 stats = _mean_stats([links[key] for links in per_scene])
                 rows.append(
                     SweepRow(

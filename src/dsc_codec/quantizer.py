@@ -165,12 +165,16 @@ def kmeans_fit(
 
     assign, dist = _nearest(x, centers)
     history = [float(dist.mean())]
+    columns = np.ascontiguousarray(x.T)
     for _ in range(iters):
         prev_assign = assign
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                centers[j] = x[members].mean(axis=0)
+        # Each cluster's rows are summed in index order and divided once,
+        # the same float operations as a per-cluster x[members].mean(axis=0)
+        # (for D >= 2; numpy sums a single column pairwise instead).
+        counts = np.bincount(assign, minlength=k)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
         assign, dist = _nearest(x, centers)
         present = np.bincount(assign, minlength=k) > 0
         for j in np.flatnonzero(~present):

@@ -222,3 +222,17 @@ def test_sweep_robust_rejects_negative_sigma(tmp_path, scenario_file, capsys):
     assert status == 1
     assert "sigma_pose must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_rd_rejects_out_of_range_tau(tmp_path, scenario_file, capsys):
+    out = tmp_path / "rd.csv"
+    status = cli_dispatch(
+        [
+            "sweep-rd", "--scenario", str(scenario_file), "--taus=0,1.5",
+            "--codebook-sizes", "8", "--embed-dim", "8",
+            "--scenes", "1", "--train-scenes", "2", "--out", str(out),
+        ]
+    )
+    assert status == 1
+    assert "tau must be in [0,1]" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,8 +6,11 @@ import pytest
 from dsc_codec import (
     ConfigError,
     FeatureMap,
+    InsufficientDataError,
+    ScenarioConfig,
     elementwise_max,
     evaluate_point,
+    fit_codec,
     fuse_all,
     mse,
     run_link,
@@ -15,7 +18,7 @@ from dsc_codec import (
     robustness_sweep,
     write_csv,
 )
-from dsc_codec import pipeline, simulate
+from dsc_codec import pipeline, quantizer, simulate
 from dsc_codec.pipeline import (
     CSV_HEADER,
     DEFAULT_EVAL_T,
@@ -209,6 +212,86 @@ def test_rd_sweep_recon_mse_non_increasing_in_codebook_size(small_cfg):
     )
     recons = [p.recon_mse for p in points]
     assert all(a >= b - 1e-12 for a, b in zip(recons, recons[1:]))
+
+
+def test_rd_sweep_rows_equal_fit_codec_then_evaluate_point(small_cfg):
+    # A repeated K and a repeated tau must give repeated rows in grid order.
+    taus, sizes, scenes, train = [0.0, 0.6, 0.0], [8, 4, 8], 2, 2
+    points = rd_sweep(
+        small_cfg, taus=taus, codebook_sizes=sizes, embed_dim=8,
+        scenes_per_point=scenes, train_scenes=train,
+    )
+    assert [(p.codebook_size, p.tau) for p in points] == [(k, t) for k in sizes for t in taus]
+    for k in sizes:
+        fitted = fit_codec(small_cfg, codebook_size=k, embed_dim=8, train_scenes=train)
+        for tau in taus:
+            stats = evaluate_point(small_cfg, fitted.params, fitted.codebook, tau=tau, scenes=scenes)
+            point = points.pop(0)
+            assert (point.payload_bytes, point.recon_mse, point.fusion_mse) == (
+                stats.payload_bytes,
+                stats.recon_mse,
+                stats.fusion_mse,
+            )
+            assert (point.embed_dim, point.scenes) == (8, scenes)
+
+
+@pytest.mark.parametrize("taus, sizes", [([0.0, 0.5], [4, 16]), ([0.3], [8, 8, 4])])
+def test_rd_sweep_shares_fit_and_scene_work(monkeypatch, small_cfg, taus, sizes):
+    # small_cfg has sigma_obs = 0, so observe draws exactly one unit field.
+    fields = _count_calls(monkeypatch, simulate, "_unit_field")
+    projections = _count_calls(monkeypatch, pipeline, "fit_encoder_projection")
+    kmeans = _count_calls(monkeypatch, quantizer, "kmeans_fit")
+    train, scenes = 2, 2
+    points = rd_sweep(
+        small_cfg, taus=taus, codebook_sizes=sizes, embed_dim=8,
+        scenes_per_point=scenes, train_scenes=train,
+    )
+    assert len(points) == len(taus) * len(sizes)
+    # Each training scene is frame 0 plus one observation per agent; each
+    # eval scene is frames 0..t plus one receiver and one sender observation.
+    expected = train * (1 + small_cfg.num_agents) + scenes * (DEFAULT_EVAL_T + 1 + 2)
+    assert len(fields) == expected
+    assert len(projections) == 1
+    assert [args[1] for args in kmeans] == sizes
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"taus": [0.0, 1.5]},
+        {"taus": [float("nan")]},
+        {"taus": [-0.1]},
+        {"codebook_sizes": [8, 0]},
+        {"scenes_per_point": 0},
+        {"train_scenes": 0},
+        {"embed_dim": 0},
+    ],
+)
+def test_rd_sweep_rejects_invalid_grid_before_simulating(monkeypatch, small_cfg, kwargs):
+    scenes = _count_calls(monkeypatch, pipeline, "generate_scene")
+    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    args = dict(taus=[0.0], codebook_sizes=[8], embed_dim=8, scenes_per_point=1, train_scenes=2)
+    args.update(kwargs)
+    with pytest.raises(ConfigError):
+        rd_sweep(small_cfg, **args)
+    assert scenes == [] and frames == []
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"codebook_size": 0}, {"embed_dim": 0}, {"train_scenes": 0}, {"train_tau": 1.5}],
+)
+def test_fit_codec_rejects_invalid_arguments_before_simulating(monkeypatch, small_cfg, kwargs):
+    scenes = _count_calls(monkeypatch, pipeline, "generate_scene")
+    with pytest.raises(ConfigError):
+        fit_codec(small_cfg, **{"codebook_size": 4, "embed_dim": 4, "train_scenes": 2, **kwargs})
+    assert scenes == []
+
+
+def test_fit_codec_rejects_train_tau_that_prunes_every_cell():
+    cfg = ScenarioConfig(channels=8, height=16, width=16, seed=3)
+    with pytest.raises(InsufficientDataError, match="prunes every training cell"):
+        fit_codec(cfg, codebook_size=4, embed_dim=4, train_tau=1.0)
 
 
 def test_robustness_sweep_grid_and_unperturbed_row(small_cfg, small_fitted):

@@ -18,6 +18,7 @@ from dsc_codec import (
     train_codebook,
     vq_losses,
 )
+from dsc_codec.quantizer import _nearest
 
 
 def codebook(rows) -> Codebook:
@@ -137,6 +138,72 @@ def test_kmeans_handles_duplicate_points():
     samples[5:] = 1.0
     cb = train_codebook(samples, 4, iters=10, seed=3)
     assert np.isfinite(cb.codewords).all()
+
+
+def _reference_kmeans_fit(samples, k, iters, seed):
+    """kmeans_fit with the per-cluster centroid loop; also counts reseeds.
+
+    The vectorised update matches it bit for bit when D >= 2 (numpy sums a
+    single column pairwise in mean, so D = 1 is not compared).
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]), dtype=np.float64)
+    centers[0] = x[int(rng.integers(n))]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            pick = int(rng.choice(n, p=d2 / total))
+        else:
+            pick = int(rng.integers(n))
+        centers[j] = x[pick]
+        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+
+    assign, dist = _nearest(x, centers)
+    history = [float(dist.mean())]
+    reseeds = 0
+    for _ in range(iters):
+        prev_assign = assign
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centers[j] = x[members].mean(axis=0)
+        assign, dist = _nearest(x, centers)
+        present = np.bincount(assign, minlength=k) > 0
+        for j in np.flatnonzero(~present):
+            reseeds += 1
+            far = int(np.argmax(dist))
+            centers[j] = x[far]
+            newd = np.sum((x - centers[j]) ** 2, axis=1)
+            take = newd < dist
+            assign = np.where(take, j, assign)
+            dist = np.minimum(dist, newd)
+        history.append(float(dist.mean()))
+        if np.array_equal(assign, prev_assign):
+            break
+    return centers, history, reseeds
+
+
+@pytest.mark.parametrize(
+    "n, d, k, duplicated",
+    [(600, 4, 4, False), (600, 16, 16, False), (2000, 16, 64, False), (3000, 3, 256, False),
+     (40, 3, 9, True)],
+)
+def test_kmeans_matches_per_cluster_loop_reference(n, d, k, duplicated):
+    r = np.random.default_rng(n + d + k)
+    samples = r.normal(size=(n, d)) * r.uniform(0.5, 3.0, size=d)
+    if duplicated:
+        # Eight distinct points, each repeated five times: k-means++ runs out
+        # of distance mass and picks duplicates, which leaves empty clusters.
+        samples = np.repeat(samples[:8], 5, axis=0)
+    centers, history = kmeans_fit(samples, k, iters=25, seed=k)
+    ref_centers, ref_history, reseeds = _reference_kmeans_fit(samples, k, 25, k)
+    assert np.array_equal(centers, ref_centers)
+    assert history == ref_history
+    assert all(a >= b - 1e-12 for a, b in zip(history, history[1:]))
+    assert (reseeds > 0) == duplicated
 
 
 def test_vq_losses():
