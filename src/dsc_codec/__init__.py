@@ -8,7 +8,6 @@ information estimators make the rate and distortion behavior checkable.
 
 from .codec import (
     CodecParams,
-    ContextMap,
     DecoderFit,
     decode_message,
     decode_unconditional,

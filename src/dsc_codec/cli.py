@@ -67,12 +67,23 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+def _parse_list(text: str, kind) -> list:
+    try:
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def _float_list(text: str) -> list[float]:
+    """argparse type for flags such as --taus=0,0.5: comma-separated floats."""
+    return _parse_list(text, float)
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type for flags such as --delays=0,2: comma-separated ints."""
+    return _parse_list(text, int)
 
 
 def _cmd_gen(args) -> int:
@@ -140,8 +151,8 @@ def _cmd_sweep_rd(args) -> int:
     cfg = _load_config(args)
     points = rd_sweep(
         cfg,
-        taus=_parse_floats(args.taus),
-        codebook_sizes=_parse_ints(args.codebook_sizes),
+        taus=args.taus,
+        codebook_sizes=args.codebook_sizes,
         embed_dim=args.embed_dim,
         scenes_per_point=args.scenes,
         train_scenes=args.train_scenes,
@@ -162,8 +173,8 @@ def _cmd_sweep_robust(args) -> int:
     )
     rows = robustness_sweep(
         cfg,
-        sigmas=_parse_floats(args.sigmas),
-        delays=_parse_ints(args.delays),
+        sigmas=args.sigmas,
+        delays=args.delays,
         params=fitted.params,
         cb=fitted.codebook,
         tau=args.tau,
@@ -228,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-rd", help="rate-distortion sweep -> CSV")
     add_scenario_flags(p)
-    p.add_argument("--taus", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    p.add_argument("--codebook-sizes", default="64")
+    p.add_argument("--taus", type=_float_list, default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
+    p.add_argument("--codebook-sizes", type=_int_list, default="64")
     p.add_argument("--embed-dim", type=int, default=64)
     p.add_argument("--scenes", type=int, default=3)
     p.add_argument("--train-scenes", type=int, default=6)
@@ -239,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-robust", help="pose-noise x delay sweep -> CSV")
     add_scenario_flags(p)
-    p.add_argument("--sigmas", default="0,1,2,4")
-    p.add_argument("--delays", default="0,1,2,4")
+    p.add_argument("--sigmas", type=_float_list, default="0,1,2,4")
+    p.add_argument("--delays", type=_int_list, default="0,1,2,4")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--codebook-size", type=int, default=64)
     p.add_argument("--embed-dim", type=int, default=64)

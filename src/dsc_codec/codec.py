@@ -7,12 +7,12 @@ sees any receiver-side data; a message is a pure function of the pruned
 feature, the mask, the codec parameters and the codebook.
 
 Receiver side: the local feature is turned into a per-cell context vector
-(the projected box-mean of a small neighborhood), and a ridge-fit linear
-decoder maps [dequantized latent | context | 1] back to channel space. The
-unconditional decoder, fit on the same data without the context block, is
-kept alongside as the ablation baseline; because it is nested inside the
-conditional model, its training objective can never beat the conditional
-one.
+(the box mean of the projected latents over a small neighborhood, computed
+only at the coded cells), and a ridge-fit linear decoder maps
+[dequantized latent | context | 1] back to channel space. The unconditional
+decoder, fit on the same data without the context block, is kept alongside
+as the ablation baseline; because it is nested inside the conditional model,
+its training objective can never beat the conditional one.
 
 An optional gradient fine-tune step updates the projection and decoder with
 the quantizer treated as identity in the backward pass, and refreshes the
@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .errors import (
     CodebookMismatchError,
@@ -115,26 +114,6 @@ class CodecParams:
         return replace(self, w_cond=fit.w_cond, w_uncond=fit.w_uncond)
 
 
-@dataclass(frozen=True)
-class ContextMap:
-    """Per-cell D-vector context, spatially aligned with the decoded latent."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.vectors, dtype=np.float64, order="C")
-        if arr.ndim != 3:
-            raise ConfigError("context map must be (H, W, D)")
-        if not np.isfinite(arr).all():
-            raise ConfigError("context map contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "vectors", arr)
-
-    def flat(self) -> np.ndarray:
-        h, w, d = self.vectors.shape
-        return self.vectors.reshape(h * w, d)
-
-
 def fit_encoder_projection(
     training_features: Sequence[FeatureMap], embed_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,26 +164,80 @@ def project_cells(cells: np.ndarray, params: CodecParams) -> np.ndarray:
     return (cells - params.mean) @ params.projection.T
 
 
-def _box_mean_cells(f: FeatureMap, radius: int) -> np.ndarray:
-    values = f.values.astype(np.float64)
-    if radius > 0:
-        size = (1, 2 * radius + 1, 2 * radius + 1)
-        values = uniform_filter(values, size=size, mode="constant", cval=0.0)
-    return values.reshape(f.channels, -1).T
+# Below this share of kept cells the window sums gather rows at the kept
+# cells; at or above it they add whole-map shifted slices, whose cost does not
+# depend on the share. The two cost about the same near 25% at 128x128x16.
+_GATHER_MAX_SHARE = 0.25
 
 
-def si_context(f_local: FeatureMap, params: CodecParams) -> ContextMap:
-    """Project the (2r+1)^2 box-mean around each cell; zero padding at borders.
+def _add_in_order(parts) -> np.ndarray:
+    """Left-to-right sum of same-shape arrays into a fresh array."""
+    parts = iter(parts)
+    acc = np.array(next(parts))
+    for part in parts:
+        acc += part
+    return acc
 
-    The box mean uses a fixed divisor, so border cells (whose windows hang
-    over the zero padding) genuinely differ from interior ones.
+
+def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
+    """Sum the (2r+1)^2 windows of a zero-padded grid at the set cells of bits.
+
+    grid is (H+2r, W+2r, X) with the (H, W) cells at offset (r, r); the
+    result is (bits.sum(), X) in row-major cell order. Each window row is
+    summed left to right and the row sums top to bottom, whether as row
+    gathers at the kept cells (sparse bits) or as whole-map shifted slices
+    (dense bits), so both evaluations make the same adds in the same order
+    and give the same bits.
+    """
+    h, w = bits.shape
+    k = 2 * radius + 1
+    if np.count_nonzero(bits) < _GATHER_MAX_SHARE * bits.size:
+        wp = w + 2 * radius
+        ys, xs = np.nonzero(bits)
+        starts = ys * wp + xs
+        rows = grid.reshape(-1, grid.shape[2])
+        return _add_in_order(
+            _add_in_order(np.take(rows, starts + (dy * wp + dx), axis=0) for dx in range(k))
+            for dy in range(k)
+        )
+    line_sums = _add_in_order(grid[:, dx : dx + w] for dx in range(k))
+    return _add_in_order(line_sums[dy : dy + h] for dy in range(k))[bits]
+
+
+def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarray:
+    """Context rows at the kept cells of mask: the projected (2r+1)^2 box mean.
+
+    Returns (mask.count(), D) float64 rows in row-major cell order. By
+    linearity the box mean is taken of the projected latents,
+    P(boxmean(x) - mean) = boxsum(Px) / (2r+1)^2 - P mean, so only cells
+    inside the window of a kept cell are projected. Padding is zero and the
+    divisor fixed, so border cells (whose windows hang over the padding)
+    genuinely differ from interior ones.
     """
     if f_local.channels != params.channels:
         raise ShapeMismatchError(
             f"local feature has {f_local.channels} channels, codec expects {params.channels}"
         )
-    ctx = project_cells(_box_mean_cells(f_local, params.context_radius), params)
-    return ContextMap(ctx.reshape(f_local.height, f_local.width, params.embed_dim))
+    h, w = f_local.height, f_local.width
+    if (mask.height, mask.width) != (h, w):
+        raise ShapeMismatchError("mask does not match the local feature")
+    r = params.context_radius
+    k = 2 * r + 1
+    hp, wp = h + 2 * r, w + 2 * r
+    bits = mask.bits
+    near = np.zeros((hp, wp), dtype=bool)
+    for dy in range(k):
+        for dx in range(k):
+            near[dy : dy + h, dx : dx + w] |= bits
+    cells = np.flatnonzero(near[r : r + h, r : r + w])
+    ys, xs = np.divmod(cells, w)
+    x = np.take(f_local.values.reshape(f_local.channels, -1), cells, axis=1).astype(np.float64)
+    latents = np.zeros((hp * wp, params.embed_dim), dtype=np.float64)
+    latents[(ys + r) * wp + (xs + r)] = x.T @ params.projection.T
+    ctx = _window_sums(latents.reshape(hp, wp, -1), bits, r)
+    ctx /= k * k
+    ctx -= params.projection @ params.mean
+    return ctx
 
 
 def _require_matching_codebook(params: CodecParams, cb: Codebook) -> None:
@@ -324,7 +357,7 @@ def _decoder_rows(
         latents = project_cells(cells, params)
         idx = quantize_map(latents, cb)
         deq_rows.append(dequantize(idx, cb))
-        ctx_rows.append(si_context(receiver, params).flat()[flat])
+        ctx_rows.append(si_context(receiver, params, mask))
         targets.append(cells)
     if not deq_rows:
         raise InsufficientDataError("no unpruned cells in the training pairs")
@@ -424,7 +457,7 @@ def decode_message(
         idx = _decode_symbols(msg, cb)
         deq = dequantize(idx, cb)
         flat = msg.mask.bits.ravel()
-        ctx = si_context(f_local, params).flat()[flat]
+        ctx = si_context(f_local, params, msg.mask)
         ones = np.ones((deq.shape[0], 1), dtype=np.float64)
         x = np.concatenate([deq, ctx, ones], axis=1)
         recon = x @ params.w_cond
@@ -481,6 +514,8 @@ def finetune_step(
         raise ConfigError("conditional decoder weights are not fitted")
     _require_matching_codebook(params, cb)
 
+    r = params.context_radius
+    k = 2 * r + 1
     sender_cells, box_cells = [], []
     for f_sender, f_receiver in batch:
         if f_sender.shape != f_receiver.shape:
@@ -488,7 +523,10 @@ def finetune_step(
         if f_sender.channels != params.channels:
             raise ShapeMismatchError("batch channel count does not match the codec")
         sender_cells.append(f_sender.cell_vectors())
-        box_cells.append(_box_mean_cells(f_receiver, params.context_radius))
+        h, w = f_receiver.height, f_receiver.width
+        padded = np.zeros((h + 2 * r, w + 2 * r, params.channels), dtype=np.float64)
+        padded[r : r + h, r : r + w] = f_receiver.values.transpose(1, 2, 0)
+        box_cells.append(_window_sums(padded, np.ones((h, w), dtype=bool), r) / (k * k))
     v = np.concatenate(sender_cells, axis=0)
     b = np.concatenate(box_cells, axis=0)
     m = v.shape[0]

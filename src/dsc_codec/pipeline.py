@@ -619,18 +619,33 @@ def write_csv(rows: Sequence[SweepRow], path_or_handle) -> None:
 
 
 def read_csv(path) -> list[SweepRow]:
+    """Parse a sweep CSV in the documented schema.
+
+    A line that is not ASCII, has the wrong number of fields or holds a field
+    that does not parse raises ConfigError naming the line.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header: {header!r}")
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 12:
-                raise ConfigError(f"expected 12 CSV fields, got {len(parts)}: {line!r}")
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"line {lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+            ) from None
+        if lineno == 1:
+            if line != CSV_HEADER:
+                raise ConfigError(f"unexpected CSV header: {line!r}")
+            continue
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 12:
+            raise ConfigError(
+                f"line {lineno}: expected 12 CSV fields, got {len(parts)}: {line!r}"
+            )
+        try:
             rows.append(
                 SweepRow(
                     tau=float(parts[0]),
@@ -647,6 +662,8 @@ def read_csv(path) -> list[SweepRow]:
                     scenes=int(parts[11]),
                 )
             )
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return rows
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dsc_codec import load_feature_map, load_scenario
+from dsc_codec import cli
 from dsc_codec.cli import cli_dispatch
 from dsc_codec.pipeline import CSV_HEADER
 
@@ -235,4 +236,50 @@ def test_sweep_rd_rejects_out_of_range_tau(tmp_path, scenario_file, capsys):
     )
     assert status == 1
     assert "tau must be in [0,1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_report_csv(path, row: bytes) -> None:
+    good = b"0.5,8,8,0.9,0,0,100.0,0.25,0.125,1,7,1"
+    path.write_bytes(CSV_HEADER.encode("ascii") + b"\n" + good + b"\n" + row + b"\n")
+
+
+@pytest.mark.parametrize(
+    "row, detail",
+    [
+        (b"0.5,8,8,0.9,0,0,abc,0.25,0.125,1,7,1", "could not convert string to float: 'abc'"),
+        (b"0.5,8,8,0.9,0,0,100.0,0.25,0.125,1,7,\xe9", "non-ASCII byte 0xe9"),
+    ],
+)
+def test_report_rejects_malformed_csv_line(tmp_path, capsys, row, detail):
+    csv_path = tmp_path / "bad.csv"
+    _write_report_csv(csv_path, row)
+    assert cli_dispatch(["report", "--input", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ")
+    assert detail in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-robust", "--delays=1.5", "--sigmas", "0"],
+        ["sweep-rd", "--taus=a", "--codebook-sizes", "8"],
+    ],
+)
+def test_malformed_list_flag_is_usage_error_before_any_work(
+    tmp_path, scenario_file, monkeypatch, capsys, argv
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started before its flags were parsed")
+
+    monkeypatch.setattr(cli, "fit_codec", no_work)
+    monkeypatch.setattr(cli, "rd_sweep", no_work)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(argv + ["--scenario", str(scenario_file), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err.lower()
+    assert "expected comma-separated" in err
     assert not out.exists()

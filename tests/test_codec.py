@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import uniform_filter
 
 from dsc_codec import (
     Codebook,
@@ -32,9 +33,10 @@ from dsc_codec import (
     save_codec_params,
     si_context,
 )
-from dsc_codec.codec import project_cells
+import dsc_codec.codec as codec_module
+from dsc_codec.codec import _GATHER_MAX_SHARE, _window_sums, project_cells
 from dsc_codec.pruning import mask_from_scores, score_map
-from dsc_codec.quantizer import quantize_map
+from dsc_codec.quantizer import dequantize, quantize_map
 from dsc_codec.simulate import generate_scene, observe
 from dsc_codec.wire import MAX_MESSAGE_PRECISION, Message
 
@@ -104,7 +106,7 @@ def test_si_context_constant_map_interior(rng):
     proj, mean = np.eye(3), np.zeros(3)
     params = make_params(proj, mean)
     f = FeatureMap(np.full((3, 8, 8), 2.0, dtype=np.float32))
-    ctx = si_context(f, params).vectors
+    ctx = si_context(f, params, Mask.ones(8, 8)).reshape(8, 8, 3)
     interior = ctx[1:-1, 1:-1]
     assert np.allclose(interior, interior[0, 0])
     # With zero padding the border box-means genuinely differ.
@@ -115,7 +117,7 @@ def test_si_context_zero_map_projects_negative_mean(rng):
     proj = rng.normal(size=(4, 3))
     mean = rng.normal(size=3)
     params = make_params(proj, mean)
-    ctx = si_context(FeatureMap.zeros(3, 6, 6), params).vectors
+    ctx = si_context(FeatureMap.zeros(3, 6, 6), params, Mask.ones(6, 6)).reshape(6, 6, 4)
     expected = proj @ (-mean)
     assert np.allclose(ctx, expected[np.newaxis, np.newaxis, :])
 
@@ -124,11 +126,82 @@ def test_si_context_delta_support_is_box_neighborhood():
     params = make_params(np.eye(2), np.zeros(2))
     values = np.zeros((2, 9, 9), dtype=np.float32)
     values[:, 4, 4] = 1.0
-    ctx = si_context(FeatureMap(values), params).vectors
+    ctx = si_context(FeatureMap(values), params, Mask.ones(9, 9)).reshape(9, 9, 2)
     nonzero = np.any(ctx != 0.0, axis=2)
     expected = np.zeros((9, 9), dtype=bool)
     expected[3:6, 3:6] = True
     assert np.array_equal(nonzero, expected)
+
+
+def _reference_context(f, params, mask):
+    # The channel-space definition: zero-padded uniform_filter box mean of the
+    # whole map, then project every cell and keep the masked rows.
+    values = f.values.astype(np.float64)
+    r = params.context_radius
+    if r > 0:
+        values = uniform_filter(values, size=(1, 2 * r + 1, 2 * r + 1), mode="constant", cval=0.0)
+    return project_cells(values.reshape(f.channels, -1).T, params)[mask.bits.ravel()]
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_si_context_matches_channel_space_box_mean(radius):
+    rng = np.random.default_rng(100 + radius)
+    c, h, w = 5, 11, 13
+    params = make_params(rng.normal(size=(4, c)), rng.normal(size=c), context_radius=radius)
+    f = FeatureMap(rng.normal(size=(c, h, w)))
+    single = np.zeros((h, w), dtype=bool)
+    single[5, 6] = True
+    border = np.zeros((h, w), dtype=bool)
+    border[0, 0] = border[h - 1, 3] = border[4, w - 1] = True
+    masks = [
+        Mask.zeros(h, w),
+        Mask(single),
+        Mask(border),
+        Mask(rng.random((h, w)) < 0.1),
+        Mask(rng.random((h, w)) < 0.6),
+        Mask.ones(h, w),
+    ]
+    for mask in masks:
+        ctx = si_context(f, params, mask)
+        assert ctx.dtype == np.float64
+        assert ctx.shape == (mask.count(), 4)
+        np.testing.assert_allclose(ctx, _reference_context(f, params, mask), rtol=1e-12, atol=0.0)
+
+
+def test_si_context_rejects_mask_of_other_shape():
+    params = make_params(np.eye(2), np.zeros(2))
+    with pytest.raises(ShapeMismatchError):
+        si_context(FeatureMap.zeros(2, 4, 4), params, Mask.ones(4, 5))
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_window_sums_gather_and_slices_are_bit_identical(radius, monkeypatch):
+    # The share of kept cells picks the strategy: just below the switch point
+    # the sums are row gathers, at or above it whole-map slices. On the same
+    # inputs each strategy, forced either way, must give the same bits.
+    rng = np.random.default_rng(7 + radius)
+    h, w, x = 16, 20, 3
+    grid = rng.normal(size=(h + 2 * radius, w + 2 * radius, x))
+    order = rng.permutation(h * w)
+    switch = int(np.ceil(_GATHER_MAX_SHARE * h * w))
+    below = np.zeros(h * w, dtype=bool)
+    below[order[: switch - 1]] = True
+    above = below.copy()
+    above[order[switch - 1 : switch + 1]] = True
+    below, above = below.reshape(h, w), above.reshape(h, w)
+    assert np.count_nonzero(below) < _GATHER_MAX_SHARE * h * w <= np.count_nonzero(above)
+
+    everywhere = _window_sums(grid, np.ones((h, w), dtype=bool), radius)
+    for bits in (below, above):
+        chosen = _window_sums(grid, bits, radius)
+        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
+        gathered = _window_sums(grid, bits, radius)
+        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
+        sliced = _window_sums(grid, bits, radius)
+        monkeypatch.undo()
+        assert np.array_equal(gathered, sliced)
+        assert np.array_equal(chosen, sliced)
+        assert np.array_equal(chosen, everywhere[bits.ravel()])
 
 
 # ------------------------------------------------------------ encode / decode
@@ -441,7 +514,7 @@ def test_per_cell_reconstruction_error_is_finite_and_bounded(small_cfg, small_fi
     from dsc_codec.quantizer import dequantize
 
     quant_gap = np.linalg.norm(latents - dequantize(quantize_map(latents, cb), cb), axis=1)
-    ctx_norm = np.linalg.norm(si_context(local, params).flat(), axis=1)
+    ctx_norm = np.linalg.norm(si_context(local, params, mask), axis=1)
     input_mag = np.sqrt(
         np.linalg.norm(latents, axis=1) ** 2 + ctx_norm**2 + 1.0
     )
@@ -488,6 +561,29 @@ def test_finetune_zero_lr_reports_loss_without_moving_params(rng):
     assert np.array_equal(new_params.projection, params.projection)
     assert np.array_equal(new_params.w_cond, params.w_cond)
     assert np.array_equal(new_cb.codewords, cb.codewords)
+
+
+def test_finetune_loss_uses_the_decoder_context(rng):
+    # finetune_step builds its channel-space box means itself; its loss at the
+    # incoming parameters must match the one computed from decode's context
+    # rows. A non-square map catches a swapped height and width.
+    h, w = 7, 9
+    params, cb, batch = finetune_setup(rng, h=h, w=w)
+    v = np.concatenate([s.cell_vectors() for s, _ in batch], axis=0)
+    z = project_cells(v, params)
+    assignments = quantize_map(z, cb)
+    codewords = dequantize(assignments, cb)
+    ctx = np.concatenate([si_context(r, params, Mask.ones(h, w)) for _, r in batch], axis=0)
+    x = np.concatenate([codewords, ctx, np.ones((len(v), 1))], axis=1)
+    resid = x @ params.w_cond - v
+    gap = z - codewords
+    expected = params.recon_weight * np.mean(resid * resid) + (
+        1.0 + params.commitment_beta
+    ) * np.sum(gap * gap) / len(v)
+    _, _, loss = finetune_step(
+        params, cb, batch, lr=0.0, assignments=assignments, update_codebook=False
+    )
+    assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_finetune_decoder_gradient_matches_finite_differences(rng):
