@@ -10,7 +10,6 @@ from .codec import (
     CodecParams,
     DecoderFit,
     decode_message,
-    decode_unconditional,
     encode_message,
     finetune_step,
     fit_conditional_decoder,
@@ -48,7 +47,6 @@ from .infotheory import conditional_entropy, empirical_entropy, mutual_informati
 from .pipeline import (
     FittedCodec,
     LinkResult,
-    RDPoint,
     SweepRow,
     evaluate_point,
     fit_codec,

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .codec import (
     decode_message,
-    decode_unconditional,
     encode_message,
     load_codec_params,
     save_codec_params,
@@ -32,7 +31,6 @@ from .errors import CodecError
 from .features import apply_mask, load_feature_map, save_feature_map
 from .pipeline import (
     fit_codec,
-    rd_points_to_rows,
     rd_sweep,
     read_csv,
     robustness_sweep,
@@ -136,12 +134,9 @@ def _cmd_decode(args) -> int:
     params = load_codec_params(args.params)
     cb = load_codebook(args.codebook)
     msg = Message.from_bytes(Path(args.input).read_bytes())
-    if args.side_info:
-        recon = decode_message(msg, load_feature_map(args.side_info), params, cb)
-        mode = "conditional"
-    else:
-        recon = decode_unconditional(msg, params, cb)
-        mode = "unconditional"
+    f_local = load_feature_map(args.side_info) if args.side_info else None
+    recon = decode_message(msg, params, cb, f_local=f_local)
+    mode = "unconditional" if f_local is None else "conditional"
     save_feature_map(recon, args.out)
     print(f"decoded {msg.num_symbols} symbols ({mode}) -> {args.out}")
     return 0
@@ -149,7 +144,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_sweep_rd(args) -> int:
     cfg = _load_config(args)
-    points = rd_sweep(
+    rows = rd_sweep(
         cfg,
         taus=args.taus,
         codebook_sizes=args.codebook_sizes,
@@ -158,8 +153,8 @@ def _cmd_sweep_rd(args) -> int:
         train_scenes=args.train_scenes,
         budget=args.budget,
     )
-    write_csv(rd_points_to_rows(points, cfg), args.out)
-    print(f"wrote {len(points)} rate-distortion points to {args.out}")
+    write_csv(rows, args.out)
+    print(f"wrote {len(rows)} rate-distortion points to {args.out}")
     return 0
 
 

@@ -10,9 +10,10 @@ Receiver side: the local feature is turned into a per-cell context vector
 (the box mean of the projected latents over a small neighborhood, computed
 only at the coded cells), and a ridge-fit linear decoder maps
 [dequantized latent | context | 1] back to channel space. The unconditional
-decoder, fit on the same data without the context block, is kept alongside
-as the ablation baseline; because it is nested inside the conditional model,
-its training objective can never beat the conditional one.
+decoder, fit on the same data without the context block, is the ablation
+baseline: decode_message without a local feature. Because it is nested
+inside the conditional model, its training objective can never beat the
+conditional one.
 
 An optional gradient fine-tune step updates the projection and decoder with
 the quantizer treated as identity in the backward pass, and refreshes the
@@ -438,16 +439,23 @@ def _check_decode_inputs(msg: Message, params: CodecParams, cb: Codebook) -> Non
 
 
 def decode_message(
-    msg: Message, f_local: FeatureMap, params: CodecParams, cb: Codebook
+    msg: Message, params: CodecParams, cb: Codebook, f_local: FeatureMap | None = None
 ) -> FeatureMap:
-    """Conditional reconstruction of the sender feature using local context.
+    """Reconstruct the sender feature, conditioned on f_local when given.
 
-    Pruned cells come back as exact zeros; the result is fusion-ready.
+    With the receiver's local feature the conditional decoder maps
+    [latent | context | 1] to channels; without it the unconditional decoder
+    maps [latent | 1] (the ablation baseline). Pruned cells come back as
+    exact zeros; the result is fusion-ready.
     """
     _check_decode_inputs(msg, params, cb)
-    if params.w_cond is None:
-        raise ConfigError("conditional decoder weights are not fitted")
-    if f_local.shape != (msg.channels, msg.height, msg.width):
+    if f_local is None:
+        w, name = params.w_uncond, "unconditional decoder (w_uncond)"
+    else:
+        w, name = params.w_cond, "conditional decoder (w_cond)"
+    if w is None:
+        raise ConfigError(f"{name} is not fitted")
+    if f_local is not None and f_local.shape != (msg.channels, msg.height, msg.width):
         raise HeaderMismatchError(
             f"local feature shape {f_local.shape} does not match message header "
             f"({msg.channels},{msg.height},{msg.width})"
@@ -455,30 +463,12 @@ def decode_message(
     out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
     if msg.num_symbols > 0:
         idx = _decode_symbols(msg, cb)
-        deq = dequantize(idx, cb)
-        flat = msg.mask.bits.ravel()
-        ctx = si_context(f_local, params, msg.mask)
-        ones = np.ones((deq.shape[0], 1), dtype=np.float64)
-        x = np.concatenate([deq, ctx, ones], axis=1)
-        recon = x @ params.w_cond
-        out.reshape(msg.channels, -1)[:, flat] = recon.T.astype(np.float32)
-    return FeatureMap(out)
-
-
-def decode_unconditional(msg: Message, params: CodecParams, cb: Codebook) -> FeatureMap:
-    """Reconstruction without the side-information branch (ablation baseline)."""
-    _check_decode_inputs(msg, params, cb)
-    if params.w_uncond is None:
-        raise ConfigError("unconditional decoder weights are not fitted")
-    out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
-    if msg.num_symbols > 0:
-        idx = _decode_symbols(msg, cb)
-        deq = dequantize(idx, cb)
-        flat = msg.mask.bits.ravel()
-        ones = np.ones((deq.shape[0], 1), dtype=np.float64)
-        x = np.concatenate([deq, ones], axis=1)
-        recon = x @ params.w_uncond
-        out.reshape(msg.channels, -1)[:, flat] = recon.T.astype(np.float32)
+        blocks = [dequantize(idx, cb)]
+        if f_local is not None:
+            blocks.append(si_context(f_local, params, msg.mask))
+        blocks.append(np.ones((idx.shape[0], 1), dtype=np.float64))
+        recon = np.concatenate(blocks, axis=1) @ w
+        out.reshape(msg.channels, -1)[:, msg.mask.bits.ravel()] = recon.T.astype(np.float32)
     return FeatureMap(out)
 
 

@@ -27,11 +27,12 @@ rate-distortion sweep builds the training set once and fits every codebook
 size on it, so one sweep does one training set and one scene walk per
 evaluation scene.
 
-Sweeps aggregate links over independently seeded scenes. Rate and
-robustness sweeps share that one evaluation path, so the unperturbed
-robustness row is bit-identical to the rate-distortion point at the same
-knobs. All rows carry the full knob tuple and are emitted in sorted key
-order, making CSV outputs reproducible byte-for-byte.
+Sweeps aggregate links over independently seeded scenes. evaluate_point,
+the rate-distortion sweep and the robustness sweep all return SweepRow, the
+scene-order mean of that one evaluation path, so the unperturbed robustness
+row is equal to the rate-distortion row and to evaluate_point at the same
+knobs. Every row carries the full knob tuple; CSVs are emitted in sorted key
+order, making them reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ from .codec import (
     CodecParams,
     DecoderFit,
     decode_message,
-    decode_unconditional,
     encode_message,
     fit_conditional_decoder,
     fit_encoder_projection,
     project_cells,
 )
 from .errors import ConfigError, DecodeError, InsufficientDataError
-from .features import FeatureMap, Mask, elementwise_max, mse
+from .features import FeatureMap, Mask, apply_mask, elementwise_max, mse
 from .pruning import mask_from_scores, score_map
 from .quantizer import Codebook, train_codebook
 from .simulate import (
@@ -92,21 +92,8 @@ class LinkResult:
 
 
 @dataclass(frozen=True)
-class RDPoint:
-    """One knob setting of a rate-distortion sweep, averaged over scenes."""
-
-    tau: float
-    codebook_size: int
-    embed_dim: int
-    payload_bytes: float
-    recon_mse: float
-    fusion_mse: float
-    scenes: int
-
-
-@dataclass(frozen=True)
 class SweepRow:
-    """One CSV row; column order mirrors CSV_HEADER."""
+    """One knob setting averaged over scenes; a CSV row in CSV_HEADER order."""
 
     tau: float
     codebook_size: int
@@ -229,11 +216,10 @@ def _training_set(
     pairs = []
     for per_scene, per_masks in zip(observations, masks):
         for j in range(cfg.num_agents):
+            pruned = apply_mask(per_scene[j], per_masks[j])
             for i in range(cfg.num_agents):
-                if i == j:
-                    continue
-                pruned = FeatureMap(per_scene[j].values * per_masks[j].bits[np.newaxis])
-                pairs.append((pruned, per_masks[j], per_scene[i]))
+                if i != j:
+                    pairs.append((pruned, per_masks[j], per_scene[i]))
     return _TrainingSet(
         projection=projection,
         mean=mean,
@@ -327,8 +313,9 @@ def _scene_links(
         if not sigma >= 0.0:
             raise ConfigError(f"sigma_pose must be >= 0, got {sigma}")
     for delay in delays:
-        if delay < 0:
-            raise ConfigError(f"delay must be >= 0, got {delay}")
+        if not (delay >= 0 and float(delay).is_integer()):
+            raise ConfigError(f"delay must be a whole number >= 0, got {delay}")
+    delays = [int(delay) for delay in delays]
 
     frames = generate_frames(cfg, t)
     f_local = observe(frames[t], receiver, cfg)
@@ -347,7 +334,7 @@ def _scene_links(
             oracle = fuse_all(f_local, [f_sender])
             for ti, tau in enumerate(taus):
                 mask = mask_from_scores(scores, tau)
-                pruned = FeatureMap(f_sender.values * mask.bits[np.newaxis])
+                pruned = apply_mask(f_sender, mask)
                 for ci, (params, cb) in enumerate(codecs):
                     msg = encode_message(pruned, mask, params, cb)
                     payload = len(msg.to_bytes())
@@ -357,10 +344,9 @@ def _scene_links(
                         recon = FeatureMap.zeros(*f_sender.shape)
                         if within:
                             try:
-                                if conditional:
-                                    recon = decode_message(msg, f_local, params, cb)
-                                else:
-                                    recon = decode_unconditional(msg, params, cb)
+                                recon = decode_message(
+                                    msg, params, cb, f_local=f_local if conditional else None
+                                )
                             except DecodeError:
                                 failed = True
                         fused = fuse_all(f_local, [recon] if (within and not failed) else [])
@@ -396,9 +382,9 @@ def run_link(
     pose-shifted; the receiver decodes against its current local feature. A
     link whose serialized message exceeds the budget is dropped (truncation
     would break entropy decodability), as is a link whose decode fails; the
-    receiver then falls back to its local feature only. A tau outside [0, 1]
-    or a negative sigma_pose or delay raises ConfigError before anything is
-    simulated.
+    receiver then falls back to its local feature only. A tau outside [0, 1],
+    a negative sigma_pose or a delay that is not a whole number >= 0 raises
+    ConfigError before anything is simulated.
     """
     links = _scene_links(
         cfg, t, sender, receiver, [(params, cb)], (tau,), (sigma_pose,), (delay,), budget,
@@ -407,19 +393,30 @@ def run_link(
     return links[(0, 0, 0, 0, conditional)]
 
 
-@dataclass(frozen=True)
-class PointStats:
-    payload_bytes: float
-    recon_mse: float
-    fusion_mse: float
-
-
-def _mean_stats(results: Sequence[LinkResult]) -> PointStats:
-    """Mean link metrics, accumulated in the given (scene) order."""
-    return PointStats(
-        payload_bytes=float(np.mean([r.payload_bytes for r in results])),
-        recon_mse=float(np.mean([r.recon_mse for r in results])),
-        fusion_mse=float(np.mean([r.fusion_mse for r in results])),
+def _mean_row(
+    cfg: ScenarioConfig,
+    params: CodecParams,
+    cb: Codebook,
+    tau: float,
+    sigma_pose: float,
+    delay: int,
+    conditional: bool,
+    links: Sequence[LinkResult],
+) -> SweepRow:
+    """The sweep row at these knobs: link metrics averaged in the given (scene) order."""
+    return SweepRow(
+        tau=float(tau),
+        codebook_size=cb.size,
+        embed_dim=params.embed_dim,
+        rho=cfg.rho,
+        sigma_pose=float(sigma_pose),
+        delay=int(delay),
+        payload_bytes=float(np.mean([r.payload_bytes for r in links])),
+        recon_mse=float(np.mean([r.recon_mse for r in links])),
+        fusion_mse=float(np.mean([r.fusion_mse for r in links])),
+        conditional=int(conditional),
+        seed=cfg.seed,
+        scenes=len(links),
     )
 
 
@@ -436,11 +433,18 @@ def evaluate_point(
     t_eval: int = DEFAULT_EVAL_T,
     sender: int = 1,
     receiver: int = 0,
-) -> PointStats:
-    """Mean link metrics over independently seeded evaluation scenes."""
+) -> SweepRow:
+    """The sweep row of mean link metrics over independently seeded evaluation scenes."""
     if scenes < 1:
         raise ConfigError(f"scenes must be >= 1, got {scenes}")
-    return _mean_stats(
+    return _mean_row(
+        cfg,
+        params,
+        cb,
+        tau,
+        sigma_pose,
+        delay,
+        conditional,
         [
             run_link(
                 scene_config(cfg, s, stream="eval"),
@@ -469,14 +473,13 @@ def rd_sweep(
     train_scenes: int = 6,
     budget: int | None = None,
     t_eval: int = DEFAULT_EVAL_T,
-) -> list[RDPoint]:
-    """Rate-distortion grid over codebook size and tau, one point per pair.
+) -> list[SweepRow]:
+    """Rate-distortion grid over codebook size and tau, one row per pair.
 
     Every argument is validated before any simulation. The training set is
     built once and shared by the codec fit of every size; each evaluation
-    scene is simulated once for the whole grid. A point is the scene-order
-    mean of the links evaluate_point averages, with the codec that fit_codec
-    gives at that size.
+    scene is simulated once for the whole grid. A row equals evaluate_point
+    with the codec that fit_codec gives at that size.
     """
     if not taus or not codebook_sizes:
         raise ConfigError("sweep grids must be non-empty")
@@ -503,41 +506,13 @@ def rd_sweep(
         )
         for s in range(scenes_per_point)
     ]
-    points = []
-    for ci, k in enumerate(codebook_sizes):
-        for ti, tau in enumerate(taus):
-            stats = _mean_stats([links[(ci, ti, 0, 0, True)] for links in per_scene])
-            points.append(
-                RDPoint(
-                    tau=float(tau),
-                    codebook_size=int(k),
-                    embed_dim=int(embed_dim),
-                    payload_bytes=stats.payload_bytes,
-                    recon_mse=stats.recon_mse,
-                    fusion_mse=stats.fusion_mse,
-                    scenes=scenes_per_point,
-                )
-            )
-    return points
-
-
-def rd_points_to_rows(points: Sequence[RDPoint], cfg: ScenarioConfig) -> list[SweepRow]:
     return [
-        SweepRow(
-            tau=p.tau,
-            codebook_size=p.codebook_size,
-            embed_dim=p.embed_dim,
-            rho=cfg.rho,
-            sigma_pose=0.0,
-            delay=0,
-            payload_bytes=p.payload_bytes,
-            recon_mse=p.recon_mse,
-            fusion_mse=p.fusion_mse,
-            conditional=1,
-            seed=cfg.seed,
-            scenes=p.scenes,
+        _mean_row(
+            cfg, f.params, f.codebook, tau, 0.0, 0, True,
+            [links[(ci, ti, 0, 0, True)] for links in per_scene],
         )
-        for p in points
+        for ci, f in enumerate(fits)
+        for ti, tau in enumerate(taus)
     ]
 
 
@@ -549,7 +524,6 @@ def robustness_sweep(
     cb: Codebook,
     tau: float = 0.0,
     scenes: int = 3,
-    embed_dim: int | None = None,
     t_eval: int = DEFAULT_EVAL_T,
 ) -> list[SweepRow]:
     """Full sigma x delay grid, one row per combination per decoder variant.
@@ -565,8 +539,6 @@ def robustness_sweep(
     if scenes < 1:
         raise ConfigError(f"scenes must be >= 1, got {scenes}")
     sigmas = [float(sigma) for sigma in sigmas]
-    delays = [int(delay) for delay in delays]
-    d = params.embed_dim if embed_dim is None else embed_dim
     per_scene = [
         _scene_links(
             scene_config(cfg, s, stream="eval"),
@@ -582,29 +554,15 @@ def robustness_sweep(
         )
         for s in range(scenes)
     ]
-    rows = []
-    for si, sigma in enumerate(sigmas):
-        for di, delay in enumerate(delays):
-            for conditional in (1, 0):
-                key = (0, 0, si, di, bool(conditional))
-                stats = _mean_stats([links[key] for links in per_scene])
-                rows.append(
-                    SweepRow(
-                        tau=float(tau),
-                        codebook_size=cb.size,
-                        embed_dim=int(d),
-                        rho=cfg.rho,
-                        sigma_pose=sigma,
-                        delay=delay,
-                        payload_bytes=stats.payload_bytes,
-                        recon_mse=stats.recon_mse,
-                        fusion_mse=stats.fusion_mse,
-                        conditional=conditional,
-                        seed=cfg.seed,
-                        scenes=scenes,
-                    )
-                )
-    return rows
+    return [
+        _mean_row(
+            cfg, params, cb, tau, sigma, delay, conditional,
+            [links[(0, 0, si, di, conditional)] for links in per_scene],
+        )
+        for si, sigma in enumerate(sigmas)
+        for di, delay in enumerate(delays)
+        for conditional in (True, False)
+    ]
 
 
 def write_csv(rows: Sequence[SweepRow], path_or_handle) -> None:

@@ -26,7 +26,6 @@ from dsc_codec import (
     build_freq_table,
     conditional_entropy,
     decode_message,
-    decode_unconditional,
     empirical_entropy,
     encode_message,
     finetune_step,
@@ -195,8 +194,10 @@ def test_criterion_05_conditional_beats_unconditional(desk_codec):
         mask = mask_from_scores(score_map(f_sender), 0.0)
         pruned = FeatureMap(f_sender.values * mask.bits[np.newaxis])
         msg = encode_message(pruned, mask, desk_codec.params, desk_codec.codebook)
-        cond = mse(decode_message(msg, f_local, desk_codec.params, desk_codec.codebook), pruned)
-        uncond = mse(decode_unconditional(msg, desk_codec.params, desk_codec.codebook), pruned)
+        cond = mse(
+            decode_message(msg, desk_codec.params, desk_codec.codebook, f_local=f_local), pruned
+        )
+        uncond = mse(decode_message(msg, desk_codec.params, desk_codec.codebook), pruned)
         wins += cond < uncond
 
     # Nested-model training-objective inequality, exact, across repeated fits.
@@ -379,7 +380,7 @@ def test_criterion_08_encoder_independence_fuzz(small_cfg, small_fitted):
     stable = 0
     for _ in range(trials):
         receiver = FeatureMap(rng.normal(size=shape))
-        decode_message(Message.from_bytes(reference), receiver, params, cb)
+        decode_message(Message.from_bytes(reference), params, cb, f_local=receiver)
         stable += encode_message(pruned, mask, params, cb).to_bytes() == reference
     report(
         8,

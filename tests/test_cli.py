@@ -112,14 +112,17 @@ def test_encode_decode_roundtrip_smoke(tmp_path, scenario_file, fitted_dir):
 
     # Unconditional decode also works and differs from the conditional one.
     recon_u_path = tmp_path / "recon_u.fmap"
-    cli_dispatch(
-        [
-            "decode",
-            "--params", str(fitted_dir / "codec.dccp"),
-            "--codebook", str(fitted_dir / "codebook.cdbk"),
-            "--input", str(msg_path),
-            "--out", str(recon_u_path),
-        ]
+    assert (
+        cli_dispatch(
+            [
+                "decode",
+                "--params", str(fitted_dir / "codec.dccp"),
+                "--codebook", str(fitted_dir / "codebook.cdbk"),
+                "--input", str(msg_path),
+                "--out", str(recon_u_path),
+            ]
+        )
+        == 0
     )
     assert not np.array_equal(load_feature_map(recon_u_path).values, recon.values)
 

@@ -22,7 +22,6 @@ from dsc_codec import (
     MessageParseError,
     StepRejectedError,
     decode_message,
-    decode_unconditional,
     encode_message,
     finetune_step,
     fit_conditional_decoder,
@@ -215,9 +214,9 @@ def test_encode_empty_mask_yields_parseable_zero_symbol_message(small_cfg, small
     assert msg.num_symbols == 0 and msg.payload == b""
     again = Message.from_bytes(msg.to_bytes())
     assert again.num_symbols == 0
-    out = decode_message(msg, f, params, cb)
+    out = decode_message(msg, params, cb, f_local=f)
     assert np.all(out.values == 0.0)
-    assert np.all(decode_unconditional(msg, params, cb).values == 0.0)
+    assert np.all(decode_message(msg, params, cb).values == 0.0)
 
 
 def test_encode_is_deterministic(small_cfg, small_fitted, rng):
@@ -240,7 +239,7 @@ def test_encoder_is_independent_of_receiver(small_cfg, small_fitted, rng):
         receiver = FeatureMap(
             rng.normal(size=(small_cfg.channels, small_cfg.height, small_cfg.width))
         )
-        decode_message(Message.from_bytes(reference), receiver, params, cb)
+        decode_message(Message.from_bytes(reference), params, cb, f_local=receiver)
         assert encode_message(f, mask, params, cb).to_bytes() == reference
 
 
@@ -249,8 +248,8 @@ def test_decode_is_deterministic(small_cfg, small_fitted, rng):
     f = FeatureMap(rng.normal(size=(small_cfg.channels, small_cfg.height, small_cfg.width)))
     local = FeatureMap(rng.normal(size=f.shape))
     msg = encode_message(f, Mask.ones(f.height, f.width), params, cb)
-    a = decode_message(msg, local, params, cb)
-    b = decode_message(msg, local, params, cb)
+    a = decode_message(msg, params, cb, f_local=local)
+    b = decode_message(msg, params, cb, f_local=local)
     assert np.array_equal(a.values, b.values)
 
 
@@ -264,12 +263,46 @@ def test_decode_error_taxonomy(small_cfg, small_fitted, rng):
 
     other_cb = Codebook(rng.normal(size=(cb.size, cb.dim)))
     with pytest.raises(CodebookMismatchError):
-        decode_message(msg, f, params, other_cb)
+        decode_message(msg, params, other_cb, f_local=f)
 
     from dsc_codec import SymbolOutOfRangeError, dequantize
 
     with pytest.raises(SymbolOutOfRangeError):
         dequantize([cb.size], cb)
+
+
+def test_decode_without_local_feature_never_computes_context(
+    monkeypatch, small_cfg, small_fitted, rng
+):
+    params, cb = small_fitted.params, small_fitted.codebook
+    f = FeatureMap(rng.normal(size=(small_cfg.channels, small_cfg.height, small_cfg.width)))
+    msg = encode_message(f, Mask.ones(f.height, f.width), params, cb)
+    calls = []
+    original = codec_module.si_context
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(codec_module, "si_context", counting)
+    decode_message(msg, params, cb)
+    assert calls == []
+    decode_message(msg, params, cb, f_local=f)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("missing, conditional", [("w_cond", True), ("w_uncond", False)])
+def test_decode_names_the_decoder_that_is_not_fitted(
+    small_cfg, small_fitted, rng, missing, conditional
+):
+    params, cb = small_fitted.params, small_fitted.codebook
+    f = FeatureMap(rng.normal(size=(small_cfg.channels, small_cfg.height, small_cfg.width)))
+    msg = encode_message(f, Mask.ones(f.height, f.width), params, cb)
+    unfitted = dataclasses.replace(params, **{missing: None})
+    with pytest.raises(ConfigError, match=rf"\({missing}\) is not fitted"):
+        decode_message(msg, unfitted, cb, f_local=f if conditional else None)
+    # The other decoder is still fitted and still decodes.
+    decode_message(msg, unfitted, cb, f_local=None if conditional else f)
 
 
 # ------------------------------------------------------ receiver contract
@@ -292,9 +325,9 @@ def coded_link(small_cfg, small_fitted):
 
 def _receive(data, f_local, fitted, conditional):
     msg = Message.from_bytes(data)
-    if conditional:
-        return decode_message(msg, f_local, fitted.params, fitted.codebook)
-    return decode_unconditional(msg, fitted.params, fitted.codebook)
+    return decode_message(
+        msg, fitted.params, fitted.codebook, f_local=f_local if conditional else None
+    )
 
 
 def _corrupt(draw, data: bytes) -> bytes:
@@ -363,8 +396,8 @@ def test_single_symbol_map_codes_at_every_wire_precision(small_cfg, small_fitted
         assert np.count_nonzero(msg.freqs) == 1 and msg.freqs.max() == 1 << p
         parsed = Message.from_bytes(msg.to_bytes())
         assert parsed.to_bytes() == msg.to_bytes()
-        a = decode_unconditional(parsed, params, cb)
-        b = decode_unconditional(msg, params, cb)
+        a = decode_message(parsed, params, cb)
+        b = decode_message(msg, params, cb)
         assert np.array_equal(a.values, b.values)
     for p in (7, MAX_MESSAGE_PRECISION + 1):
         with pytest.raises(ConfigError):
@@ -488,8 +521,8 @@ def test_conditional_beats_unconditional_on_held_out_scene(small_cfg, small_fitt
         mask = mask_from_scores(score_map(f_sender), 0.0)
         pruned = FeatureMap(f_sender.values * mask.bits[np.newaxis])
         msg = encode_message(pruned, mask, params, cb)
-        cond = mse(decode_message(msg, f_local, params, cb), pruned)
-        uncond = mse(decode_unconditional(msg, params, cb), pruned)
+        cond = mse(decode_message(msg, params, cb, f_local=f_local), pruned)
+        uncond = mse(decode_message(msg, params, cb), pruned)
         wins += cond < uncond
     assert wins >= 4
 
@@ -503,7 +536,7 @@ def test_per_cell_reconstruction_error_is_finite_and_bounded(small_cfg, small_fi
     local = FeatureMap(rng.normal(size=f.shape))
     mask = Mask.ones(f.height, f.width)
     msg = encode_message(f, mask, params, cb)
-    recon = decode_message(msg, local, params, cb)
+    recon = decode_message(msg, params, cb, f_local=local)
     per_cell = np.linalg.norm(
         recon.values.astype(np.float64) - f.values.astype(np.float64), axis=0
     )
@@ -534,7 +567,7 @@ def test_codec_transparency_with_fine_codebook(rng):
     fit = fit_conditional_decoder([(f, Mask.ones(h, w), f)], params, cb, ridge_lambda=1e-10)
     params = params.with_decoder_fit(fit)
     msg = encode_message(f, Mask.ones(h, w), params, cb)
-    recon = decode_unconditional(msg, params, cb)
+    recon = decode_message(msg, params, cb)
     assert mse(recon, f) < 1e-9
 
 

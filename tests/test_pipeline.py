@@ -23,7 +23,6 @@ from dsc_codec.pipeline import (
     CSV_HEADER,
     DEFAULT_EVAL_T,
     SweepRow,
-    rd_points_to_rows,
     read_csv,
     summarize_rows,
 )
@@ -59,7 +58,7 @@ def test_run_link_zero_tau_matches_manual_recomputation(small_cfg, small_fitted)
     from dsc_codec import decode_message, encode_message
 
     msg = encode_message(pruned, mask, params, cb)
-    recon = decode_message(msg, f_local, params, cb)
+    recon = decode_message(msg, params, cb, f_local=f_local)
     assert res.payload_bytes == len(msg.to_bytes())
     assert res.recon_mse == pytest.approx(mse(recon, pruned), abs=0.0)
     oracle = elementwise_max(f_local, f_sender)
@@ -123,6 +122,17 @@ def test_run_link_validation(small_cfg, small_fitted):
         run_link(small_cfg, 0, 1, 0, params, cb, delay=-1)
 
 
+def test_whole_number_delays_of_any_type_give_int_rows(small_cfg, small_fitted):
+    params, cb = small_fitted.params, small_fitted.codebook
+    cfg_s = scene_config(small_cfg, 0, stream="eval")
+    reference = run_link(cfg_s, DEFAULT_EVAL_T, 1, 0, params, cb, delay=2)
+    for delay in (np.int64(2), 2.0):
+        assert run_link(cfg_s, DEFAULT_EVAL_T, 1, 0, params, cb, delay=delay) == reference
+    rows = robustness_sweep(small_cfg, [0.0], [2, np.int64(2), 2.0], params, cb, scenes=1)
+    assert [type(r.delay) for r in rows] == [int] * 6
+    assert len({(r.payload_bytes, r.recon_mse, r.fusion_mse) for r in rows[::2]}) == 1
+
+
 def _count_calls(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)
@@ -137,7 +147,14 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"sigma_pose": -1.0}, {"sigma_pose": float("nan")}, {"delay": -1}],
+    [
+        {"sigma_pose": -1.0},
+        {"sigma_pose": float("nan")},
+        {"delay": -1},
+        {"delay": 1.5},
+        {"delay": float("nan")},
+        {"delay": float("inf")},
+    ],
 )
 def test_run_link_rejects_invalid_perturbation_before_simulating(
     monkeypatch, small_cfg, small_fitted, kwargs
@@ -150,7 +167,13 @@ def test_run_link_rejects_invalid_perturbation_before_simulating(
 
 @pytest.mark.parametrize(
     "sigmas, delays",
-    [([0.0, 1.0, -1.0], [0, 1]), ([0.0], [0, 2, -2]), ([float("nan")], [0])],
+    [
+        ([0.0, 1.0, -1.0], [0, 1]),
+        ([0.0], [0, 2, -2]),
+        ([float("nan")], [0]),
+        ([0.0], [1.5]),
+        ([0.0], [0, 2, 0.5]),
+    ],
 )
 def test_robustness_sweep_rejects_invalid_grid_before_simulating(
     monkeypatch, small_cfg, small_fitted, sigmas, delays
@@ -225,14 +248,9 @@ def test_rd_sweep_rows_equal_fit_codec_then_evaluate_point(small_cfg):
     for k in sizes:
         fitted = fit_codec(small_cfg, codebook_size=k, embed_dim=8, train_scenes=train)
         for tau in taus:
-            stats = evaluate_point(small_cfg, fitted.params, fitted.codebook, tau=tau, scenes=scenes)
-            point = points.pop(0)
-            assert (point.payload_bytes, point.recon_mse, point.fusion_mse) == (
-                stats.payload_bytes,
-                stats.recon_mse,
-                stats.fusion_mse,
-            )
-            assert (point.embed_dim, point.scenes) == (8, scenes)
+            row = evaluate_point(small_cfg, fitted.params, fitted.codebook, tau=tau, scenes=scenes)
+            assert points.pop(0) == row
+            assert (row.embed_dim, row.scenes) == (8, scenes)
 
 
 @pytest.mark.parametrize("taus, sizes", [([0.0, 0.5], [4, 16]), ([0.3], [8, 8, 4])])
@@ -305,12 +323,7 @@ def test_robustness_sweep_grid_and_unperturbed_row(small_cfg, small_fitted):
     assert len(combos) == len(rows)
 
     base = next(r for r in rows if r.sigma_pose == 0 and r.delay == 0 and r.conditional == 1)
-    stats = evaluate_point(small_cfg, params, cb, tau=0.0, scenes=2)
-    assert (base.payload_bytes, base.recon_mse, base.fusion_mse) == (
-        stats.payload_bytes,
-        stats.recon_mse,
-        stats.fusion_mse,
-    )
+    assert base == evaluate_point(small_cfg, params, cb, tau=0.0, scenes=2)
 
 
 def test_robustness_rows_equal_scene_mean_of_run_link(small_cfg, small_fitted):
@@ -385,11 +398,10 @@ def test_csv_roundtrip_and_sorted_emission(tmp_path, small_cfg):
 
 
 def test_write_csv_is_byte_deterministic(tmp_path, small_cfg):
-    points = rd_sweep(
+    rows = rd_sweep(
         small_cfg, taus=[0.0, 0.5], codebook_sizes=[8], embed_dim=8,
         scenes_per_point=1, train_scenes=2,
     )
-    rows = rd_points_to_rows(points, small_cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(rows, p1)
     write_csv(rows, p2)
