@@ -7,8 +7,9 @@ sees any receiver-side data; a message is a pure function of the pruned
 feature, the mask, the codec parameters and the codebook.
 
 Receiver side: the local feature is turned into a per-cell context vector
-(the box mean of the projected latents over a small neighborhood, computed
-only at the coded cells), and a ridge-fit linear decoder maps
+(the channel-space box mean of the receiver's own feature over a small
+neighborhood, computed only at the coded cells; it uses none of the encoder's
+projection), and a ridge-fit linear decoder maps
 [dequantized latent | context | 1] back to channel space. The unconditional
 decoder, fit on the same data without the context block, is the ablation
 baseline: decode_message without a local feature. Because it is nested
@@ -45,7 +46,7 @@ from .wire import MAX_MESSAGE_PRECISION, Message
 DEFAULT_PRECISION = 12
 
 _DCCP_MAGIC = b"DCCP"
-_DCCP_VERSION = 1
+_DCCP_VERSION = 2
 _DCCP_HEADER = struct.Struct("<4sBBHHBdddQ")
 _FLAG_HAS_COND = 1
 _FLAG_HAS_UNCOND = 2
@@ -65,10 +66,11 @@ def _frozen_f64(values, shape, name: str) -> np.ndarray:
 class CodecParams:
     """All learnable state of one codec except the codebook itself.
 
-    projection/mean define the encoder (and the context branch, which shares
-    them); w_cond maps [latent | context | 1] to channels, w_uncond maps
-    [latent | 1]. The codebook is referenced by version hash so a mismatch
-    between encoder and decoder is detected instead of silently corrupting.
+    projection/mean define the encoder only; w_cond maps
+    [latent | context | 1] to channels, where the context is the C-dim
+    channel-space row of si_context, and w_uncond maps [latent | 1]. The
+    codebook is referenced by version hash so a mismatch between encoder and
+    decoder is detected instead of silently corrupting.
     """
 
     projection: np.ndarray
@@ -96,7 +98,7 @@ class CodecParams:
             raise ConfigError("loss weights must be >= 0")
         if self.w_cond is not None:
             object.__setattr__(
-                self, "w_cond", _frozen_f64(self.w_cond, (2 * d + 1, c), "w_cond")
+                self, "w_cond", _frozen_f64(self.w_cond, (d + c + 1, c), "w_cond")
             )
         if self.w_uncond is not None:
             object.__setattr__(
@@ -167,14 +169,15 @@ def project_cells(cells: np.ndarray, params: CodecParams) -> np.ndarray:
 
 # Below this share of kept cells the window sums gather rows at the kept
 # cells; at or above it they add whole-map shifted slices, whose cost does not
-# depend on the share. The two cost about the same near 25% at 128x128x16.
+# depend on the share. On a 128x128x32 float32 grid the two cost about the
+# same between 25% and 35%.
 _GATHER_MAX_SHARE = 0.25
 
 
 def _add_in_order(parts) -> np.ndarray:
-    """Left-to-right sum of same-shape arrays into a fresh array."""
+    """Left-to-right float64 sum of same-shape arrays into a fresh array."""
     parts = iter(parts)
-    acc = np.array(next(parts))
+    acc = np.array(next(parts), dtype=np.float64)
     for part in parts:
         acc += part
     return acc
@@ -184,11 +187,11 @@ def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
     """Sum the (2r+1)^2 windows of a zero-padded grid at the set cells of bits.
 
     grid is (H+2r, W+2r, X) with the (H, W) cells at offset (r, r); the
-    result is (bits.sum(), X) in row-major cell order. Each window row is
-    summed left to right and the row sums top to bottom, whether as row
-    gathers at the kept cells (sparse bits) or as whole-map shifted slices
-    (dense bits), so both evaluations make the same adds in the same order
-    and give the same bits.
+    result is (bits.sum(), X) float64 in row-major cell order. Each window
+    row is summed left to right and the row sums top to bottom, whether as
+    row gathers at the kept cells (sparse bits) or as whole-map shifted
+    slices (dense bits), so both evaluations make the same adds in the same
+    order and give the same bits.
     """
     h, w = bits.shape
     k = 2 * radius + 1
@@ -206,14 +209,13 @@ def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
 
 
 def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarray:
-    """Context rows at the kept cells of mask: the projected (2r+1)^2 box mean.
+    """Context rows at the kept cells of mask: the local (2r+1)^2 box mean.
 
-    Returns (mask.count(), D) float64 rows in row-major cell order. By
-    linearity the box mean is taken of the projected latents,
-    P(boxmean(x) - mean) = boxsum(Px) / (2r+1)^2 - P mean, so only cells
-    inside the window of a kept cell are projected. Padding is zero and the
-    divisor fixed, so border cells (whose windows hang over the padding)
-    genuinely differ from interior ones.
+    Returns (mask.count(), C) float64 rows in row-major cell order, the
+    channel-space mean of f_local over the window around each kept cell.
+    Only cells inside the window of a kept cell are read. Padding is zero
+    and the divisor fixed, so border cells (whose windows hang over the
+    padding) genuinely differ from interior ones.
     """
     if f_local.channels != params.channels:
         raise ShapeMismatchError(
@@ -232,12 +234,13 @@ def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarr
             near[dy : dy + h, dx : dx + w] |= bits
     cells = np.flatnonzero(near[r : r + h, r : r + w])
     ys, xs = np.divmod(cells, w)
-    x = np.take(f_local.values.reshape(f_local.channels, -1), cells, axis=1).astype(np.float64)
-    latents = np.zeros((hp * wp, params.embed_dim), dtype=np.float64)
-    latents[(ys + r) * wp + (xs + r)] = x.T @ params.projection.T
-    ctx = _window_sums(latents.reshape(hp, wp, -1), bits, r)
+    # float32 holds the feature values exactly; the window sums are float64.
+    grid = np.zeros((hp * wp, f_local.channels), dtype=np.float32)
+    grid[(ys + r) * wp + (xs + r)] = np.take(
+        f_local.values.reshape(f_local.channels, -1), cells, axis=1
+    ).T
+    ctx = _window_sums(grid.reshape(hp, wp, -1), bits, r)
     ctx /= k * k
-    ctx -= params.projection @ params.mean
     return ctx
 
 
@@ -324,51 +327,6 @@ class DecoderFit:
     num_cells: int
 
 
-def _solve_ridge(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    gram = x.T @ x + lam * np.eye(x.shape[1])
-    try:
-        return np.linalg.solve(gram, x.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise InsufficientDataError(
-            "singular normal equations; increase ridge_lambda"
-        ) from exc
-
-
-def _ridge_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
-    resid = x @ w - y
-    return float(np.sum(resid * resid) + lam * np.sum(w * w))
-
-
-def _decoder_rows(
-    pairs: Sequence[tuple[FeatureMap, Mask, FeatureMap]],
-    params: CodecParams,
-    cb: Codebook,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (dequantized latent, context, target) rows over unpruned cells."""
-    deq_rows, ctx_rows, targets = [], [], []
-    for sender_pruned, mask, receiver in pairs:
-        if (sender_pruned.height, sender_pruned.width) != (mask.height, mask.width):
-            raise ShapeMismatchError("mask does not match the sender feature")
-        if sender_pruned.shape != receiver.shape:
-            raise ShapeMismatchError("sender and receiver features must share a shape")
-        flat = mask.bits.ravel()
-        if not flat.any():
-            continue
-        cells = sender_pruned.cell_vectors()[flat]
-        latents = project_cells(cells, params)
-        idx = quantize_map(latents, cb)
-        deq_rows.append(dequantize(idx, cb))
-        ctx_rows.append(si_context(receiver, params, mask))
-        targets.append(cells)
-    if not deq_rows:
-        raise InsufficientDataError("no unpruned cells in the training pairs")
-    return (
-        np.concatenate(deq_rows, axis=0),
-        np.concatenate(ctx_rows, axis=0),
-        np.concatenate(targets, axis=0),
-    )
-
-
 def fit_conditional_decoder(
     pairs: Sequence[tuple[FeatureMap, Mask, FeatureMap]],
     params: CodecParams,
@@ -377,35 +335,62 @@ def fit_conditional_decoder(
 ) -> DecoderFit:
     """Closed-form ridge fit of the conditional decoder and nested baseline.
 
-    pairs are (pruned sender feature, its mask, receiver feature) triples;
-    rows are collected over every unpruned cell. If the solved conditional
-    objective numerically exceeds the embedded unconditional one (possible
-    when the context carries nothing), the embedded solution is installed
-    instead, preserving the nested-model guarantee exactly.
+    pairs are (pruned sender feature, its mask, receiver feature) triples.
+    Each unpruned cell gives one design row [dequantized latent | context | 1]
+    with its sender channel vector as target; the rows of one pair are added
+    into the normal equations (X^T X, X^T Y and the sum of Y^2) and dropped,
+    so no stacked design matrix is built. The unconditional decoder solves
+    the latent + intercept sub-block of the same equations. If the solved
+    conditional objective numerically exceeds the embedded unconditional one
+    (possible when the context carries nothing), the embedded solution is
+    installed instead, preserving the nested-model guarantee exactly.
     """
     _require_matching_codebook(params, cb)
     lam = params.ridge_lambda if ridge_lambda is None else ridge_lambda
     if lam < 0.0:
         raise ConfigError(f"ridge_lambda must be >= 0, got {lam}")
-    deq, ctx, y = _decoder_rows(pairs, params, cb)
-    m = deq.shape[0]
-    d = params.embed_dim
-    if m < 2 * d + 1:
-        raise InsufficientDataError(
-            f"need at least {2 * d + 1} unpruned training cells, got {m}"
-        )
-    ones = np.ones((m, 1), dtype=np.float64)
-    x_cond = np.concatenate([deq, ctx, ones], axis=1)
-    x_uncond = np.concatenate([deq, ones], axis=1)
+    d, c = params.embed_dim, params.channels
+    cols = d + c + 1
+    gram = np.zeros((cols, cols))
+    xty = np.zeros((cols, c))
+    yty = 0.0
+    m = 0
+    for sender_pruned, mask, receiver in pairs:
+        if (sender_pruned.height, sender_pruned.width) != (mask.height, mask.width):
+            raise ShapeMismatchError("mask does not match the sender feature")
+        if sender_pruned.shape != receiver.shape:
+            raise ShapeMismatchError("sender and receiver features must share a shape")
+        flat = mask.bits.ravel()
+        if not flat.any():
+            continue
+        y = sender_pruned.cell_vectors()[flat]
+        deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
+        x = np.concatenate([deq, si_context(receiver, params, mask), np.ones((len(y), 1))], axis=1)
+        gram += x.T @ x
+        xty += x.T @ y
+        yty += float(np.sum(y * y))
+        m += len(y)
+    if m < cols:
+        raise InsufficientDataError(f"need at least {cols} unpruned training cells, got {m}")
 
-    w_uncond = _solve_ridge(x_uncond, y, lam)
-    w_cond = _solve_ridge(x_cond, y, lam)
+    def solve(keep: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(gram[np.ix_(keep, keep)] + lam * np.eye(len(keep)), xty[keep])
+        except np.linalg.LinAlgError as exc:
+            raise InsufficientDataError(
+                "singular normal equations; increase ridge_lambda"
+            ) from exc
 
+    def objective(w: np.ndarray) -> float:
+        return float(np.sum(w * (gram @ w - 2.0 * xty)) + yty + lam * np.sum(w * w))
+
+    latent_and_intercept = np.r_[0:d, cols - 1]
+    w_cond = solve(np.arange(cols))
+    w_uncond = solve(latent_and_intercept)
     w_embedded = np.zeros_like(w_cond)
-    w_embedded[:d] = w_uncond[:d]
-    w_embedded[-1] = w_uncond[-1]
-    uncond_objective = _ridge_objective(x_cond, y, w_embedded, lam)
-    cond_objective = _ridge_objective(x_cond, y, w_cond, lam)
+    w_embedded[latent_and_intercept] = w_uncond
+    uncond_objective = objective(w_embedded)
+    cond_objective = objective(w_cond)
     if cond_objective > uncond_objective:
         w_cond, cond_objective = w_embedded, uncond_objective
     return DecoderFit(
@@ -417,7 +402,7 @@ def fit_conditional_decoder(
     )
 
 
-def _decode_symbols(msg: Message, cb: Codebook) -> np.ndarray:
+def _decode_symbols(msg: Message) -> np.ndarray:
     table = FrequencyTable(msg.freqs, msg.precision)
     idx = rans_decode(msg.payload, table, msg.num_symbols, msg.final_state)
     return idx
@@ -462,7 +447,7 @@ def decode_message(
         )
     out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
     if msg.num_symbols > 0:
-        idx = _decode_symbols(msg, cb)
+        idx = _decode_symbols(msg)
         blocks = [dequantize(idx, cb)]
         if f_local is not None:
             blocks.append(si_context(f_local, params, msg.mask))
@@ -490,7 +475,9 @@ def finetune_step(
     and commitment terms; the codebook itself carries no gradient and is
     refreshed by an exponential moving average over assigned latents when
     update_codebook is set. Passing precomputed assignments freezes the
-    quantizer, which makes the step a plain smooth gradient step.
+    quantizer, which makes the step a plain smooth gradient step. The
+    decoder context is si_context of each receiver at every cell; it does
+    not depend on the projection or mean, so it carries no gradient to them.
 
     Returns (updated params, updated codebook, loss before the step). The
     loss is evaluated at the incoming parameters; a non-finite loss or
@@ -504,21 +491,18 @@ def finetune_step(
         raise ConfigError("conditional decoder weights are not fitted")
     _require_matching_codebook(params, cb)
 
-    r = params.context_radius
-    k = 2 * r + 1
-    sender_cells, box_cells = [], []
+    sender_cells, ctx_rows = [], []
     for f_sender, f_receiver in batch:
         if f_sender.shape != f_receiver.shape:
             raise ShapeMismatchError("batch features must share a shape")
         if f_sender.channels != params.channels:
             raise ShapeMismatchError("batch channel count does not match the codec")
         sender_cells.append(f_sender.cell_vectors())
-        h, w = f_receiver.height, f_receiver.width
-        padded = np.zeros((h + 2 * r, w + 2 * r, params.channels), dtype=np.float64)
-        padded[r : r + h, r : r + w] = f_receiver.values.transpose(1, 2, 0)
-        box_cells.append(_window_sums(padded, np.ones((h, w), dtype=bool), r) / (k * k))
+        ctx_rows.append(
+            si_context(f_receiver, params, Mask.ones(f_receiver.height, f_receiver.width))
+        )
     v = np.concatenate(sender_cells, axis=0)
-    b = np.concatenate(box_cells, axis=0)
+    ctx = np.concatenate(ctx_rows, axis=0)
     m = v.shape[0]
     c = params.channels
     d = params.embed_dim
@@ -536,7 +520,6 @@ def finetune_step(
     # reports, so numpy warnings are suppressed rather than surfaced.
     with np.errstate(over="ignore", invalid="ignore"):
         codewords = dequantize(assign, cb)
-        ctx = project_cells(b, params)
         ones = np.ones((m, 1), dtype=np.float64)
         x = np.concatenate([codewords, ctx, ones], axis=1)
         resid = x @ params.w_cond - v
@@ -548,11 +531,9 @@ def finetune_step(
 
         g_resid = (2.0 * params.recon_weight / (m * c)) * resid
         g_w = x.T @ g_resid
-        g_x = g_resid @ params.w_cond.T
-        g_z = g_x[:, :d] + (2.0 * params.commitment_beta / m) * gap
-        g_ctx = g_x[:, d : 2 * d]
-        g_proj = g_z.T @ (v - params.mean) + g_ctx.T @ (b - params.mean)
-        g_mean = -params.projection.T @ (g_z.sum(axis=0) + g_ctx.sum(axis=0))
+        g_z = g_resid @ params.w_cond[:d].T + (2.0 * params.commitment_beta / m) * gap
+        g_proj = g_z.T @ (v - params.mean)
+        g_mean = -params.projection.T @ g_z.sum(axis=0)
 
     if not np.isfinite(loss) or not (
         np.isfinite(g_w).all() and np.isfinite(g_proj).all() and np.isfinite(g_mean).all()
@@ -632,7 +613,7 @@ def load_codec_params(path) -> CodecParams:
 
     projection = block(d, c, "projection")
     mean = block(1, c, "mean")[0]
-    w_cond = block(2 * d + 1, c, "w_cond") if flags & _FLAG_HAS_COND else None
+    w_cond = block(d + c + 1, c, "w_cond") if flags & _FLAG_HAS_COND else None
     w_uncond = block(d + 1, c, "w_uncond") if flags & _FLAG_HAS_UNCOND else None
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes in codec params file")

@@ -75,6 +75,7 @@ DEFAULT_EVAL_T = 4
 CSV_HEADER = "tau,K,D,rho,sigma_pose,delay,payload_bytes,recon_mse,fusion_mse,conditional,seed,scenes"
 
 _KMEANS_SAMPLE_LIMIT = 65536
+_KMEANS_ITERS = 25
 
 
 @dataclass(frozen=True)
@@ -229,23 +230,15 @@ def _training_set(
     )
 
 
-def _fit_on(
-    training: _TrainingSet,
-    codebook_size: int,
-    kmeans_iters: int = 25,
-    ridge_lambda: float = 1e-3,
-    context_radius: int = 1,
-) -> FittedCodec:
+def _fit_on(training: _TrainingSet, codebook_size: int) -> FittedCodec:
     """Codebook and ridge decoders of one codebook size on a shared training set."""
     codebook = train_codebook(
-        training.kmeans_sample, codebook_size, kmeans_iters, training.kmeans_seed
+        training.kmeans_sample, codebook_size, _KMEANS_ITERS, training.kmeans_seed
     )
     params = CodecParams(
         projection=training.projection,
         mean=training.mean,
         codebook_hash=codebook.version_hash,
-        context_radius=context_radius,
-        ridge_lambda=ridge_lambda,
     )
     fit = fit_conditional_decoder(training.pairs, params, codebook)
     return FittedCodec(params=params.with_decoder_fit(fit), codebook=codebook, decoder_fit=fit)
@@ -256,9 +249,6 @@ def fit_codec(
     codebook_size: int = 64,
     embed_dim: int = 64,
     train_scenes: int = 8,
-    kmeans_iters: int = 25,
-    ridge_lambda: float = 1e-3,
-    context_radius: int = 1,
     train_tau: float = 0.0,
 ) -> FittedCodec:
     """Fit projection, codebook and decoders on seeded training scenes.
@@ -273,7 +263,7 @@ def fit_codec(
     """
     _check_codebook_sizes((codebook_size,))
     training = _training_set(cfg, embed_dim, train_scenes, train_tau)
-    return _fit_on(training, codebook_size, kmeans_iters, ridge_lambda, context_radius)
+    return _fit_on(training, codebook_size)
 
 
 def fuse_all(f_local: FeatureMap, reconstructions: Sequence[FeatureMap]) -> FeatureMap:

@@ -34,6 +34,7 @@ from dsc_codec import (
 )
 import dsc_codec.codec as codec_module
 from dsc_codec.codec import _GATHER_MAX_SHARE, _window_sums, project_cells
+from dsc_codec.features import apply_mask
 from dsc_codec.pruning import mask_from_scores, score_map
 from dsc_codec.quantizer import dequantize, quantize_map
 from dsc_codec.simulate import generate_scene, observe
@@ -112,13 +113,13 @@ def test_si_context_constant_map_interior(rng):
     assert not np.allclose(ctx[0, 0], interior[0, 0])
 
 
-def test_si_context_zero_map_projects_negative_mean(rng):
-    proj = rng.normal(size=(4, 3))
-    mean = rng.normal(size=3)
-    params = make_params(proj, mean)
-    ctx = si_context(FeatureMap.zeros(3, 6, 6), params, Mask.ones(6, 6)).reshape(6, 6, 4)
-    expected = proj @ (-mean)
-    assert np.allclose(ctx, expected[np.newaxis, np.newaxis, :])
+def test_si_context_zero_map_gives_zero_context(rng):
+    # The context is the receiver's own channel-space box mean: the encoder's
+    # projection and mean take no part in it.
+    params = make_params(rng.normal(size=(4, 3)), rng.normal(size=3))
+    ctx = si_context(FeatureMap.zeros(3, 6, 6), params, Mask.ones(6, 6))
+    assert ctx.shape == (36, 3)
+    assert np.array_equal(ctx, np.zeros((36, 3)))
 
 
 def test_si_context_delta_support_is_box_neighborhood():
@@ -134,12 +135,12 @@ def test_si_context_delta_support_is_box_neighborhood():
 
 def _reference_context(f, params, mask):
     # The channel-space definition: zero-padded uniform_filter box mean of the
-    # whole map, then project every cell and keep the masked rows.
+    # whole map, keeping the masked rows.
     values = f.values.astype(np.float64)
     r = params.context_radius
     if r > 0:
         values = uniform_filter(values, size=(1, 2 * r + 1, 2 * r + 1), mode="constant", cval=0.0)
-    return project_cells(values.reshape(f.channels, -1).T, params)[mask.bits.ravel()]
+    return values.reshape(f.channels, -1).T[mask.bits.ravel()]
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
@@ -163,7 +164,7 @@ def test_si_context_matches_channel_space_box_mean(radius):
     for mask in masks:
         ctx = si_context(f, params, mask)
         assert ctx.dtype == np.float64
-        assert ctx.shape == (mask.count(), 4)
+        assert ctx.shape == (mask.count(), c)
         np.testing.assert_allclose(ctx, _reference_context(f, params, mask), rtol=1e-12, atol=0.0)
 
 
@@ -190,17 +191,20 @@ def test_window_sums_gather_and_slices_are_bit_identical(radius, monkeypatch):
     below, above = below.reshape(h, w), above.reshape(h, w)
     assert np.count_nonzero(below) < _GATHER_MAX_SHARE * h * w <= np.count_nonzero(above)
 
-    everywhere = _window_sums(grid, np.ones((h, w), dtype=bool), radius)
-    for bits in (below, above):
-        chosen = _window_sums(grid, bits, radius)
-        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
-        gathered = _window_sums(grid, bits, radius)
-        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
-        sliced = _window_sums(grid, bits, radius)
-        monkeypatch.undo()
-        assert np.array_equal(gathered, sliced)
-        assert np.array_equal(chosen, sliced)
-        assert np.array_equal(chosen, everywhere[bits.ravel()])
+    # A float32 grid (as si_context builds) must sum in float64 either way.
+    for grid in (grid, grid.astype(np.float32)):
+        everywhere = _window_sums(grid, np.ones((h, w), dtype=bool), radius)
+        for bits in (below, above):
+            chosen = _window_sums(grid, bits, radius)
+            monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
+            gathered = _window_sums(grid, bits, radius)
+            monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
+            sliced = _window_sums(grid, bits, radius)
+            monkeypatch.undo()
+            assert chosen.dtype == np.float64
+            assert np.array_equal(gathered, sliced)
+            assert np.array_equal(chosen, sliced)
+            assert np.array_equal(chosen, everywhere[bits.ravel()])
 
 
 # ------------------------------------------------------------ encode / decode
@@ -480,7 +484,7 @@ def test_independent_context_gets_near_zero_weights(rng):
     pairs = [synthetic_pair(rng, c=c, h=24, w=24) for _ in range(16)]
     fit = fit_conditional_decoder(pairs, params, cb, ridge_lambda=1e-3)
     d = params.embed_dim
-    ctx_block = fit.w_cond[d : 2 * d]
+    ctx_block = fit.w_cond[d : d + c]
     main_block = fit.w_cond[:d]
     assert np.linalg.norm(ctx_block) < 0.1 * np.linalg.norm(main_block)
     assert fit.cond_objective <= fit.uncond_objective
@@ -495,6 +499,54 @@ def test_nested_model_dominance_holds_for_arbitrary_data(rng):
         pairs = [synthetic_pair(rng, c=c, h=6, w=6)]
         fit = fit_conditional_decoder(pairs, params, cb, ridge_lambda=10.0 ** rng.integers(-8, 2))
         assert fit.cond_objective <= fit.uncond_objective
+
+
+def _stacked_ridge_reference(pairs, params, cb, lam):
+    # The stacked-rows definition of the fit: one design matrix over every
+    # unpruned cell of every pair, each decoder solved from it directly.
+    rows, targets = [], []
+    for sender, mask, receiver in pairs:
+        y = sender.cell_vectors()[mask.bits.ravel()]
+        deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
+        ctx = si_context(receiver, params, mask)
+        rows.append(np.concatenate([deq, ctx, np.ones((len(y), 1))], axis=1))
+        targets.append(y)
+    x, y = np.concatenate(rows), np.concatenate(targets)
+    d = params.embed_dim
+    x_uncond = np.concatenate([x[:, :d], x[:, -1:]], axis=1)
+
+    def solve(a):
+        return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ y)
+
+    w_cond = solve(x)
+    resid = x @ w_cond - y
+    return w_cond, solve(x_uncond), float(np.sum(resid * resid) + lam * np.sum(w_cond**2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_summed_normal_equations_match_stacked_rows(seed):
+    # D < C, so the C-dim context block is wider than the latent block; the
+    # receivers are noisy copies of the senders, so the context matters.
+    rng = np.random.default_rng(seed)
+    c, d, h, w = 6, 3, 9, 11
+    cb = Codebook(rng.normal(size=(8, d)))
+    proj = np.linalg.qr(rng.normal(size=(c, c)))[0][:d]
+    params = make_params(proj, rng.normal(size=c) * 0.1, cb=cb, context_radius=int(seed % 2))
+    pairs = []
+    for share in (1.0, 0.5, 0.0, 0.2):
+        sender = FeatureMap(rng.normal(size=(c, h, w)))
+        receiver = FeatureMap(sender.values + 0.5 * rng.normal(size=(c, h, w)))
+        mask = Mask(rng.random((h, w)) < share)
+        pairs.append((apply_mask(sender, mask), mask, receiver))
+    lam = 10.0 ** rng.uniform(-4, 0)
+    fit = fit_conditional_decoder(pairs, params, cb, ridge_lambda=lam)
+    w_cond, w_uncond, objective = _stacked_ridge_reference(pairs, params, cb, lam)
+    assert fit.w_cond.shape == (d + c + 1, c) and fit.w_uncond.shape == (d + 1, c)
+    assert fit.num_cells == sum(mask.count() for _, mask, _ in pairs)
+    np.testing.assert_allclose(fit.w_cond, w_cond, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(fit.w_uncond, w_uncond, rtol=1e-8, atol=1e-10)
+    assert fit.cond_objective == pytest.approx(objective, rel=1e-9)
+    assert fit.cond_objective < fit.uncond_objective
 
 
 def test_fit_requires_enough_cells(rng):
@@ -597,9 +649,9 @@ def test_finetune_zero_lr_reports_loss_without_moving_params(rng):
 
 
 def test_finetune_loss_uses_the_decoder_context(rng):
-    # finetune_step builds its channel-space box means itself; its loss at the
-    # incoming parameters must match the one computed from decode's context
-    # rows. A non-square map catches a swapped height and width.
+    # finetune_step's loss at the incoming parameters must use decode's
+    # context rows, si_context at every cell of each receiver. A non-square
+    # map catches a swapped height and width.
     h, w = 7, 9
     params, cb, batch = finetune_setup(rng, h=h, w=w)
     v = np.concatenate([s.cell_vectors() for s, _ in batch], axis=0)
@@ -706,6 +758,19 @@ def test_codec_params_file_roundtrip(tmp_path, small_fitted):
     assert loaded.codebook_hash == params.codebook_hash
     assert loaded.ridge_lambda == params.ridge_lambda
     assert loaded.context_radius == params.context_radius
+
+
+def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
+    from dsc_codec import FormatError
+
+    path = tmp_path / "codec.dccp"
+    save_codec_params(small_fitted.params, path)
+    data = bytearray(path.read_bytes())
+    assert data[4] == 2
+    data[4] = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="version 1"):
+        load_codec_params(path)
 
 
 def test_codec_params_file_truncation(tmp_path, small_fitted):
