@@ -52,6 +52,11 @@ _FLAG_HAS_COND = 1
 _FLAG_HAS_UNCOND = 2
 
 
+def _require_finite_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < np.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _frozen_f64(values, shape, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C")
     if arr.shape != shape:
@@ -92,10 +97,9 @@ class CodecParams:
         object.__setattr__(self, "mean", _frozen_f64(self.mean, (c,), "mean"))
         if self.context_radius < 0:
             raise ConfigError(f"context_radius must be >= 0, got {self.context_radius}")
-        if self.ridge_lambda < 0.0:
-            raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
-        if self.recon_weight < 0.0 or self.commitment_beta < 0.0:
-            raise ConfigError("loss weights must be >= 0")
+        _require_finite_nonnegative("ridge_lambda", self.ridge_lambda)
+        _require_finite_nonnegative("recon_weight", self.recon_weight)
+        _require_finite_nonnegative("commitment_beta", self.commitment_beta)
         if self.w_cond is not None:
             object.__setattr__(
                 self, "w_cond", _frozen_f64(self.w_cond, (d + c + 1, c), "w_cond")
@@ -331,7 +335,6 @@ def fit_conditional_decoder(
     pairs: Sequence[tuple[FeatureMap, Mask, FeatureMap]],
     params: CodecParams,
     cb: Codebook,
-    ridge_lambda: float | None = None,
 ) -> DecoderFit:
     """Closed-form ridge fit of the conditional decoder and nested baseline.
 
@@ -343,12 +346,11 @@ def fit_conditional_decoder(
     the latent + intercept sub-block of the same equations. If the solved
     conditional objective numerically exceeds the embedded unconditional one
     (possible when the context carries nothing), the embedded solution is
-    installed instead, preserving the nested-model guarantee exactly.
+    installed instead, preserving the nested-model guarantee exactly. The
+    ridge penalty is params.ridge_lambda.
     """
     _require_matching_codebook(params, cb)
-    lam = params.ridge_lambda if ridge_lambda is None else ridge_lambda
-    if lam < 0.0:
-        raise ConfigError(f"ridge_lambda must be >= 0, got {lam}")
+    lam = params.ridge_lambda
     d, c = params.embed_dim, params.channels
     cols = d + c + 1
     gram = np.zeros((cols, cols))
@@ -483,8 +485,7 @@ def finetune_step(
     loss is evaluated at the incoming parameters; a non-finite loss or
     gradient rejects the step and leaves every input untouched.
     """
-    if lr < 0.0:
-        raise ConfigError(f"lr must be >= 0, got {lr}")
+    _require_finite_nonnegative("lr", lr)
     if not batch:
         raise ConfigError("finetune batch must be non-empty")
     if params.w_cond is None:

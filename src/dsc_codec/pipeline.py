@@ -27,19 +27,23 @@ rate-distortion sweep builds the training set once and fits every codebook
 size on it, so one sweep does one training set and one scene walk per
 evaluation scene.
 
-Sweeps aggregate links over independently seeded scenes. evaluate_point,
-the rate-distortion sweep and the robustness sweep all return SweepRow, the
-scene-order mean of that one evaluation path, so the unperturbed robustness
-row is equal to the rate-distortion row and to evaluate_point at the same
-knobs. Every row carries the full knob tuple; CSVs are emitted in sorted key
-order, making them reproducible byte-for-byte.
+Sweeps aggregate links over independently seeded scenes through one
+evaluation body: it runs the per-scene routine once per evaluation scene at
+DEFAULT_EVAL_T for sender 1 -> receiver 0 and returns SweepRow, the
+scene-order mean of each grid point. evaluate_point, the rate-distortion
+sweep and the robustness sweep are grid specs on top of it, so the
+unperturbed robustness row is equal to the rate-distortion row and to
+evaluate_point at the same knobs. Every row carries the full knob tuple; its
+CSV columns are SweepRow's fields in order, and CSVs are emitted in sorted
+key order, making them reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import Sequence
+import itertools
+from dataclasses import dataclass, fields
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -110,21 +114,7 @@ class SweepRow:
     scenes: int
 
     def as_csv(self) -> str:
-        fields = (
-            self.tau,
-            self.codebook_size,
-            self.embed_dim,
-            self.rho,
-            self.sigma_pose,
-            self.delay,
-            self.payload_bytes,
-            self.recon_mse,
-            self.fusion_mse,
-            self.conditional,
-            self.seed,
-            self.scenes,
-        )
-        return ",".join(_format_value(v) for v in fields)
+        return ",".join(_format_value(getattr(self, f.name)) for f in fields(self))
 
     def sort_key(self):
         return (
@@ -141,6 +131,10 @@ def _format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+# The parser of each CSV column, in SweepRow field (= CSV_HEADER) order.
+_COLUMN_TYPES = tuple(get_type_hints(SweepRow)[f.name] for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -181,14 +175,11 @@ class _TrainingSet:
     pairs: list[tuple[FeatureMap, Mask, FeatureMap]]
 
 
-def _training_set(
-    cfg: ScenarioConfig, embed_dim: int, train_scenes: int, train_tau: float
-) -> _TrainingSet:
+def _training_set(cfg: ScenarioConfig, embed_dim: int, train_scenes: int) -> _TrainingSet:
     if train_scenes < 1:
         raise ConfigError(f"train_scenes must be >= 1, got {train_scenes}")
     if embed_dim < 1:
         raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
-    _check_taus((train_tau,))
     observations: list[list[FeatureMap]] = []
     for s in range(train_scenes):
         cfg_s = scene_config(cfg, s, stream="train")
@@ -200,7 +191,7 @@ def _training_set(
     encoder = CodecParams(projection=projection, mean=mean, codebook_hash=0)
 
     masks = [
-        [mask_from_scores(score_map(f), train_tau) for f in per_scene]
+        [mask_from_scores(score_map(f), 0.0) for f in per_scene]
         for per_scene in observations
     ]
     latent_blocks = []
@@ -210,7 +201,7 @@ def _training_set(
             if flat.any():
                 latent_blocks.append(project_cells(f.cell_vectors()[flat], encoder))
     if not latent_blocks:
-        raise InsufficientDataError(f"train_tau={train_tau} prunes every training cell")
+        raise InsufficientDataError("no training cell survives pruning")
     latents = np.concatenate(latent_blocks, axis=0)
     step = max(1, -(-latents.shape[0] // _KMEANS_SAMPLE_LIMIT))
 
@@ -249,20 +240,19 @@ def fit_codec(
     codebook_size: int = 64,
     embed_dim: int = 64,
     train_scenes: int = 8,
-    train_tau: float = 0.0,
 ) -> FittedCodec:
     """Fit projection, codebook and decoders on seeded training scenes.
 
     Training scenes come from a dedicated seed stream, so evaluation scenes
     drawn from the default stream are held out. The codebook is trained on
-    the latents of cells that survive pruning at train_tau; decoder rows use
-    every ordered agent pair of every training scene. A codebook_size,
-    embed_dim or train_scenes below 1, or a train_tau outside [0, 1], raises
-    ConfigError before any scene is simulated; a train_tau that prunes every
-    training cell raises InsufficientDataError.
+    the latents of cells that survive pruning at tau=0 (every nonzero cell);
+    decoder rows use every ordered agent pair of every training scene. A
+    codebook_size, embed_dim or train_scenes below 1 raises ConfigError
+    before any scene is simulated; training scenes with no nonzero cell
+    raise InsufficientDataError.
     """
     _check_codebook_sizes((codebook_size,))
-    training = _training_set(cfg, embed_dim, train_scenes, train_tau)
+    training = _training_set(cfg, embed_dim, train_scenes)
     return _fit_on(training, codebook_size)
 
 
@@ -383,31 +373,54 @@ def run_link(
     return links[(0, 0, 0, 0, conditional)]
 
 
-def _mean_row(
+def _sweep(
     cfg: ScenarioConfig,
-    params: CodecParams,
-    cb: Codebook,
-    tau: float,
-    sigma_pose: float,
-    delay: int,
-    conditional: bool,
-    links: Sequence[LinkResult],
-) -> SweepRow:
-    """The sweep row at these knobs: link metrics averaged in the given (scene) order."""
-    return SweepRow(
-        tau=float(tau),
-        codebook_size=cb.size,
-        embed_dim=params.embed_dim,
-        rho=cfg.rho,
-        sigma_pose=float(sigma_pose),
-        delay=int(delay),
-        payload_bytes=float(np.mean([r.payload_bytes for r in links])),
-        recon_mse=float(np.mean([r.recon_mse for r in links])),
-        fusion_mse=float(np.mean([r.fusion_mse for r in links])),
-        conditional=int(conditional),
-        seed=cfg.seed,
-        scenes=len(links),
+    codecs: Sequence[tuple[CodecParams, Codebook]],
+    taus: Sequence[float],
+    sigmas: Sequence[float],
+    delays: Sequence[int],
+    decoders: Sequence[bool],
+    scenes: int,
+    budget: int | None,
+) -> list[SweepRow]:
+    """The scene-order mean row of every (codec, tau, sigma, delay, decoder) point.
+
+    Runs _scene_links once per evaluation scene at DEFAULT_EVAL_T for sender
+    1 -> receiver 0 and returns the rows in that grid order. scenes below 1
+    raises ConfigError; the grid is validated before any simulation.
+    """
+    if scenes < 1:
+        raise ConfigError(f"scenes must be >= 1, got {scenes}")
+    per_scene = [
+        _scene_links(
+            scene_config(cfg, s, stream="eval"), DEFAULT_EVAL_T, 1, 0,
+            codecs, taus, sigmas, delays, budget, decoders,
+        )
+        for s in range(scenes)
+    ]
+    grid = itertools.product(
+        enumerate(codecs), enumerate(taus), enumerate(sigmas), enumerate(delays), decoders
     )
+    rows = []
+    for (ci, (params, cb)), (ti, tau), (si, sigma), (di, delay), conditional in grid:
+        links = [scene[(ci, ti, si, di, conditional)] for scene in per_scene]
+        rows.append(
+            SweepRow(
+                tau=float(tau),
+                codebook_size=cb.size,
+                embed_dim=params.embed_dim,
+                rho=cfg.rho,
+                sigma_pose=float(sigma),
+                delay=int(delay),
+                payload_bytes=float(np.mean([r.payload_bytes for r in links])),
+                recon_mse=float(np.mean([r.recon_mse for r in links])),
+                fusion_mse=float(np.mean([r.fusion_mse for r in links])),
+                conditional=int(conditional),
+                seed=cfg.seed,
+                scenes=scenes,
+            )
+        )
+    return rows
 
 
 def evaluate_point(
@@ -420,38 +433,11 @@ def evaluate_point(
     scenes: int = 3,
     conditional: bool = True,
     budget: int | None = None,
-    t_eval: int = DEFAULT_EVAL_T,
-    sender: int = 1,
-    receiver: int = 0,
 ) -> SweepRow:
     """The sweep row of mean link metrics over independently seeded evaluation scenes."""
-    if scenes < 1:
-        raise ConfigError(f"scenes must be >= 1, got {scenes}")
-    return _mean_row(
-        cfg,
-        params,
-        cb,
-        tau,
-        sigma_pose,
-        delay,
-        conditional,
-        [
-            run_link(
-                scene_config(cfg, s, stream="eval"),
-                t_eval,
-                sender,
-                receiver,
-                params,
-                cb,
-                tau=tau,
-                sigma_pose=sigma_pose,
-                delay=delay,
-                budget=budget,
-                conditional=conditional,
-            )
-            for s in range(scenes)
-        ]
-    )
+    return _sweep(
+        cfg, [(params, cb)], (tau,), (sigma_pose,), (delay,), (conditional,), scenes, budget
+    )[0]
 
 
 def rd_sweep(
@@ -462,7 +448,6 @@ def rd_sweep(
     scenes_per_point: int = 3,
     train_scenes: int = 6,
     budget: int | None = None,
-    t_eval: int = DEFAULT_EVAL_T,
 ) -> list[SweepRow]:
     """Rate-distortion grid over codebook size and tau, one row per pair.
 
@@ -478,32 +463,10 @@ def rd_sweep(
     if scenes_per_point < 1:
         raise ConfigError(f"scenes_per_point must be >= 1, got {scenes_per_point}")
     # _training_set checks its own arguments before it simulates anything.
-    training = _training_set(cfg, embed_dim, train_scenes, train_tau=0.0)
+    training = _training_set(cfg, embed_dim, train_scenes)
     fits = [_fit_on(training, k) for k in codebook_sizes]
     codecs = [(f.params, f.codebook) for f in fits]
-    per_scene = [
-        _scene_links(
-            scene_config(cfg, s, stream="eval"),
-            t_eval,
-            sender=1,
-            receiver=0,
-            codecs=codecs,
-            taus=taus,
-            sigmas=(0.0,),
-            delays=(0,),
-            budget=budget,
-            decoders=(True,),
-        )
-        for s in range(scenes_per_point)
-    ]
-    return [
-        _mean_row(
-            cfg, f.params, f.codebook, tau, 0.0, 0, True,
-            [links[(ci, ti, 0, 0, True)] for links in per_scene],
-        )
-        for ci, f in enumerate(fits)
-        for ti, tau in enumerate(taus)
-    ]
+    return _sweep(cfg, codecs, taus, (0.0,), (0,), (True,), scenes_per_point, budget)
 
 
 def robustness_sweep(
@@ -514,7 +477,6 @@ def robustness_sweep(
     cb: Codebook,
     tau: float = 0.0,
     scenes: int = 3,
-    t_eval: int = DEFAULT_EVAL_T,
 ) -> list[SweepRow]:
     """Full sigma x delay grid, one row per combination per decoder variant.
 
@@ -526,33 +488,7 @@ def robustness_sweep(
     """
     if not sigmas or not delays:
         raise ConfigError("sigma and delay lists must be non-empty")
-    if scenes < 1:
-        raise ConfigError(f"scenes must be >= 1, got {scenes}")
-    sigmas = [float(sigma) for sigma in sigmas]
-    per_scene = [
-        _scene_links(
-            scene_config(cfg, s, stream="eval"),
-            t_eval,
-            sender=1,
-            receiver=0,
-            codecs=[(params, cb)],
-            taus=(tau,),
-            sigmas=sigmas,
-            delays=delays,
-            budget=None,
-            decoders=(True, False),
-        )
-        for s in range(scenes)
-    ]
-    return [
-        _mean_row(
-            cfg, params, cb, tau, sigma, delay, conditional,
-            [links[(0, 0, si, di, conditional)] for links in per_scene],
-        )
-        for si, sigma in enumerate(sigmas)
-        for di, delay in enumerate(delays)
-        for conditional in (True, False)
-    ]
+    return _sweep(cfg, [(params, cb)], (tau,), sigmas, delays, (True, False), scenes, None)
 
 
 def write_csv(rows: Sequence[SweepRow], path_or_handle) -> None:
@@ -589,27 +525,13 @@ def read_csv(path) -> list[SweepRow]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 12:
+        if len(parts) != len(_COLUMN_TYPES):
             raise ConfigError(
-                f"line {lineno}: expected 12 CSV fields, got {len(parts)}: {line!r}"
+                f"line {lineno}: expected {len(_COLUMN_TYPES)} CSV fields, "
+                f"got {len(parts)}: {line!r}"
             )
         try:
-            rows.append(
-                SweepRow(
-                    tau=float(parts[0]),
-                    codebook_size=int(parts[1]),
-                    embed_dim=int(parts[2]),
-                    rho=float(parts[3]),
-                    sigma_pose=float(parts[4]),
-                    delay=int(parts[5]),
-                    payload_bytes=float(parts[6]),
-                    recon_mse=float(parts[7]),
-                    fusion_mse=float(parts[8]),
-                    conditional=int(parts[9]),
-                    seed=int(parts[10]),
-                    scenes=int(parts[11]),
-                )
-            )
+            rows.append(SweepRow(*(parse(part) for parse, part in zip(_COLUMN_TYPES, parts))))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return rows

@@ -123,11 +123,6 @@ class Message:
         ]
         return b"".join(parts)
 
-    def byte_length(self) -> int:
-        """Total serialized length; this is the reported rate of the link."""
-        mask_bytes = (self.height * self.width + 7) // 8
-        return _FIXED_HEADER.size + 4 + mask_bytes + 4 + 2 * self.codebook_size + 4 + len(self.payload) + 4
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "Message":
         view = memoryview(data)

@@ -52,6 +52,14 @@ def make_params(projection, mean, cb=None, **kw):
     )
 
 
+@pytest.mark.parametrize("field", ["ridge_lambda", "recon_weight", "commitment_beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_codec_params_rejects_negative_or_non_finite_hyperparameters(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
+        make_params(np.eye(3), np.zeros(3), **{field: value})
+    assert getattr(make_params(np.eye(3), np.zeros(3), **{field: 0.0}), field) == 0.0
+
+
 # ---------------------------------------------------------------- projection
 
 
@@ -449,8 +457,8 @@ def synthetic_pair(rng, c=6, h=12, w=12):
     return sender, Mask.ones(h, w), receiver
 
 
-def identity_codec(c, cb):
-    return make_params(np.eye(c), np.zeros(c), cb=cb)
+def identity_codec(c, cb, **kw):
+    return make_params(np.eye(c), np.zeros(c), cb=cb, **kw)
 
 
 def test_perfect_side_information_drives_training_mse_to_zero(rng):
@@ -459,10 +467,8 @@ def test_perfect_side_information_drives_training_mse_to_zero(rng):
     c, h, w = 4, 16, 16
     sender = FeatureMap(rng.normal(size=(c, h, w)))
     cb = Codebook(rng.normal(size=(8, c)))
-    params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0)
-    fit = fit_conditional_decoder(
-        [(sender, Mask.ones(h, w), sender)], params, cb, ridge_lambda=1e-10
-    )
+    params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0, ridge_lambda=1e-10)
+    fit = fit_conditional_decoder([(sender, Mask.ones(h, w), sender)], params, cb)
     cells = sender.cell_vectors()
     idx = quantize_map(project_cells(cells, params), cb)
     from dsc_codec.quantizer import dequantize
@@ -480,9 +486,9 @@ def test_independent_context_gets_near_zero_weights(rng):
     # O(1/sqrt(M))) and both decoders perform alike.
     c = 5
     cb = Codebook(rng.normal(size=(16, c)))
-    params = identity_codec(c, cb)
+    params = identity_codec(c, cb, ridge_lambda=1e-3)
     pairs = [synthetic_pair(rng, c=c, h=24, w=24) for _ in range(16)]
-    fit = fit_conditional_decoder(pairs, params, cb, ridge_lambda=1e-3)
+    fit = fit_conditional_decoder(pairs, params, cb)
     d = params.embed_dim
     ctx_block = fit.w_cond[d : d + c]
     main_block = fit.w_cond[:d]
@@ -497,7 +503,8 @@ def test_nested_model_dominance_holds_for_arbitrary_data(rng):
         cb = Codebook(rng.normal(size=(4, c)))
         params = identity_codec(c, cb)
         pairs = [synthetic_pair(rng, c=c, h=6, w=6)]
-        fit = fit_conditional_decoder(pairs, params, cb, ridge_lambda=10.0 ** rng.integers(-8, 2))
+        params = dataclasses.replace(params, ridge_lambda=10.0 ** rng.integers(-8, 2))
+        fit = fit_conditional_decoder(pairs, params, cb)
         assert fit.cond_objective <= fit.uncond_objective
 
 
@@ -539,7 +546,7 @@ def test_summed_normal_equations_match_stacked_rows(seed):
         mask = Mask(rng.random((h, w)) < share)
         pairs.append((apply_mask(sender, mask), mask, receiver))
     lam = 10.0 ** rng.uniform(-4, 0)
-    fit = fit_conditional_decoder(pairs, params, cb, ridge_lambda=lam)
+    fit = fit_conditional_decoder(pairs, dataclasses.replace(params, ridge_lambda=lam), cb)
     w_cond, w_uncond, objective = _stacked_ridge_reference(pairs, params, cb, lam)
     assert fit.w_cond.shape == (d + c + 1, c) and fit.w_uncond.shape == (d + 1, c)
     assert fit.num_cells == sum(mask.count() for _, mask, _ in pairs)
@@ -615,8 +622,8 @@ def test_codec_transparency_with_fine_codebook(rng):
     f = FeatureMap(rng.normal(size=(c, h, w)))
     cells = f.cell_vectors()
     cb = Codebook(cells)  # every cell is its own codeword
-    params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0)
-    fit = fit_conditional_decoder([(f, Mask.ones(h, w), f)], params, cb, ridge_lambda=1e-10)
+    params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0, ridge_lambda=1e-10)
+    fit = fit_conditional_decoder([(f, Mask.ones(h, w), f)], params, cb)
     params = params.with_decoder_fit(fit)
     msg = encode_message(f, Mask.ones(h, w), params, cb)
     recon = decode_message(msg, params, cb)
@@ -739,8 +746,9 @@ def test_finetune_rejects_nonfinite_loss(rng):
         finetune_step(huge, cb, batch, lr=1e-3)
     with pytest.raises(ConfigError):
         finetune_step(params, cb, [], lr=1e-3)
-    with pytest.raises(ConfigError):
-        finetune_step(params, cb, batch, lr=-1.0)
+    for lr in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
+            finetune_step(params, cb, batch, lr=lr)
 
 
 # ------------------------------------------------------------------ file io
@@ -770,6 +778,20 @@ def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
     data[4] = 1
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="version 1"):
+        load_codec_params(path)
+
+
+def test_codec_params_file_with_nan_lambda_is_rejected(tmp_path, small_fitted):
+    path = tmp_path / "codec.dccp"
+    save_codec_params(small_fitted.params, path)
+    data = bytearray(path.read_bytes())
+    # ridge_lambda is the first f64 of the header, after magic, version,
+    # flags, C, D and the context radius.
+    lam_offset = struct.calcsize("<4sBBHHB")
+    assert struct.unpack_from("<d", data, lam_offset)[0] == small_fitted.params.ridge_lambda
+    struct.pack_into("<d", data, lam_offset, float("nan"))
+    path.write_bytes(bytes(data))
+    with pytest.raises(ConfigError, match="ridge_lambda must be finite"):
         load_codec_params(path)
 
 

@@ -297,7 +297,7 @@ def test_rd_sweep_rejects_invalid_grid_before_simulating(monkeypatch, small_cfg,
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"codebook_size": 0}, {"embed_dim": 0}, {"train_scenes": 0}, {"train_tau": 1.5}],
+    [{"codebook_size": 0}, {"embed_dim": 0}, {"train_scenes": 0}],
 )
 def test_fit_codec_rejects_invalid_arguments_before_simulating(monkeypatch, small_cfg, kwargs):
     scenes = _count_calls(monkeypatch, pipeline, "generate_scene")
@@ -306,10 +306,13 @@ def test_fit_codec_rejects_invalid_arguments_before_simulating(monkeypatch, smal
     assert scenes == []
 
 
-def test_fit_codec_rejects_train_tau_that_prunes_every_cell():
+def test_fit_codec_rejects_training_scenes_with_no_kept_cell(monkeypatch):
+    # All-zero observations score 0 everywhere, so pruning keeps no cell.
     cfg = ScenarioConfig(channels=8, height=16, width=16, seed=3)
-    with pytest.raises(InsufficientDataError, match="prunes every training cell"):
-        fit_codec(cfg, codebook_size=4, embed_dim=4, train_tau=1.0)
+    zeros = FeatureMap.zeros(cfg.channels, cfg.height, cfg.width)
+    monkeypatch.setattr(pipeline, "observe", lambda scene, agent, cfg_s: zeros)
+    with pytest.raises(InsufficientDataError, match="no training cell survives pruning"):
+        fit_codec(cfg, codebook_size=4, embed_dim=4, train_scenes=2)
 
 
 def test_robustness_sweep_grid_and_unperturbed_row(small_cfg, small_fitted):
@@ -350,6 +353,16 @@ def test_robustness_rows_equal_scene_mean_of_run_link(small_cfg, small_fitted):
         assert row.payload_bytes == float(np.mean([r.payload_bytes for r in links]))
         assert row.recon_mse == float(np.mean([r.recon_mse for r in links]))
         assert row.fusion_mse == float(np.mean([r.fusion_mse for r in links]))
+        assert row == evaluate_point(
+            small_cfg,
+            params,
+            cb,
+            tau=0.3,
+            sigma_pose=row.sigma_pose,
+            delay=row.delay,
+            scenes=scenes,
+            conditional=bool(row.conditional),
+        )
 
 
 def test_robustness_sweep_simulates_each_scene_once(monkeypatch, small_cfg, small_fitted):
@@ -388,13 +401,41 @@ def test_csv_roundtrip_and_sorted_emission(tmp_path, small_cfg):
     text = path.read_text()
     assert text.splitlines()[0] == CSV_HEADER
     loaded = read_csv(path)
-    assert len(loaded) == 3
     # Sorted: tau ascending, conditional=1 before 0 at equal knobs.
-    assert [r.tau for r in loaded] == [0.0, 0.0, 0.5]
-    assert [r.conditional for r in loaded][:2] == [1, 0]
+    assert loaded == [rows[1], rows[2], rows[0]]
     buf = io.StringIO()
     write_csv(rows, buf)
     assert buf.getvalue() == text
+
+
+def test_csv_columns_follow_header_names(tmp_path):
+    # A distinct value in every field, so swapping two SweepRow fields (or
+    # two header names) puts some value under the wrong column.
+    row = SweepRow(
+        tau=0.25,
+        codebook_size=16,
+        embed_dim=8,
+        rho=0.875,
+        sigma_pose=1.5,
+        delay=3,
+        payload_bytes=1234.5,
+        recon_mse=0.125,
+        fusion_mse=0.0625,
+        conditional=1,
+        seed=7,
+        scenes=5,
+    )
+    path = tmp_path / "row.csv"
+    write_csv([row], path)
+    header, line = path.read_text().splitlines()
+    assert header == CSV_HEADER
+    column = dict(zip(header.split(","), line.split(",")))
+    attribute = {"K": "codebook_size", "D": "embed_dim"}
+    assert len(column) == 12
+    for name, text in column.items():
+        value = getattr(row, attribute.get(name, name))
+        assert type(value)(text) == value, name
+    assert read_csv(path) == [row]
 
 
 def test_write_csv_is_byte_deterministic(tmp_path, small_cfg):

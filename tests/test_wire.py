@@ -105,12 +105,6 @@ def test_message_roundtrip_bit_exact():
     assert again.final_state == msg.final_state
 
 
-def test_byte_length_matches_serialization():
-    for with_payload in (True, False):
-        msg = make_message(with_payload=with_payload)
-        assert msg.byte_length() == len(msg.to_bytes())
-
-
 def test_independent_parser_agrees_on_every_section():
     msg = make_message()
     data = msg.to_bytes()
@@ -123,7 +117,7 @@ def test_independent_parser_agrees_on_every_section():
     assert list(parsed["freqs"]) == msg.freqs.tolist()
     assert parsed["payload"] == msg.payload
     assert parsed["state"] == msg.final_state
-    assert parsed["total"] == len(data) == msg.byte_length()
+    assert parsed["total"] == len(data)
 
 
 def test_zero_symbol_message_is_valid():
