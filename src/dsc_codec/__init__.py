@@ -62,11 +62,9 @@ from .quantizer import (
     dequantize,
     kmeans_fit,
     load_codebook,
-    nearest_codeword,
     quantize_map,
     save_codebook,
     train_codebook,
-    vq_losses,
 )
 from .rans import FrequencyTable, build_freq_table, rans_decode, rans_encode
 from .simulate import (

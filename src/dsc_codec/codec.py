@@ -37,6 +37,7 @@ from .errors import (
     InsufficientDataError,
     ShapeMismatchError,
     StepRejectedError,
+    require_nonnegative,
 )
 from .features import FeatureMap, Mask
 from .quantizer import Codebook, dequantize, quantize_map
@@ -50,11 +51,8 @@ _DCCP_VERSION = 2
 _DCCP_HEADER = struct.Struct("<4sBBHHBdddQ")
 _FLAG_HAS_COND = 1
 _FLAG_HAS_UNCOND = 2
-
-
-def _require_finite_nonnegative(name: str, value: float) -> None:
-    if not 0.0 <= value < np.inf:
-        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+# Weight of the old codeword in finetune_step's moving-average refresh.
+_EMA_DECAY = 0.99
 
 
 def _frozen_f64(values, shape, name: str) -> np.ndarray:
@@ -97,9 +95,9 @@ class CodecParams:
         object.__setattr__(self, "mean", _frozen_f64(self.mean, (c,), "mean"))
         if self.context_radius < 0:
             raise ConfigError(f"context_radius must be >= 0, got {self.context_radius}")
-        _require_finite_nonnegative("ridge_lambda", self.ridge_lambda)
-        _require_finite_nonnegative("recon_weight", self.recon_weight)
-        _require_finite_nonnegative("commitment_beta", self.commitment_beta)
+        require_nonnegative("ridge_lambda", self.ridge_lambda)
+        require_nonnegative("recon_weight", self.recon_weight)
+        require_nonnegative("commitment_beta", self.commitment_beta)
         if self.w_cond is not None:
             object.__setattr__(
                 self, "w_cond", _frozen_f64(self.w_cond, (d + c + 1, c), "w_cond")
@@ -331,6 +329,12 @@ class DecoderFit:
     num_cells: int
 
 
+def _design(latents: np.ndarray, ctx: np.ndarray | None) -> np.ndarray:
+    """Decoder rows [latent | context | 1], or [latent | 1] when ctx is None."""
+    blocks = [latents] if ctx is None else [latents, ctx]
+    return np.concatenate(blocks + [np.ones((len(latents), 1))], axis=1)
+
+
 def fit_conditional_decoder(
     pairs: Sequence[tuple[FeatureMap, Mask, FeatureMap]],
     params: CodecParams,
@@ -367,7 +371,7 @@ def fit_conditional_decoder(
             continue
         y = sender_pruned.cell_vectors()[flat]
         deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
-        x = np.concatenate([deq, si_context(receiver, params, mask), np.ones((len(y), 1))], axis=1)
+        x = _design(deq, si_context(receiver, params, mask))
         gram += x.T @ x
         xty += x.T @ y
         yty += float(np.sum(y * y))
@@ -402,12 +406,6 @@ def fit_conditional_decoder(
         uncond_objective=uncond_objective,
         num_cells=m,
     )
-
-
-def _decode_symbols(msg: Message) -> np.ndarray:
-    table = FrequencyTable(msg.freqs, msg.precision)
-    idx = rans_decode(msg.payload, table, msg.num_symbols, msg.final_state)
-    return idx
 
 
 def _check_decode_inputs(msg: Message, params: CodecParams, cb: Codebook) -> None:
@@ -449,12 +447,10 @@ def decode_message(
         )
     out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
     if msg.num_symbols > 0:
-        idx = _decode_symbols(msg)
-        blocks = [dequantize(idx, cb)]
-        if f_local is not None:
-            blocks.append(si_context(f_local, params, msg.mask))
-        blocks.append(np.ones((idx.shape[0], 1), dtype=np.float64))
-        recon = np.concatenate(blocks, axis=1) @ w
+        table = FrequencyTable(msg.freqs, msg.precision)
+        idx = rans_decode(msg.payload, table, msg.num_symbols, msg.final_state)
+        ctx = None if f_local is None else si_context(f_local, params, msg.mask)
+        recon = _design(dequantize(idx, cb), ctx) @ w
         out.reshape(msg.channels, -1)[:, msg.mask.bits.ravel()] = recon.T.astype(np.float32)
     return FeatureMap(out)
 
@@ -466,7 +462,6 @@ def finetune_step(
     lr: float,
     assignments: np.ndarray | None = None,
     update_codebook: bool = True,
-    ema_decay: float = 0.99,
 ) -> tuple[CodecParams, Codebook, float]:
     """One gradient step on the encoder projection, mean and conditional decoder.
 
@@ -475,17 +470,18 @@ def finetune_step(
     reconstruction gradient flows into the projection as if it consumed the
     latents. The loss is recon_weight * reconstruction MSE plus the codebook
     and commitment terms; the codebook itself carries no gradient and is
-    refreshed by an exponential moving average over assigned latents when
-    update_codebook is set. Passing precomputed assignments freezes the
-    quantizer, which makes the step a plain smooth gradient step. The
-    decoder context is si_context of each receiver at every cell; it does
-    not depend on the projection or mean, so it carries no gradient to them.
+    refreshed by an exponential moving average (decay _EMA_DECAY) over
+    assigned latents when update_codebook is set. Passing precomputed
+    assignments freezes the quantizer, which makes the step a plain smooth
+    gradient step. The decoder context is si_context of each receiver at
+    every cell; it does not depend on the projection or mean, so it carries
+    no gradient to them.
 
     Returns (updated params, updated codebook, loss before the step). The
     loss is evaluated at the incoming parameters; a non-finite loss or
     gradient rejects the step and leaves every input untouched.
     """
-    _require_finite_nonnegative("lr", lr)
+    require_nonnegative("lr", lr)
     if not batch:
         raise ConfigError("finetune batch must be non-empty")
     if params.w_cond is None:
@@ -521,8 +517,7 @@ def finetune_step(
     # reports, so numpy warnings are suppressed rather than surfaced.
     with np.errstate(over="ignore", invalid="ignore"):
         codewords = dequantize(assign, cb)
-        ones = np.ones((m, 1), dtype=np.float64)
-        x = np.concatenate([codewords, ctx, ones], axis=1)
+        x = _design(codewords, ctx)
         resid = x @ params.w_cond - v
 
         gap = z - codewords
@@ -549,11 +544,9 @@ def finetune_step(
     )
     new_cb = cb
     if update_codebook:
-        if not 0.0 <= ema_decay < 1.0:
-            raise ConfigError(f"ema_decay must be in [0,1), got {ema_decay}")
         updated = cb.codewords.astype(np.float64).copy()
         for k in np.unique(assign):
-            updated[k] = ema_decay * updated[k] + (1.0 - ema_decay) * z[assign == k].mean(axis=0)
+            updated[k] = _EMA_DECAY * updated[k] + (1.0 - _EMA_DECAY) * z[assign == k].mean(axis=0)
         new_cb = Codebook(updated)
         new_params = replace(new_params, codebook_hash=new_cb.version_hash)
     return new_params, new_cb, loss

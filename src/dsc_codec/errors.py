@@ -4,7 +4,13 @@ Decode-side failures are deliberately split into distinct classes so a
 receiver can tell a malformed byte stream from a codebook disagreement from
 a corrupted symbol, and react accordingly (typically: drop the link and fall
 back to local features).
+
+Two range checks shared by every module raise ConfigError with one wording:
+require_nonnegative (finite and >= 0) and require_unit_interval (in [0,1]).
+NaN fails both.
 """
+
+import math
 
 
 class CodecError(Exception):
@@ -57,3 +63,15 @@ class SymbolOutOfRangeError(DecodeError):
 
 class StepRejectedError(CodecError, RuntimeError):
     """A fine-tune step produced a non-finite loss; parameters were not touched."""
+
+
+def require_nonnegative(name: str, value: float) -> None:
+    """Raise ConfigError unless value is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
+def require_unit_interval(name: str, value: float) -> None:
+    """Raise ConfigError unless value lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must be in [0,1], got {value}")

@@ -57,6 +57,7 @@ from .codec import (
     project_cells,
 )
 from .errors import ConfigError, DecodeError, InsufficientDataError
+from .errors import require_nonnegative, require_unit_interval
 from .features import FeatureMap, Mask, apply_mask, elementwise_max, mse
 from .pruning import mask_from_scores, score_map
 from .quantizer import Codebook, train_codebook
@@ -148,8 +149,7 @@ class FittedCodec:
 
 def _check_taus(taus: Sequence[float]) -> None:
     for tau in taus:
-        if not 0.0 <= tau <= 1.0:
-            raise ConfigError(f"tau must be in [0,1], got {tau}")
+        require_unit_interval("tau", tau)
 
 
 def _check_codebook_sizes(sizes: Sequence[int]) -> None:
@@ -163,7 +163,7 @@ class _TrainingSet:
     """The K-independent part of a codec fit.
 
     The PCA projection and mean, the k-means sample of training latents
-    that survive pruning and its seed, and the (pruned sender, mask,
+    that survive pruning and its seed, and the (sender, its tau=0 mask,
     receiver) decoder pairs. One training set serves a codec fit at every
     codebook size.
     """
@@ -205,13 +205,12 @@ def _training_set(cfg: ScenarioConfig, embed_dim: int, train_scenes: int) -> _Tr
     latents = np.concatenate(latent_blocks, axis=0)
     step = max(1, -(-latents.shape[0] // _KMEANS_SAMPLE_LIMIT))
 
+    # At tau=0 only all-zero cells are pruned, so each observation is its own
+    # pruned sender feature.
     pairs = []
     for per_scene, per_masks in zip(observations, masks):
-        for j in range(cfg.num_agents):
-            pruned = apply_mask(per_scene[j], per_masks[j])
-            for i in range(cfg.num_agents):
-                if i != j:
-                    pairs.append((pruned, per_masks[j], per_scene[i]))
+        for j, i in itertools.permutations(range(cfg.num_agents), 2):
+            pairs.append((per_scene[j], per_masks[j], per_scene[i]))
     return _TrainingSet(
         projection=projection,
         mean=mean,
@@ -290,8 +289,7 @@ def _scene_links(
         raise ConfigError("sender and receiver must differ")
     _check_taus(taus)
     for sigma in sigmas:
-        if not sigma >= 0.0:
-            raise ConfigError(f"sigma_pose must be >= 0, got {sigma}")
+        require_nonnegative("sigma_pose", sigma)
     for delay in delays:
         if not (delay >= 0 and float(delay).is_integer()):
             raise ConfigError(f"delay must be a whole number >= 0, got {delay}")
@@ -363,8 +361,8 @@ def run_link(
     link whose serialized message exceeds the budget is dropped (truncation
     would break entropy decodability), as is a link whose decode fails; the
     receiver then falls back to its local feature only. A tau outside [0, 1],
-    a negative sigma_pose or a delay that is not a whole number >= 0 raises
-    ConfigError before anything is simulated.
+    a sigma_pose that is not finite and >= 0, or a delay that is not a whole
+    number >= 0 raises ConfigError before anything is simulated.
     """
     links = _scene_links(
         cfg, t, sender, receiver, [(params, cb)], (tau,), (sigma_pose,), (delay,), budget,

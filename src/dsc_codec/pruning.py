@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_unit_interval
 from .features import FeatureMap, Mask
 
 
@@ -43,8 +43,7 @@ def score_map(f: FeatureMap) -> ScoreMap:
 
 def mask_from_scores(s: ScoreMap, tau: float) -> Mask:
     """Keep cells whose score strictly exceeds tau; ties at tau are pruned."""
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must be in [0,1], got {tau}")
+    require_unit_interval("tau", tau)
     return Mask(s.values > tau)
 
 

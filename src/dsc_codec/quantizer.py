@@ -1,4 +1,4 @@
-"""Vector quantization: codebook learning, assignment, dequantization, losses.
+"""Vector quantization: codebook learning, assignment, dequantization.
 
 Codewords live in the encoder's embedding space. Assignment is by squared
 Euclidean distance with ties broken toward the LOWEST index, fixed so that
@@ -96,24 +96,12 @@ def _as_latents(vectors, dim: int) -> np.ndarray:
     return arr
 
 
-def nearest_codeword(v, cb: Codebook) -> int:
-    """Index of the closest codeword; exact ties go to the lowest index."""
-    vec = _as_latents(v, cb.dim)
-    if vec.shape[0] != 1:
-        raise ShapeMismatchError("nearest_codeword takes a single D-vector")
-    idx, _ = _nearest(vec, cb.codewords.astype(np.float64))
-    return int(idx[0])
-
-
 def quantize_map(latent, cb: Codebook) -> np.ndarray:
-    """Element-wise nearest-codeword assignment, order preserving."""
-    vecs = np.asarray(latent, dtype=np.float64)
-    if vecs.ndim != 2:
-        vecs = _as_latents(latent, cb.dim) if np.size(latent) else np.empty((0, cb.dim))
-    if vecs.shape[0] == 0:
-        return np.empty(0, dtype=np.int32)
-    vecs = _as_latents(vecs, cb.dim)
-    idx, _ = _nearest(vecs, cb.codewords.astype(np.float64))
+    """Nearest-codeword index of each (N, D) row, or of one D-vector, in order.
+
+    Exact ties go to the lowest index.
+    """
+    idx, _ = _nearest(_as_latents(latent, cb.dim), cb.codewords.astype(np.float64))
     return idx
 
 
@@ -194,24 +182,6 @@ def train_codebook(samples, k: int, iters: int, seed: int) -> Codebook:
     """Learn a K x D codebook by k-means on the given latent vectors."""
     centers, _ = kmeans_fit(samples, k, iters, seed)
     return Codebook(centers)
-
-
-def vq_losses(latent, cb: Codebook, beta: float) -> tuple[float, float]:
-    """(codebook_loss, commitment_loss) around the nearest-codeword assignment.
-
-    Both measure the mean squared latent-to-codeword gap; they are returned
-    separately because they gate different gradient paths during fine-tuning
-    (the codebook side treats the latent as constant, the commitment side
-    treats the codeword as constant and is scaled by beta).
-    """
-    if beta < 0.0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
-    vecs = _as_latents(latent, cb.dim)
-    if vecs.shape[0] == 0:
-        return 0.0, 0.0
-    _, sqdist = _nearest(vecs, cb.codewords.astype(np.float64))
-    gap = float(sqdist.mean())
-    return gap, beta * gap
 
 
 def save_codebook(cb: Codebook, path) -> None:

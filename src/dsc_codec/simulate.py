@@ -28,7 +28,8 @@ perturbs existing ones and generation is reproducible under any scheduling.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -38,6 +39,8 @@ from .errors import (
     FormatError,
     ShapeMismatchError,
     UndefinedCorrelationError,
+    require_nonnegative,
+    require_unit_interval,
 )
 from .features import FeatureMap, Mask
 
@@ -100,12 +103,9 @@ class ScenarioConfig:
         for name in ("channels", "height", "width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ConfigError(f"rho must be in [0,1], got {self.rho}")
-        if self.sigma_obs < 0.0:
-            raise ConfigError(f"sigma_obs must be >= 0, got {self.sigma_obs}")
-        if not 0.0 <= self.visibility_overlap <= 1.0:
-            raise ConfigError(f"visibility_overlap must be in [0,1], got {self.visibility_overlap}")
+        require_unit_interval("rho", self.rho)
+        require_nonnegative("sigma_obs", self.sigma_obs)
+        require_unit_interval("visibility_overlap", self.visibility_overlap)
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha must be in [0,1), got {self.alpha}")
         if not 0 <= self.seed < 2**64:
@@ -218,8 +218,7 @@ def translate(f: FeatureMap, dh: int, dw: int) -> FeatureMap:
 
 def perturb_pose(f: FeatureMap, sigma_pose: float, seed: int) -> FeatureMap:
     """Integer translation with offsets round(Normal(0, sigma_pose)) per axis."""
-    if sigma_pose < 0.0:
-        raise ConfigError(f"sigma_pose must be >= 0, got {sigma_pose}")
+    require_nonnegative("sigma_pose", sigma_pose)
     if sigma_pose == 0.0:
         return f
     offsets = np.random.default_rng(seed).normal(0.0, sigma_pose, size=2)
@@ -257,16 +256,9 @@ def scene_config(cfg: ScenarioConfig, index: int, stream: str = "eval") -> Scena
     return replace(cfg, seed=derive_seed(cfg.seed, tags[stream], index))
 
 
+# The parser of each scenario-file key, in ScenarioConfig field order.
 _SCENARIO_FIELDS = {
-    "num_agents": int,
-    "channels": int,
-    "height": int,
-    "width": int,
-    "rho": float,
-    "sigma_obs": float,
-    "visibility_overlap": float,
-    "alpha": float,
-    "seed": int,
+    f.name: get_type_hints(ScenarioConfig)[f.name] for f in fields(ScenarioConfig)
 }
 
 

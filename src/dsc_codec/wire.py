@@ -11,10 +11,12 @@ Layout, all little-endian, nothing uncounted:
 The reported rate of a message is the total serialized length in bytes.
 Frequencies are the quantized counts summing to 2^p with p in [8, 15], so
 every frequency, up to 2^p for a single-symbol map, fits its u16 field (the
-coder itself admits p = 16). A zero-symbol message
+coder itself admits p = 16). K is at least 1. A zero-symbol message
 (N = 0) carries an all-zero table, an empty payload, and the initial coder
-state. Parsing is strict: any trailing or missing bytes, a bad magic, or an
-inconsistent table raises MessageParseError rather than returning garbage.
+state. The version byte is MESSAGE_VERSION and the flags byte is 0: no flag
+is defined yet. Parsing is strict: any trailing or missing bytes, a bad
+magic, version or flags byte, or an inconsistent table raises
+MessageParseError rather than returning garbage.
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ class Message:
     freqs: np.ndarray
     payload: bytes
     final_state: int
-    version: int = MESSAGE_VERSION
-    flags: int = 0
 
     def __post_init__(self) -> None:
+        if self.codebook_size < 1:
+            raise ConfigError(f"codebook size must be >= 1, got {self.codebook_size}")
         if not MIN_PRECISION <= self.precision <= MAX_MESSAGE_PRECISION:
             raise ConfigError(f"precision {self.precision} out of range")
         arr = np.array(self.freqs, dtype=np.int64, order="C")
@@ -103,8 +105,8 @@ class Message:
         parts = [
             _FIXED_HEADER.pack(
                 MESSAGE_MAGIC,
-                self.version,
-                self.flags,
+                MESSAGE_VERSION,
+                0,
                 self.channels,
                 self.height,
                 self.width,
@@ -143,6 +145,8 @@ class Message:
             raise MessageParseError(f"bad message magic {bytes(magic)!r}")
         if version != MESSAGE_VERSION:
             raise MessageParseError(f"unsupported message version {version}")
+        if flags != 0:
+            raise MessageParseError(f"no message flag is defined, got flags {flags:#04x}")
         (mask_len,) = _U32.unpack(take(4, "mask length"))
         mask = unpack_mask(bytes(take(mask_len, "mask")), h, w)
         (n,) = _U32.unpack(take(4, "symbol count"))
@@ -166,8 +170,6 @@ class Message:
                 freqs=freqs,
                 payload=payload,
                 final_state=state,
-                version=version,
-                flags=flags,
             )
         except ConfigError as exc:
             raise MessageParseError(str(exc)) from exc

@@ -216,16 +216,19 @@ def test_bad_env_seed_reports_diagnostic(tmp_path, scenario_file, monkeypatch, c
 
 def test_sweep_robust_rejects_negative_sigma(tmp_path, scenario_file, capsys):
     out = tmp_path / "robust.csv"
-    status = cli_dispatch(
-        [
-            "sweep-robust", "--scenario", str(scenario_file), "--sigmas=0,-1",
-            "--delays", "0", "--codebook-size", "8", "--embed-dim", "8",
-            "--scenes", "1", "--train-scenes", "2", "--out", str(out),
-        ]
-    )
-    assert status == 1
-    assert "sigma_pose must be >= 0" in capsys.readouterr().err
-    assert not out.exists()
+    for sigmas in ("--sigmas=0,-1", "--sigmas=0,inf"):
+        status = cli_dispatch(
+            [
+                "sweep-robust", "--scenario", str(scenario_file), sigmas,
+                "--delays", "0", "--codebook-size", "8", "--embed-dim", "8",
+                "--scenes", "1", "--train-scenes", "2", "--out", str(out),
+            ]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "sigma_pose must be finite and >= 0" in err
+        assert not out.exists()
 
 
 def test_sweep_rd_rejects_out_of_range_tau(tmp_path, scenario_file, capsys):

@@ -154,6 +154,7 @@ def _count_calls(monkeypatch, module, name) -> list:
         {"delay": 1.5},
         {"delay": float("nan")},
         {"delay": float("inf")},
+        {"sigma_pose": float("inf")},
     ],
 )
 def test_run_link_rejects_invalid_perturbation_before_simulating(
@@ -173,6 +174,7 @@ def test_run_link_rejects_invalid_perturbation_before_simulating(
         ([float("nan")], [0]),
         ([0.0], [1.5]),
         ([0.0], [0, 2, 0.5]),
+        ([0.0, float("inf")], [0]),
     ],
 )
 def test_robustness_sweep_rejects_invalid_grid_before_simulating(

@@ -5,18 +5,15 @@ import pytest
 
 from dsc_codec import (
     Codebook,
-    ConfigError,
     FormatError,
     InsufficientDataError,
     SymbolOutOfRangeError,
     dequantize,
     kmeans_fit,
     load_codebook,
-    nearest_codeword,
     quantize_map,
     save_codebook,
     train_codebook,
-    vq_losses,
 )
 from dsc_codec.quantizer import _nearest
 
@@ -27,9 +24,9 @@ def codebook(rows) -> Codebook:
 
 def test_nearest_exact_match_and_distances():
     cb = codebook(np.eye(8))
-    assert nearest_codeword(np.eye(8)[7], cb) == 7
+    assert quantize_map(np.eye(8)[7], cb).tolist() == [7]
     near_one = codebook([[0.0, 0.0], [1.0, 0.0]])
-    assert nearest_codeword([0.9, 0.0], near_one) == 1
+    assert quantize_map([0.9, 0.0], near_one).tolist() == [1]
 
 
 def test_nearest_tie_breaks_to_lowest_index():
@@ -38,7 +35,7 @@ def test_nearest_tie_breaks_to_lowest_index():
     rows[2] = [0.0, 0.0]
     rows[5] = [1.0, 0.0]
     cb = codebook(rows)
-    assert nearest_codeword([0.5, 0.0], cb) == 2
+    assert quantize_map([0.5, 0.0], cb).tolist() == [2]
 
 
 def test_quantize_map_basics():
@@ -204,20 +201,6 @@ def test_kmeans_matches_per_cluster_loop_reference(n, d, k, duplicated):
     assert history == ref_history
     assert all(a >= b - 1e-12 for a, b in zip(history, history[1:]))
     assert (reseeds > 0) == duplicated
-
-
-def test_vq_losses():
-    cb = codebook([[0.0, 0.0], [2.0, 0.0]])
-    zero_gap, zero_commit = vq_losses(np.array([[0.0, 0.0], [2.0, 0.0]]), cb, beta=0.25)
-    assert (zero_gap, zero_commit) == (0.0, 0.0)
-    d = 0.7
-    cb_loss, commit = vq_losses(np.array([[d, 0.0]]), cb, beta=0.25)
-    assert cb_loss == pytest.approx(d**2)
-    assert commit == pytest.approx(0.25 * d**2)
-    _, commit0 = vq_losses(np.array([[d, 0.0]]), cb, beta=0.0)
-    assert commit0 == 0.0
-    with pytest.raises(ConfigError):
-        vq_losses(np.array([[d, 0.0]]), cb, beta=-1.0)
 
 
 def test_codebook_hash_tracks_contents():

@@ -49,6 +49,14 @@ def test_config_validation():
         ScenarioConfig(visibility_overlap=-0.1)
     with pytest.raises(ConfigError):
         ScenarioConfig(sigma_obs=-1.0)
+    for bad in (
+        {"sigma_obs": float("nan")},
+        {"sigma_obs": float("inf")},
+        {"rho": float("nan")},
+        {"visibility_overlap": float("nan")},
+    ):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**bad)
 
 
 def test_scene_determinism():
@@ -173,8 +181,9 @@ def test_translate_forced_shift():
 def test_perturb_pose_zero_sigma_is_identity():
     f = FeatureMap(np.random.default_rng(1).normal(size=(2, 8, 8)))
     assert np.array_equal(perturb_pose(f, 0.0, seed=3).values, f.values)
-    with pytest.raises(ConfigError):
-        perturb_pose(f, -1.0, seed=3)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="sigma_pose must be finite and >= 0"):
+            perturb_pose(f, sigma, seed=3)
 
 
 def test_perturb_pose_offset_statistics():
@@ -261,6 +270,17 @@ def test_scenario_file_roundtrip(tmp_path):
     path = tmp_path / "scenario.cfg"
     save_scenario(cfg, path)
     assert load_scenario(path) == cfg
+    assert path.read_text() == (
+        "num_agents = 2\nchannels = 16\nheight = 64\nwidth = 64\nrho = 0.35\n"
+        "sigma_obs = 0.0\nvisibility_overlap = 0.75\nalpha = 0.8\nseed = 99\n"
+    )
+
+
+def test_scenario_file_rejects_non_finite_sigma_obs(tmp_path):
+    path = tmp_path / "nan.cfg"
+    path.write_text("sigma_obs = nan\n")
+    with pytest.raises(ConfigError, match="sigma_obs must be finite and >= 0"):
+        load_scenario(path)
 
 
 def test_scenario_file_rejects_unknown_keys(tmp_path):

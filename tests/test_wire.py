@@ -140,6 +140,38 @@ def test_parse_rejects_bad_magic_and_version():
         Message.from_bytes(bytes(data))
 
 
+def _zero_symbol_bytes(k: int, flags: int) -> bytes:
+    """A zero-symbol 2x3 message laid out field by field, with a K-entry table."""
+    return b"".join(
+        [
+            b"DSC1",
+            struct.pack("<BB", 1, flags),  # version, flags
+            struct.pack("<HHHHH", 3, 2, 3, 5, k),  # C, H, W, D, K
+            struct.pack("<B", 12),  # precision
+            struct.pack("<Q", 0x0123456789ABCDEF),  # codebook hash
+            struct.pack("<I", 1) + b"\x00",  # mask length, 6 clear bits
+            struct.pack("<I", 0),  # N
+            bytes(2 * k),  # all-zero frequency table
+            struct.pack("<I", 0),  # payload length, empty payload
+            struct.pack("<I", RANS_L),  # initial coder state
+        ]
+    )
+
+
+def test_parse_rejects_header_with_empty_codebook():
+    assert Message.from_bytes(_zero_symbol_bytes(k=2, flags=0)).num_symbols == 0
+    with pytest.raises(MessageParseError, match="codebook size must be >= 1"):
+        Message.from_bytes(_zero_symbol_bytes(k=0, flags=0))
+
+
+def test_parse_rejects_undefined_flags():
+    data = _zero_symbol_bytes(k=2, flags=0)
+    assert Message.from_bytes(data).to_bytes() == data
+    for flags in (0x01, 0x80):
+        with pytest.raises(MessageParseError, match="flag"):
+            Message.from_bytes(_zero_symbol_bytes(k=2, flags=flags))
+
+
 def test_parse_rejects_truncation_at_every_boundary():
     data = make_message().to_bytes()
     for cut in (3, 10, 24, 28, 30, len(data) - 5, len(data) - 1):
