@@ -5,12 +5,14 @@ receiver can tell a malformed byte stream from a codebook disagreement from
 a corrupted symbol, and react accordingly (typically: drop the link and fall
 back to local features).
 
-Two range checks shared by every module raise ConfigError with one wording:
-require_nonnegative (finite and >= 0) and require_unit_interval (in [0,1]).
-NaN fails both.
+Three range checks shared by every module raise ConfigError with one
+wording: require_nonnegative (finite and >= 0), require_unit_interval (in
+[0,1]) and require_int (an integer, numpy integers included, within bounds).
+NaN fails all three.
 """
 
 import math
+import numbers
 
 
 class CodecError(Exception):
@@ -75,3 +77,12 @@ def require_unit_interval(name: str, value: float) -> None:
     """Raise ConfigError unless value lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be in [0,1], got {value}")
+
+
+def require_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ConfigError unless value is an integer >= low and, given high, <= high."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be {bounds}, got {value}")

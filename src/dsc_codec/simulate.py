@@ -39,6 +39,7 @@ from .errors import (
     FormatError,
     ShapeMismatchError,
     UndefinedCorrelationError,
+    require_int,
     require_nonnegative,
     require_unit_interval,
 )
@@ -98,11 +99,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_agents < 2:
-            raise ConfigError(f"num_agents must be >= 2, got {self.num_agents}")
-        for name in ("channels", "height", "width"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        # Sizes are stored as Python ints, so numpy integers cannot overflow
+        # in later size arithmetic.
+        for name, low in (("num_agents", 2), ("channels", 1), ("height", 1), ("width", 1)):
+            require_int(name, getattr(self, name), low)
+            object.__setattr__(self, name, int(getattr(self, name)))
         require_unit_interval("rho", self.rho)
         require_nonnegative("sigma_obs", self.sigma_obs)
         require_unit_interval("visibility_overlap", self.visibility_overlap)

@@ -16,7 +16,9 @@ coder itself admits p = 16). K is at least 1. A zero-symbol message
 state. The version byte is MESSAGE_VERSION and the flags byte is 0: no flag
 is defined yet. Parsing is strict: any trailing or missing bytes, a bad
 magic, version or flags byte, or an inconsistent table raises
-MessageParseError rather than returning garbage.
+MessageParseError rather than returning garbage. Constructing a Message
+checks that every header and length field is an integer that fits its
+field, so to_bytes never fails on a constructed message.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MessageParseError
+from .errors import ConfigError, MessageParseError, require_int
 from .features import Mask
 from .rans import MIN_PRECISION, RANS_L
 
@@ -38,6 +40,8 @@ MAX_MESSAGE_PRECISION = 15
 
 _FIXED_HEADER = struct.Struct("<4sBBHHHHHBQ")
 _U32 = struct.Struct("<I")
+_U16_MAX = 0xFFFF
+_U32_MAX = 0xFFFFFFFF
 
 
 def pack_mask(mask: Mask) -> bytes:
@@ -73,16 +77,21 @@ class Message:
     final_state: int
 
     def __post_init__(self) -> None:
+        for name in ("channels", "height", "width", "embed_dim", "codebook_size"):
+            require_int(name, getattr(self, name), 0, _U16_MAX)
         if self.codebook_size < 1:
             raise ConfigError(f"codebook size must be >= 1, got {self.codebook_size}")
-        if not MIN_PRECISION <= self.precision <= MAX_MESSAGE_PRECISION:
-            raise ConfigError(f"precision {self.precision} out of range")
+        require_int("precision", self.precision, MIN_PRECISION, MAX_MESSAGE_PRECISION)
+        require_int("codebook_hash", self.codebook_hash, 0, 2**64 - 1)
+        require_int("num_symbols", self.num_symbols, 0, _U32_MAX)
+        require_int("payload length", len(self.payload), 0, _U32_MAX)
+        require_int("final_state", self.final_state, 0, _U32_MAX)
         arr = np.array(self.freqs, dtype=np.int64, order="C")
         if arr.ndim != 1 or arr.size != self.codebook_size:
             raise ConfigError(
                 f"frequency table must have exactly K={self.codebook_size} entries"
             )
-        if arr.min() < 0 or arr.max() > 0xFFFF:
+        if arr.min() < 0 or arr.max() > _U16_MAX:
             raise ConfigError("serialized frequencies must fit unsigned 16-bit fields")
         total = int(arr.sum())
         if self.num_symbols > 0 and total != 1 << self.precision:

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from dsc_codec import (
     Codebook,
@@ -15,7 +18,8 @@ from dsc_codec import (
     save_codebook,
     train_codebook,
 )
-from dsc_codec.quantizer import _nearest
+from dsc_codec import quantizer
+from dsc_codec.quantizer import _column_sqdist, _nearest, _nearest_two
 
 
 def codebook(rows) -> Codebook:
@@ -225,3 +229,98 @@ def test_codebook_file_roundtrip_and_corruption(tmp_path, rng):
     bad.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         load_codebook(bad)
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(samples, k, iters, seed): float, integer-grid or duplicated samples, D >= 2."""
+    n = draw(st.integers(1, 48))
+    d = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["float", "grid", "duplicated"]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "float":
+        samples = r.normal(size=(n, d)) * r.uniform(0.01, 100.0, size=d)
+    elif kind == "grid":
+        # Small integers: many samples sit exactly on ties between centres.
+        samples = r.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        # Few distinct points: k-means++ runs out of mass and reseeds follow.
+        distinct = r.normal(size=(draw(st.integers(1, 6)), d))
+        samples = distinct[r.integers(0, distinct.shape[0], size=n)]
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return samples, k, draw(st.integers(0, 30)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kmeans_inputs())
+def test_bounded_lloyd_matches_full_assignment_reference(case):
+    samples, k, iters, seed = case
+    centers, history = kmeans_fit(samples, k, iters, seed)
+    ref_centers, ref_history, _ = _reference_kmeans_fit(samples, k, iters, seed)
+    assert np.array_equal(centers, ref_centers)
+    assert history == ref_history
+
+
+def test_bounded_lloyd_skips_rows_of_settled_samples(monkeypatch):
+    # Four tight, far-apart clusters: once the centres stop moving, the
+    # bounds settle every sample and no full cdist row is computed.
+    r = np.random.default_rng(3)
+    samples = np.repeat(np.eye(4) * 100.0, 50, axis=0) + r.normal(size=(200, 4))
+    rows = []
+
+    def counting(vectors, codewords):
+        if vectors is not codewords:  # not the centre-to-centre gap pass
+            rows.append(vectors.shape[0])
+        return _nearest_two(vectors, codewords)
+
+    monkeypatch.setattr(quantizer, "_nearest_two", counting)
+    _, history = kmeans_fit(samples, 4, iters=10, seed=1)
+    assert rows[0] == 200
+    assert rows[-1] == 0
+    assert len(history) < 11
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_nearest_does_not_depend_on_block_size(monkeypatch, k):
+    r = np.random.default_rng(k)
+    x = r.normal(size=(300, 5))
+    centers = r.normal(size=(k, 5))
+    centers[-1] = centers[0]  # an exact tie between two codewords
+    want = _nearest(x, centers)
+    want_two = _nearest_two(x, centers)
+    monkeypatch.setattr(quantizer, "_BLOCK_DISTANCES", 5)
+    for got, ref in zip(_nearest(x, centers) + _nearest_two(x, centers), want + want_two):
+        assert np.array_equal(got, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_column_kernel_equals_cdist_bit_for_bit(d, n, seed):
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, d)) * r.uniform(0.001, 1000.0, size=d)
+    centers = r.normal(size=(7, d)) * 10.0
+    columns = np.ascontiguousarray(x.T)
+    full = cdist(x, centers, metric="sqeuclidean")
+    assert np.array_equal(_column_sqdist(columns, centers[2]), full[:, 2])
+    assign = r.integers(0, 7, size=n)
+    own = _column_sqdist(columns, centers.T.take(assign, axis=1))
+    assert np.array_equal(own, full[np.arange(n), assign])
+
+
+# train_codebook hashes on a fixed sample, recorded before the bounded
+# Lloyd loop replaced the full assignment pass; any codebook bit that moves
+# changes them.
+_PINNED_HASHES = {
+    1: 0x0D47D482657D5E5C,
+    4: 0x578FF2A90AE40990,
+    16: 0x4484FF8B51B78FE6,
+    64: 0xE6523C51ECFF5A80,
+    256: 0x4773481B2A5A5355,
+}
+
+
+@pytest.mark.parametrize("k", sorted(_PINNED_HASHES))
+def test_train_codebook_hashes_are_pinned(k):
+    r = np.random.default_rng(20261018)
+    samples = r.normal(size=(4096, 16)) * r.uniform(0.5, 3.0, size=16)
+    assert train_codebook(samples, k, iters=25, seed=5).version_hash == _PINNED_HASHES[k]

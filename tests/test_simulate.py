@@ -34,6 +34,15 @@ def cfg_with(**kw) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def test_config_accepts_numpy_integer_sizes():
+    cfg = cfg_with(
+        num_agents=np.int64(3), channels=np.int32(4), height=np.uint16(8), width=np.int8(6)
+    )
+    assert type(cfg.height) is int and cfg == cfg_with(num_agents=3, channels=4, height=8, width=6)
+    assert generate_scene(cfg, 0).latent.shape == (4, 8, 6)
+    assert observe(generate_scene(cfg, 0), 2, cfg).values.shape == (4, 8, 6)
+
+
 def full_mask(cfg) -> Mask:
     return Mask.ones(cfg.height, cfg.width)
 
@@ -50,6 +59,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(sigma_obs=-1.0)
     for bad in (
+        {"num_agents": 2.5},
+        {"channels": 2.5},
+        {"height": 8.0},
+        {"width": "8"},
         {"sigma_obs": float("nan")},
         {"sigma_obs": float("inf")},
         {"rho": float("nan")},

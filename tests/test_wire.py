@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -212,3 +213,44 @@ def test_message_constructor_validation():
             payload=msg.payload,
             final_state=msg.final_state,
         )
+
+
+# One value past each end of every integer header/length field, plus a float.
+_OUT_OF_RANGE = [
+    *[(name, value) for name in ("channels", "height", "width", "embed_dim", "codebook_size")
+      for value in (-1, 0x10000, 2.5)],
+    ("precision", 12.0),
+    ("codebook_hash", -1),
+    ("codebook_hash", 2**64),
+    ("num_symbols", -1),
+    ("num_symbols", 2**32),
+    ("final_state", -1),
+    ("final_state", 2**32),
+]
+
+
+@pytest.mark.parametrize("name, value", _OUT_OF_RANGE)
+def test_message_rejects_header_values_that_do_not_fit_their_field(name, value):
+    msg = make_message()
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(msg, **{name: value})
+
+
+def test_message_rejects_payload_longer_than_its_u32_length_field():
+    # A zero-stride view: 2^32 bytes long without allocating them.
+    huge = memoryview(np.broadcast_to(np.uint8(0), (2**32,)))
+    with pytest.raises(ConfigError, match="payload length"):
+        dataclasses.replace(make_message(), payload=huge)
+
+
+def test_message_accepts_field_extremes_and_numpy_integers():
+    msg = dataclasses.replace(
+        make_message(),
+        channels=np.uint16(0xFFFF),
+        embed_dim=0,
+        codebook_hash=2**64 - 1,
+        final_state=np.int64(2**32 - 1),
+    )
+    again = Message.from_bytes(msg.to_bytes())
+    assert (again.channels, again.embed_dim) == (0xFFFF, 0)
+    assert (again.codebook_hash, again.final_state) == (2**64 - 1, 2**32 - 1)
