@@ -37,9 +37,11 @@ from .errors import (
     InsufficientDataError,
     ShapeMismatchError,
     StepRejectedError,
+    frozen_array,
+    require_int,
     require_nonnegative,
 )
-from .features import FeatureMap, Mask
+from .features import FeatureMap, Mask, require_same_shape, require_spatial_match
 from .quantizer import Codebook, dequantize, quantize_map
 from .rans import MIN_PRECISION, RANS_L, FrequencyTable, build_freq_table, rans_decode, rans_encode
 from .wire import MAX_MESSAGE_PRECISION, Message
@@ -55,16 +57,6 @@ _FLAG_HAS_UNCOND = 2
 _EMA_DECAY = 0.99
 
 
-def _frozen_f64(values, shape, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
-    if arr.shape != shape:
-        raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{name} contains non-finite values")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class CodecParams:
     """All learnable state of one codec except the codebook itself.
@@ -73,7 +65,9 @@ class CodecParams:
     [latent | context | 1] to channels, where the context is the C-dim
     channel-space row of si_context, and w_uncond maps [latent | 1]. The
     codebook is referenced by version hash so a mismatch between encoder and
-    decoder is detected instead of silently corrupting.
+    decoder is detected instead of silently corrupting. C, D, the context
+    radius and the codebook hash are checked against the DCCP header fields
+    that store them, so a constructed instance always saves.
     """
 
     projection: np.ndarray
@@ -87,25 +81,23 @@ class CodecParams:
     w_uncond: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        proj = np.array(self.projection, dtype=np.float64, order="C")
-        if proj.ndim != 2 or min(proj.shape) < 1:
-            raise ConfigError("projection must be a D x C matrix")
+        proj = frozen_array("projection", self.projection, np.float64, (None, None))
         d, c = proj.shape
-        object.__setattr__(self, "projection", _frozen_f64(proj, (d, c), "projection"))
-        object.__setattr__(self, "mean", _frozen_f64(self.mean, (c,), "mean"))
-        if self.context_radius < 0:
-            raise ConfigError(f"context_radius must be >= 0, got {self.context_radius}")
+        if max(d, c) > 0xFFFF:
+            raise ConfigError("projection dimensions must fit unsigned 16-bit fields")
+        object.__setattr__(self, "projection", proj)
+        object.__setattr__(self, "mean", frozen_array("mean", self.mean, np.float64, (c,)))
+        require_int("context_radius", self.context_radius, 0, 0xFF)
+        require_int("codebook_hash", self.codebook_hash, 0, 2**64 - 1)
         require_nonnegative("ridge_lambda", self.ridge_lambda)
         require_nonnegative("recon_weight", self.recon_weight)
         require_nonnegative("commitment_beta", self.commitment_beta)
         if self.w_cond is not None:
-            object.__setattr__(
-                self, "w_cond", _frozen_f64(self.w_cond, (d + c + 1, c), "w_cond")
-            )
+            w_cond = frozen_array("w_cond", self.w_cond, np.float64, (d + c + 1, c))
+            object.__setattr__(self, "w_cond", w_cond)
         if self.w_uncond is not None:
-            object.__setattr__(
-                self, "w_uncond", _frozen_f64(self.w_uncond, (d + 1, c), "w_uncond")
-            )
+            w_uncond = frozen_array("w_uncond", self.w_uncond, np.float64, (d + 1, c))
+            object.__setattr__(self, "w_uncond", w_uncond)
 
     @property
     def embed_dim(self) -> int:
@@ -124,29 +116,34 @@ def fit_encoder_projection(
 ) -> tuple[np.ndarray, np.ndarray]:
     """PCA over pooled per-cell channel vectors -> (D x C matrix, C mean).
 
-    Principal directions are ordered by decreasing variance with a fixed sign
-    convention (the largest-magnitude component of each direction is made
-    positive). Directions beyond the data rank, and rows beyond C when
+    The cells of every map are copied once into one column-major (N, C)
+    float64 matrix, which is then centred in place, so the fit holds a
+    single copy of the training cells. Column-major is the layout the mean
+    and covariance have always been computed in, and it fixes their bits. Principal directions are ordered by decreasing variance
+    with a fixed sign convention (the largest-magnitude component of each
+    direction is made positive). Directions beyond the data rank, and rows beyond C when
     D > C, are zero-padded.
     """
-    if embed_dim < 1:
-        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
+    require_int("embed_dim", embed_dim, 1)
     if not training_features:
         raise InsufficientDataError("no training features given")
     c = training_features[0].channels
-    pooled = []
-    for f in training_features:
-        if f.channels != c:
-            raise ShapeMismatchError("training features disagree on channel count")
-        pooled.append(f.cell_vectors())
-    x = np.concatenate(pooled, axis=0)
-    if x.shape[0] < embed_dim:
+    if any(f.channels != c for f in training_features):
+        raise ShapeMismatchError("training features disagree on channel count")
+    n = sum(f.height * f.width for f in training_features)
+    if n < embed_dim:
         raise InsufficientDataError(
-            f"need at least {embed_dim} pooled cells to fit the projection, got {x.shape[0]}"
+            f"need at least {embed_dim} pooled cells to fit the projection, got {n}"
         )
+    x = np.empty((n, c), order="F")
+    pos = 0
+    for f in training_features:
+        cells = f.height * f.width
+        x[pos : pos + cells] = f.values.reshape(c, cells).T
+        pos += cells
     mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / x.shape[0]
+    x -= mean
+    cov = x.T @ x / n
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
@@ -210,6 +207,13 @@ def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
     return _add_in_order(line_sums[dy : dy + h] for dy in range(k))[bits]
 
 
+def _require_channels(f: FeatureMap, params: CodecParams) -> None:
+    if f.channels != params.channels:
+        raise ShapeMismatchError(
+            f"feature has {f.channels} channels, codec expects {params.channels}"
+        )
+
+
 def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarray:
     """Context rows at the kept cells of mask: the local (2r+1)^2 box mean.
 
@@ -219,13 +223,9 @@ def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarr
     and the divisor fixed, so border cells (whose windows hang over the
     padding) genuinely differ from interior ones.
     """
-    if f_local.channels != params.channels:
-        raise ShapeMismatchError(
-            f"local feature has {f_local.channels} channels, codec expects {params.channels}"
-        )
+    _require_channels(f_local, params)
+    require_spatial_match(f_local, mask)
     h, w = f_local.height, f_local.width
-    if (mask.height, mask.width) != (h, w):
-        raise ShapeMismatchError("mask does not match the local feature")
     r = params.context_radius
     k = 2 * r + 1
     hp, wp = h + 2 * r, w + 2 * r
@@ -272,16 +272,9 @@ def encode_message(
     in [MIN_PRECISION, MAX_MESSAGE_PRECISION] = [8, 15], the range whose
     frequencies (up to 2^p for a single-symbol map) fit the wire's u16 table.
     """
-    if not MIN_PRECISION <= precision <= MAX_MESSAGE_PRECISION:
-        raise ConfigError(
-            f"precision must be in [{MIN_PRECISION},{MAX_MESSAGE_PRECISION}], got {precision}"
-        )
-    if (f_pruned.height, f_pruned.width) != (mask.height, mask.width):
-        raise ShapeMismatchError("mask does not match the feature map")
-    if f_pruned.channels != params.channels:
-        raise ShapeMismatchError(
-            f"feature has {f_pruned.channels} channels, codec expects {params.channels}"
-        )
+    require_int("precision", precision, MIN_PRECISION, MAX_MESSAGE_PRECISION)
+    require_spatial_match(f_pruned, mask)
+    _require_channels(f_pruned, params)
     _require_matching_codebook(params, cb)
 
     flat = mask.bits.ravel()
@@ -362,10 +355,9 @@ def fit_conditional_decoder(
     yty = 0.0
     m = 0
     for sender_pruned, mask, receiver in pairs:
-        if (sender_pruned.height, sender_pruned.width) != (mask.height, mask.width):
-            raise ShapeMismatchError("mask does not match the sender feature")
-        if sender_pruned.shape != receiver.shape:
-            raise ShapeMismatchError("sender and receiver features must share a shape")
+        require_spatial_match(sender_pruned, mask)
+        require_same_shape(sender_pruned, receiver)
+        _require_channels(sender_pruned, params)
         flat = mask.bits.ravel()
         if not flat.any():
             continue
@@ -490,10 +482,8 @@ def finetune_step(
 
     sender_cells, ctx_rows = [], []
     for f_sender, f_receiver in batch:
-        if f_sender.shape != f_receiver.shape:
-            raise ShapeMismatchError("batch features must share a shape")
-        if f_sender.channels != params.channels:
-            raise ShapeMismatchError("batch channel count does not match the codec")
+        require_same_shape(f_sender, f_receiver)
+        _require_channels(f_sender, params)
         sender_cells.append(f_sender.cell_vectors())
         ctx_rows.append(
             si_context(f_receiver, params, Mask.ones(f_receiver.height, f_receiver.width))

@@ -5,14 +5,22 @@ receiver can tell a malformed byte stream from a codebook disagreement from
 a corrupted symbol, and react accordingly (typically: drop the link and fall
 back to local features).
 
-Three range checks shared by every module raise ConfigError with one
-wording: require_nonnegative (finite and >= 0), require_unit_interval (in
-[0,1]) and require_int (an integer, numpy integers included, within bounds).
-NaN fails all three.
+Four checks shared by every module raise ConfigError with one wording:
+
+  * require_nonnegative: finite and >= 0;
+  * require_unit_interval: in [0,1];
+  * require_int: an integer, numpy integers included, within bounds; every
+    public count, index and size goes through it;
+  * frozen_array: the read-only, C-order, finite array of a given dtype and
+    shape that every immutable container stores.
+
+NaN fails all four.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class CodecError(Exception):
@@ -86,3 +94,23 @@ def require_int(name: str, value, low: int, high: int | None = None) -> None:
     if value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigError(f"{name} must be {bounds}, got {value}")
+
+
+def frozen_array(name: str, values, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
+    """Read-only C-order copy of values in dtype, of the given shape, all finite.
+
+    The copy has exactly len(shape) dimensions. Each entry of shape is a
+    required size, or None for any size >= 1. The copy shares no memory
+    with values, so later writes to values do not reach it.
+    """
+    arr = np.array(values, dtype=dtype, order="C")
+    if arr.ndim != len(shape) or any(
+        size < 1 if want is None else size != want for size, want in zip(arr.shape, shape)
+    ):
+        spec = ", ".join(">=1" if size is None else str(size) for size in shape)
+        got = ", ".join(str(size) for size in arr.shape)
+        raise ConfigError(f"{name} must have shape ({spec}), got ({got})")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} contains non-finite values")
+    arr.flags.writeable = False
+    return arr

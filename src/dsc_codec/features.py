@@ -13,15 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeMismatchError
+from .errors import FormatError, ShapeMismatchError, frozen_array, require_int
 
 _FMAP_MAGIC = b"FMAP"
 _FMAP_HEADER = struct.Struct("<4sHHH")
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -31,14 +26,8 @@ class FeatureMap:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float32, order="C")
-        if arr.ndim != 3:
-            raise ConfigError(f"feature map must be 3-d (C,H,W), got ndim={arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ConfigError(f"feature map dimensions must be >= 1, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ConfigError("feature map contains non-finite values")
-        object.__setattr__(self, "values", _freeze(arr))
+        arr = frozen_array("feature map", self.values, np.float32, (None, None, None))
+        object.__setattr__(self, "values", arr)
 
     @property
     def channels(self) -> int:
@@ -73,12 +62,7 @@ class Mask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.bits, dtype=bool, order="C")
-        if arr.ndim != 2:
-            raise ConfigError(f"mask must be 2-d (H,W), got ndim={arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ConfigError(f"mask dimensions must be >= 1, got {arr.shape}")
-        object.__setattr__(self, "bits", _freeze(arr))
+        object.__setattr__(self, "bits", frozen_array("mask", self.bits, bool, (None, None)))
 
     @property
     def height(self) -> int:
@@ -100,7 +84,8 @@ class Mask:
         return int(self.bits.sum())
 
 
-def _require_spatial_match(f: FeatureMap, m: Mask) -> None:
+def require_spatial_match(f: FeatureMap, m: Mask) -> None:
+    """Raise ShapeMismatchError unless the mask is H x W of the map."""
     if (f.height, f.width) != (m.height, m.width):
         raise ShapeMismatchError(
             f"mask {m.height}x{m.width} does not match map spatial dims "
@@ -108,26 +93,27 @@ def _require_spatial_match(f: FeatureMap, m: Mask) -> None:
         )
 
 
-def _require_same_shape(a: FeatureMap, b: FeatureMap) -> None:
+def require_same_shape(a: FeatureMap, b: FeatureMap) -> None:
+    """Raise ShapeMismatchError unless both maps are C x H x W alike."""
     if a.shape != b.shape:
         raise ShapeMismatchError(f"feature map shapes differ: {a.shape} vs {b.shape}")
 
 
 def apply_mask(f: FeatureMap, m: Mask) -> FeatureMap:
     """Zero every channel of the cells where the mask bit is off."""
-    _require_spatial_match(f, m)
+    require_spatial_match(f, m)
     return FeatureMap(f.values * m.bits[np.newaxis, :, :])
 
 
 def elementwise_max(a: FeatureMap, b: FeatureMap) -> FeatureMap:
     """Cell-wise maximum of two same-shape maps."""
-    _require_same_shape(a, b)
+    require_same_shape(a, b)
     return FeatureMap(np.maximum(a.values, b.values))
 
 
 def mse(a: FeatureMap, b: FeatureMap) -> float:
     """Mean squared difference over all C*H*W cells."""
-    _require_same_shape(a, b)
+    require_same_shape(a, b)
     diff = a.values.astype(np.float64) - b.values.astype(np.float64)
     return float(np.mean(diff * diff))
 
@@ -140,8 +126,7 @@ def raw_payload_bytes(channels: int, height: int, width: int, bits_per_scalar: i
         ("width", width),
         ("bits_per_scalar", bits_per_scalar),
     ):
-        if int(value) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        require_int(name, value, 1)
     total_bits = int(channels) * int(height) * int(width) * int(bits_per_scalar)
     return (total_bits + 7) // 8
 

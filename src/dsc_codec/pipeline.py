@@ -57,7 +57,7 @@ from .codec import (
     project_cells,
 )
 from .errors import ConfigError, DecodeError, InsufficientDataError
-from .errors import require_nonnegative, require_unit_interval
+from .errors import require_int, require_nonnegative, require_unit_interval
 from .features import FeatureMap, Mask, apply_mask, elementwise_max, mse
 from .pruning import mask_from_scores, score_map
 from .quantizer import Codebook, train_codebook
@@ -152,12 +152,6 @@ def _check_taus(taus: Sequence[float]) -> None:
         require_unit_interval("tau", tau)
 
 
-def _check_codebook_sizes(sizes: Sequence[int]) -> None:
-    for k in sizes:
-        if k < 1:
-            raise ConfigError(f"codebook size must be >= 1, got {k}")
-
-
 @dataclass(frozen=True)
 class _TrainingSet:
     """The K-independent part of a codec fit.
@@ -176,10 +170,8 @@ class _TrainingSet:
 
 
 def _training_set(cfg: ScenarioConfig, embed_dim: int, train_scenes: int) -> _TrainingSet:
-    if train_scenes < 1:
-        raise ConfigError(f"train_scenes must be >= 1, got {train_scenes}")
-    if embed_dim < 1:
-        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
+    require_int("train_scenes", train_scenes, 1)
+    require_int("embed_dim", embed_dim, 1)
     observations: list[list[FeatureMap]] = []
     for s in range(train_scenes):
         cfg_s = scene_config(cfg, s, stream="train")
@@ -246,11 +238,11 @@ def fit_codec(
     drawn from the default stream are held out. The codebook is trained on
     the latents of cells that survive pruning at tau=0 (every nonzero cell);
     decoder rows use every ordered agent pair of every training scene. A
-    codebook_size, embed_dim or train_scenes below 1 raises ConfigError
-    before any scene is simulated; training scenes with no nonzero cell
-    raise InsufficientDataError.
+    codebook_size, embed_dim or train_scenes that is not an integer >= 1
+    raises ConfigError before any scene is simulated; training scenes with
+    no nonzero cell raise InsufficientDataError.
     """
-    _check_codebook_sizes((codebook_size,))
+    require_int("codebook size", codebook_size, 1)
     training = _training_set(cfg, embed_dim, train_scenes)
     return _fit_on(training, codebook_size)
 
@@ -285,6 +277,9 @@ def _scene_links(
     (codec, tau, sigma, delay) message is encoded once and decoded by every
     decoder in decoders.
     """
+    require_int("t", t, 0)
+    require_int("sender", sender, 0, cfg.num_agents - 1)
+    require_int("receiver", receiver, 0, cfg.num_agents - 1)
     if sender == receiver:
         raise ConfigError("sender and receiver must differ")
     _check_taus(taus)
@@ -360,9 +355,11 @@ def run_link(
     pose-shifted; the receiver decodes against its current local feature. A
     link whose serialized message exceeds the budget is dropped (truncation
     would break entropy decodability), as is a link whose decode fails; the
-    receiver then falls back to its local feature only. A tau outside [0, 1],
-    a sigma_pose that is not finite and >= 0, or a delay that is not a whole
-    number >= 0 raises ConfigError before anything is simulated.
+    receiver then falls back to its local feature only. A t that is not an
+    integer >= 0, a sender or receiver that is not an agent index, a tau
+    outside [0, 1], a sigma_pose that is not finite and >= 0, or a delay
+    that is not a whole number >= 0 raises ConfigError before anything is
+    simulated.
     """
     links = _scene_links(
         cfg, t, sender, receiver, [(params, cb)], (tau,), (sigma_pose,), (delay,), budget,
@@ -384,11 +381,11 @@ def _sweep(
     """The scene-order mean row of every (codec, tau, sigma, delay, decoder) point.
 
     Runs _scene_links once per evaluation scene at DEFAULT_EVAL_T for sender
-    1 -> receiver 0 and returns the rows in that grid order. scenes below 1
-    raises ConfigError; the grid is validated before any simulation.
+    1 -> receiver 0 and returns the rows in that grid order. scenes that is
+    not an integer >= 1 raises ConfigError; the grid is validated before any
+    simulation.
     """
-    if scenes < 1:
-        raise ConfigError(f"scenes must be >= 1, got {scenes}")
+    require_int("scenes", scenes, 1)
     per_scene = [
         _scene_links(
             scene_config(cfg, s, stream="eval"), DEFAULT_EVAL_T, 1, 0,
@@ -457,9 +454,9 @@ def rd_sweep(
     if not taus or not codebook_sizes:
         raise ConfigError("sweep grids must be non-empty")
     _check_taus(taus)
-    _check_codebook_sizes(codebook_sizes)
-    if scenes_per_point < 1:
-        raise ConfigError(f"scenes_per_point must be >= 1, got {scenes_per_point}")
+    for k in codebook_sizes:
+        require_int("codebook size", k, 1)
+    require_int("scenes_per_point", scenes_per_point, 1)
     # _training_set checks its own arguments before it simulates anything.
     training = _training_set(cfg, embed_dim, train_scenes)
     fits = [_fit_on(training, k) for k in codebook_sizes]

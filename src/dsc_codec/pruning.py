@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_unit_interval
+from .errors import ConfigError, frozen_array, require_unit_interval
 from .features import FeatureMap, Mask
 
 
@@ -22,12 +22,9 @@ class ScoreMap:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise ConfigError(f"score map must be 2-d, got ndim={arr.ndim}")
-        if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
-            raise ConfigError("score map values must be finite and in [0,1]")
-        arr.flags.writeable = False
+        arr = frozen_array("score map", self.values, np.float64, (None, None))
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise ConfigError("score map values must be in [0,1]")
         object.__setattr__(self, "values", arr)
 
 

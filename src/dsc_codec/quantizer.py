@@ -39,6 +39,8 @@ from .errors import (
     InsufficientDataError,
     ShapeMismatchError,
     SymbolOutOfRangeError,
+    frozen_array,
+    require_int,
 )
 
 _CDBK_MAGIC = b"CDBK"
@@ -68,14 +70,9 @@ class Codebook:
     codewords: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.codewords, dtype=np.float32, order="C")
-        if arr.ndim != 2 or min(arr.shape) < 1:
-            raise ConfigError(f"codebook must be a K x D matrix with K,D >= 1, got {arr.shape}")
+        arr = frozen_array("codebook", self.codewords, np.float32, (None, None))
         if arr.shape[0] > 0xFFFF or arr.shape[1] > 0xFFFF:
             raise ConfigError("codebook dimensions must fit unsigned 16-bit fields")
-        if not np.isfinite(arr).all():
-            raise ConfigError("codebook entries must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "codewords", arr)
 
     @property
@@ -213,10 +210,8 @@ def kmeans_fit(
     if x.ndim != 2:
         raise ShapeMismatchError("samples must be a 2-d (N, D) array")
     n = x.shape[0]
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if iters < 0:
-        raise ConfigError(f"iters must be >= 0, got {iters}")
+    require_int("k", k, 1)
+    require_int("iters", iters, 0)
     if n < k:
         raise InsufficientDataError(f"k-means needs at least {k} samples, got {n}")
 

@@ -22,17 +22,15 @@ is never allowed to turn into silent garbage symbols.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DecodeError, FrequencyTableError, ShapeMismatchError
+from .errors import ConfigError, DecodeError, FrequencyTableError, ShapeMismatchError, require_int
 
 RANS_L = 1 << 23
 MIN_PRECISION = 8
 MAX_PRECISION = 16
-_LUT_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -46,10 +44,7 @@ class FrequencyTable:
         arr = np.array(self.freqs, dtype=np.int64, order="C")
         if arr.ndim != 1 or arr.size < 1:
             raise FrequencyTableError("frequency table must be a non-empty 1-d array")
-        if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
-            raise ConfigError(
-                f"precision must be in [{MIN_PRECISION},{MAX_PRECISION}], got {self.precision}"
-            )
+        require_int("precision", self.precision, MIN_PRECISION, MAX_PRECISION)
         if arr.min() < 0:
             raise FrequencyTableError("frequencies must be non-negative")
         if int(arr.sum()) != 1 << self.precision:
@@ -84,12 +79,8 @@ def build_freq_table(idx, num_symbols: int, precision: int = 12) -> FrequencyTab
         raise ShapeMismatchError("index map must be 1-d")
     if symbols.size < 1:
         raise ConfigError("cannot build a frequency table from an empty index map")
-    if num_symbols < 1:
-        raise ConfigError(f"num_symbols must be >= 1, got {num_symbols}")
-    if not MIN_PRECISION <= precision <= MAX_PRECISION:
-        raise ConfigError(
-            f"precision must be in [{MIN_PRECISION},{MAX_PRECISION}], got {precision}"
-        )
+    require_int("num_symbols", num_symbols, 1)
+    require_int("precision", precision, MIN_PRECISION, MAX_PRECISION)
     if symbols.min() < 0 or symbols.max() >= num_symbols:
         raise ConfigError(f"symbols must lie in [0,{num_symbols})")
 
@@ -151,8 +142,7 @@ def rans_encode(idx, ft: FrequencyTable) -> tuple[bytes, int]:
 
 def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.ndarray:
     """Decode exactly n symbols; raises DecodeError on any inconsistency."""
-    if n < 0:
-        raise ConfigError(f"symbol count must be >= 0, got {n}")
+    require_int("symbol count", n, 0)
     if not RANS_L <= state < (RANS_L << 8) and not (n == 0 and state == RANS_L):
         raise DecodeError(f"initial coder state {state:#x} outside the valid interval")
     if n == 0:
@@ -166,23 +156,14 @@ def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.nd
     mask = (1 << p) - 1
     freqs = ft.freqs.tolist()
     cum = ft.cumulative.tolist()
-    if n >= _LUT_THRESHOLD:
-        lookup = np.repeat(np.arange(ft.num_symbols, dtype=np.int64), ft.freqs).tolist()
-
-        def find(cf: int) -> int:
-            return lookup[cf]
-
-    else:
-
-        def find(cf: int) -> int:
-            return bisect.bisect_right(cum, cf) - 1
-
+    # Slot cf of the 2^p cumulative range belongs to symbol lookup[cf].
+    lookup = np.repeat(np.arange(ft.num_symbols, dtype=np.int64), ft.freqs).tolist()
     out = np.empty(n, dtype=np.int32)
     pos = 0
     size = len(payload)
     for i in range(n):
         cf = state & mask
-        s = find(cf)
+        s = lookup[cf]
         state = freqs[s] * (state >> p) + cf - cum[s]
         while state < RANS_L:
             if pos >= size:

@@ -39,11 +39,12 @@ from .errors import (
     FormatError,
     ShapeMismatchError,
     UndefinedCorrelationError,
+    frozen_array,
     require_int,
     require_nonnegative,
     require_unit_interval,
 )
-from .features import FeatureMap, Mask
+from .features import FeatureMap, Mask, require_same_shape, require_spatial_match
 
 # Stream tags for seed derivation. Never renumber: fixtures depend on them.
 STREAM_SCENE = 1
@@ -121,10 +122,7 @@ class Scene:
     t: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.latent, dtype=np.float64, order="C")
-        if arr.ndim != 3 or not np.isfinite(arr).all():
-            raise ConfigError("scene latent must be a finite 3-d array")
-        arr.flags.writeable = False
+        arr = frozen_array("scene latent", self.latent, np.float64, (None, None, None))
         object.__setattr__(self, "latent", arr)
 
 
@@ -135,8 +133,7 @@ def generate_frames(cfg: ScenarioConfig, t_max: int) -> list[Scene]:
     one scene get them all from one walk instead of replaying the chain from
     frame 0 per frame.
     """
-    if t_max < 0:
-        raise ConfigError(f"frame index must be >= 0, got {t_max}")
+    require_int("frame index", t_max, 0)
     z = _unit_field(_rng(cfg.seed, STREAM_SCENE, 0), cfg.channels, cfg.height, cfg.width)
     frames = [Scene(z, 0)]
     innov = np.sqrt(1.0 - cfg.alpha**2)
@@ -163,8 +160,7 @@ def visibility_mask(cfg: ScenarioConfig, agent_id: int) -> Mask:
     visible to every agent; the remainder is split into contiguous per-agent
     chunks, so any two agents share exactly the common prefix.
     """
-    if not 0 <= agent_id < cfg.num_agents:
-        raise ConfigError(f"agent_id {agent_id} out of range for {cfg.num_agents} agents")
+    require_int("agent_id", agent_id, 0, cfg.num_agents - 1)
     total = cfg.height * cfg.width
     common = _covisible_cells(cfg)
     rest = total - common
@@ -185,8 +181,8 @@ def covisible_mask(cfg: ScenarioConfig, agent_a: int, agent_b: int) -> Mask:
 
 def observe(scene: Scene, agent_id: int, cfg: ScenarioConfig) -> FeatureMap:
     """Agent's feature map at the scene's frame; zeros outside its visibility."""
-    if not 0 <= agent_id < cfg.num_agents:
-        raise ConfigError(f"agent_id {agent_id} out of range for {cfg.num_agents} agents")
+    # visibility_mask checks agent_id before any field is drawn.
+    vis = visibility_mask(cfg, agent_id)
     if scene.latent.shape != (cfg.channels, cfg.height, cfg.width):
         raise ShapeMismatchError(
             f"scene latent shape {scene.latent.shape} does not match config "
@@ -199,7 +195,6 @@ def observe(scene: Scene, agent_id: int, cfg: ScenarioConfig) -> FeatureMap:
     if cfg.sigma_obs > 0.0:
         white = _rng(cfg.seed, STREAM_OBS, agent_id, scene.t).standard_normal(f.shape)
         f = f + cfg.sigma_obs * white
-    vis = visibility_mask(cfg, agent_id)
     f = f * vis.bits[np.newaxis, :, :]
     return FeatureMap(f)
 
@@ -229,10 +224,8 @@ def perturb_pose(f: FeatureMap, sigma_pose: float, seed: int) -> FeatureMap:
 
 def empirical_correlation(a: FeatureMap, b: FeatureMap, mask: Mask) -> float:
     """Pearson correlation over masked cells, pooled across channels."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"feature map shapes differ: {a.shape} vs {b.shape}")
-    if (a.height, a.width) != (mask.height, mask.width):
-        raise ShapeMismatchError("mask spatial dims do not match the feature maps")
+    require_same_shape(a, b)
+    require_spatial_match(a, mask)
     if mask.count() < 2:
         raise ConfigError("correlation needs at least 2 masked cells")
     x = a.values[:, mask.bits].astype(np.float64).ravel()
@@ -252,8 +245,7 @@ def scene_config(cfg: ScenarioConfig, index: int, stream: str = "eval") -> Scena
     tags = {"eval": STREAM_EVAL_SCENE, "train": STREAM_TRAIN_SCENE}
     if stream not in tags:
         raise ConfigError(f"unknown scene stream {stream!r}")
-    if index < 0:
-        raise ConfigError(f"scene index must be >= 0, got {index}")
+    require_int("scene index", index, 0)
     return replace(cfg, seed=derive_seed(cfg.seed, tags[stream], index))
 
 

@@ -101,6 +101,21 @@ def test_pca_pads_rank_deficient_directions(rng):
     assert np.allclose(proj3[1:], 0.0)
 
 
+def test_pca_mean_and_covariance_match_pooled_reference_bits(rng, monkeypatch):
+    # Magnitudes spread over 2^-20..2^10, so float64 sums of the float32
+    # cells round and the summation order shows in the bits.
+    shapes = ((8, 32, 40), (8, 2, 3), (8, 48, 16))
+    maps = [FeatureMap(rng.normal(size=s) * np.exp2(rng.uniform(-20, 10, s))) for s in shapes]
+    x = np.concatenate([f.cell_vectors() for f in maps], axis=0)
+    centered = x - x.mean(axis=0)
+    covs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: covs.append(a.copy()) or eigh(a))
+    _, mean = fit_encoder_projection(maps, 3)
+    assert np.array_equal(mean, x.mean(axis=0))
+    assert np.array_equal(covs[0], centered.T @ centered / len(x))
+
+
 def test_pca_insufficient_samples():
     f = FeatureMap(np.zeros((2, 1, 3), dtype=np.float32))
     with pytest.raises(InsufficientDataError):
@@ -565,6 +580,14 @@ def test_fit_requires_enough_cells(rng):
         fit_conditional_decoder([(sender, Mask.ones(2, 2), sender)], params, cb)
 
 
+def test_fit_rejects_pairs_whose_channels_differ_from_the_codec(rng):
+    cb = Codebook(rng.normal(size=(4, 4)))
+    params = identity_codec(4, cb)
+    sender = FeatureMap(rng.normal(size=(3, 4, 4)))
+    with pytest.raises(ShapeMismatchError, match="feature has 3 channels, codec expects 4"):
+        fit_conditional_decoder([(sender, Mask.ones(4, 4), sender)], params, cb)
+
+
 def test_conditional_beats_unconditional_on_held_out_scene(small_cfg, small_fitted):
     from dsc_codec import generate_scene, observe
     from dsc_codec.pruning import mask_from_scores, score_map
@@ -766,6 +789,17 @@ def test_codec_params_file_roundtrip(tmp_path, small_fitted):
     assert loaded.codebook_hash == params.codebook_hash
     assert loaded.ridge_lambda == params.ridge_lambda
     assert loaded.context_radius == params.context_radius
+
+
+def test_codec_params_file_roundtrip_at_the_largest_header_values(tmp_path):
+    params = CodecParams(np.eye(2, 3), np.zeros(3), 2**64 - 1, context_radius=255)
+    path = tmp_path / "codec.dccp"
+    save_codec_params(params, path)
+    loaded = load_codec_params(path)
+    assert (loaded.context_radius, loaded.codebook_hash) == (255, 2**64 - 1)
+    assert np.array_equal(loaded.projection, params.projection)
+    with pytest.raises(ConfigError, match="16-bit"):
+        CodecParams(np.zeros((1, 0x10000)), np.zeros(0x10000), 0)
 
 
 def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
