@@ -9,12 +9,14 @@ information estimators make the rate and distortion behavior checkable.
 from .codec import (
     CodecParams,
     DecoderFit,
+    decode_latents,
     decode_message,
     encode_message,
     finetune_step,
     fit_conditional_decoder,
     fit_encoder_projection,
     load_codec_params,
+    reconstruct,
     save_codec_params,
     si_context,
 )

@@ -16,6 +16,14 @@ baseline: decode_message without a local feature. Because it is nested
 inside the conditional model, its training objective can never beat the
 conditional one.
 
+Decoding has two stages. decode_latents checks the header against the codec
+and codebook, rANS-decodes the symbols and dequantizes them; it does not
+depend on the decoder or the receiver. reconstruct maps those latents (and
+context rows, for the conditional decoder) to channel space and scatters
+them onto the coded cells. decode_message, the one bytes-to-feature entry
+point, is their composition; a receiver that feeds one message to several
+decoders runs the first stage once.
+
 An optional gradient fine-tune step updates the projection and decoder with
 the quantizer treated as identity in the backward pass, and refreshes the
 codebook by an exponential moving average over assigned latents.
@@ -409,10 +417,63 @@ def _check_decode_inputs(msg: Message, params: CodecParams, cb: Codebook) -> Non
     _require_matching_codebook(params, cb)
     if msg.codebook_size != cb.size or msg.embed_dim != cb.dim:
         raise CodebookMismatchError("message header disagrees with the codebook geometry")
+    _require_message_channels(msg, params)
+
+
+def _require_message_channels(msg: Message, params: CodecParams) -> None:
     if msg.channels != params.channels:
         raise HeaderMismatchError(
             f"message carries {msg.channels} channels, codec expects {params.channels}"
         )
+
+
+def _decoder_weights(params: CodecParams, conditional: bool) -> np.ndarray:
+    if conditional:
+        w, name = params.w_cond, "conditional decoder (w_cond)"
+    else:
+        w, name = params.w_uncond, "unconditional decoder (w_uncond)"
+    if w is None:
+        raise ConfigError(f"{name} is not fitted")
+    return w
+
+
+def decode_latents(msg: Message, params: CodecParams, cb: Codebook) -> np.ndarray:
+    """First decode stage: the dequantized latents of the coded cells.
+
+    Checks the header against params and cb, rANS-decodes the symbols and
+    looks up their codewords. Returns (msg.num_symbols, D) float64 rows in
+    row-major cell order. Every failure is a DecodeError subclass.
+    """
+    _check_decode_inputs(msg, params, cb)
+    if msg.num_symbols == 0:
+        return np.zeros((0, params.embed_dim))
+    table = FrequencyTable(msg.freqs, msg.precision)
+    idx = rans_decode(msg.payload, table, msg.num_symbols, msg.final_state)
+    return dequantize(idx, cb)
+
+
+def reconstruct(
+    msg: Message, latents: np.ndarray, params: CodecParams, context: np.ndarray | None = None
+) -> FeatureMap:
+    """Second decode stage: map latents to channel space at the coded cells.
+
+    With context rows (si_context of the receiver at msg.mask) the
+    conditional decoder w_cond maps [latent | context | 1] to channels;
+    without them the unconditional decoder w_uncond maps [latent | 1].
+    latents are decode_latents(msg, params, cb). Pruned cells come back as
+    exact zeros.
+    """
+    w = _decoder_weights(params, context is not None)
+    _require_message_channels(msg, params)
+    c, n = params.channels, msg.num_symbols
+    for name, rows, width in (("latents", latents, params.embed_dim), ("context", context, c)):
+        if rows is not None and rows.shape != (n, width):
+            raise ShapeMismatchError(f"{name} must have shape ({n}, {width}), got {rows.shape}")
+    out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
+    if n > 0:
+        recon = _design(latents, context) @ w
+        out.reshape(msg.channels, -1)[:, msg.mask.bits.ravel()] = recon.T.astype(np.float32)
+    return FeatureMap(out)
 
 
 def decode_message(
@@ -423,28 +484,20 @@ def decode_message(
     With the receiver's local feature the conditional decoder maps
     [latent | context | 1] to channels; without it the unconditional decoder
     maps [latent | 1] (the ablation baseline). Pruned cells come back as
-    exact zeros; the result is fusion-ready.
+    exact zeros. Every argument is checked before any symbol is decoded;
+    then the two stages run: decode_latents, and reconstruct with the
+    context rows si_context(f_local, params, msg.mask).
     """
     _check_decode_inputs(msg, params, cb)
-    if f_local is None:
-        w, name = params.w_uncond, "unconditional decoder (w_uncond)"
-    else:
-        w, name = params.w_cond, "conditional decoder (w_cond)"
-    if w is None:
-        raise ConfigError(f"{name} is not fitted")
+    _decoder_weights(params, f_local is not None)
     if f_local is not None and f_local.shape != (msg.channels, msg.height, msg.width):
         raise HeaderMismatchError(
             f"local feature shape {f_local.shape} does not match message header "
             f"({msg.channels},{msg.height},{msg.width})"
         )
-    out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
-    if msg.num_symbols > 0:
-        table = FrequencyTable(msg.freqs, msg.precision)
-        idx = rans_decode(msg.payload, table, msg.num_symbols, msg.final_state)
-        ctx = None if f_local is None else si_context(f_local, params, msg.mask)
-        recon = _design(dequantize(idx, cb), ctx) @ w
-        out.reshape(msg.channels, -1)[:, msg.mask.bits.ravel()] = recon.T.astype(np.float32)
-    return FeatureMap(out)
+    latents = decode_latents(msg, params, cb)
+    context = None if f_local is None else si_context(f_local, params, msg.mask)
+    return reconstruct(msg, latents, params, context)
 
 
 def finetune_step(

@@ -87,11 +87,14 @@ def require_unit_interval(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be in [0,1], got {value}")
 
 
-def require_int(name: str, value, low: int, high: int | None = None) -> None:
-    """Raise ConfigError unless value is an integer >= low and, given high, <= high."""
+def require_int(name: str, value, low: int | None, high: int | None = None) -> None:
+    """Raise ConfigError unless value is an integer >= low and, given high, <= high.
+
+    low=None checks the type only (high must then be None too).
+    """
     if not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
+    if low is not None and (value < low or (high is not None and value > high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigError(f"{name} must be {bounds}, got {value}")
 

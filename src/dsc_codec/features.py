@@ -112,10 +112,11 @@ def elementwise_max(a: FeatureMap, b: FeatureMap) -> FeatureMap:
 
 
 def mse(a: FeatureMap, b: FeatureMap) -> float:
-    """Mean squared difference over all C*H*W cells."""
+    """Mean squared difference over all C*H*W cells, in float64."""
     require_same_shape(a, b)
-    diff = a.values.astype(np.float64) - b.values.astype(np.float64)
-    return float(np.mean(diff * diff))
+    diff = np.subtract(a.values, b.values, dtype=np.float64)
+    np.square(diff, out=diff)
+    return float(np.mean(diff))
 
 
 def raw_payload_bytes(channels: int, height: int, width: int, bits_per_scalar: int) -> int:

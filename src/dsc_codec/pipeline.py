@@ -15,10 +15,13 @@ Every link is evaluated by one per-scene routine over a grid of codecs,
 pruning thresholds, pose noises and delays. It walks the scene's AR(1) chain
 once, observes the receiver once and the sender once per distinct (delayed)
 frame, scores each (pose noise, delay) sender view once, and prunes and
-encodes each (codec, tau, pose noise, delay) message once; that one message
-then feeds every requested decoder, conditional and unconditional. A single
-link (run_link) is the routine on a one-point grid; each sweep runs it once
-per scene over its whole grid.
+encodes each (codec, tau, pose noise, delay) message once. The receiver side
+does the same: each message's symbols are rANS-decoded and dequantized once
+and feed every requested decoder, conditional and unconditional, and the
+receiver's context is built once per scene over the whole map (once per
+distinct context radius) and gathered at each message's coded cells. A
+single link (run_link) is the routine on a one-point grid; each sweep runs
+it once per scene over its whole grid.
 
 A codec fit has a K-independent part - training scenes, their observations,
 the PCA projection, the pruning masks and the pooled latents - and a per-K
@@ -50,11 +53,13 @@ import numpy as np
 from .codec import (
     CodecParams,
     DecoderFit,
-    decode_message,
+    decode_latents,
     encode_message,
     fit_conditional_decoder,
     fit_encoder_projection,
     project_cells,
+    reconstruct,
+    si_context,
 )
 from .errors import ConfigError, DecodeError, InsufficientDataError
 from .errors import require_int, require_nonnegative, require_unit_interval
@@ -274,8 +279,12 @@ def _scene_links(
     Arguments are validated before any simulation. The chain is walked once,
     the receiver is observed once and the sender once per distinct frame
     max(0, t - delay); each (sigma, delay) sender view is scored once, each
-    (codec, tau, sigma, delay) message is encoded once and decoded by every
-    decoder in decoders.
+    (codec, tau, sigma, delay) message is encoded once, its latents are
+    decoded once and reconstructed by every decoder in decoders. When a
+    conditional decoder is requested, the receiver's context is built once
+    per distinct context radius at every cell; a link takes the rows at its
+    coded cells, which equal si_context at its mask bit for bit. A message
+    whose latents fail to decode fails every decoder's link.
     """
     require_int("t", t, 0)
     require_int("sender", sender, 0, cfg.num_agents - 1)
@@ -298,6 +307,12 @@ def _scene_links(
         if t_send not in stale:
             stale[t_send] = observe(frames[t_send], sender, cfg)
     pose_seed = derive_seed(cfg.seed, STREAM_POSE, sender, t)
+    contexts = {}
+    if any(decoders):
+        everywhere = Mask.ones(f_local.height, f_local.width)
+        for params, _ in codecs:
+            if params.context_radius not in contexts:
+                contexts[params.context_radius] = si_context(f_local, params, everywhere)
 
     links = {}
     for si, sigma in enumerate(sigmas):
@@ -312,17 +327,28 @@ def _scene_links(
                     msg = encode_message(pruned, mask, params, cb)
                     payload = len(msg.to_bytes())
                     within = budget is None or payload <= budget
-                    for conditional in decoders:
-                        failed = False
-                        recon = FeatureMap.zeros(*f_sender.shape)
-                        if within:
-                            try:
-                                recon = decode_message(
-                                    msg, params, cb, f_local=f_local if conditional else None
+                    failed = False
+                    recons = {}
+                    if within:
+                        try:
+                            latents = decode_latents(msg, params, cb)
+                        except DecodeError:
+                            failed = True
+                        else:
+                            rows = None
+                            if contexts:
+                                rows = contexts[params.context_radius][mask.bits.ravel()]
+                            recons = {
+                                conditional: reconstruct(
+                                    msg, latents, params, rows if conditional else None
                                 )
-                            except DecodeError:
-                                failed = True
-                        fused = fuse_all(f_local, [recon] if (within and not failed) else [])
+                                for conditional in decoders
+                            }
+                    for conditional in decoders:
+                        recon = recons.get(conditional)
+                        fused = fuse_all(f_local, [] if recon is None else [recon])
+                        if recon is None:
+                            recon = FeatureMap.zeros(*f_sender.shape)
                         links[(ci, ti, si, di, conditional)] = LinkResult(
                             sender=sender,
                             receiver=receiver,
@@ -447,9 +473,10 @@ def rd_sweep(
     """Rate-distortion grid over codebook size and tau, one row per pair.
 
     Every argument is validated before any simulation. The training set is
-    built once and shared by the codec fit of every size; each evaluation
-    scene is simulated once for the whole grid. A row equals evaluate_point
-    with the codec that fit_codec gives at that size.
+    built once, shared by the codec fit of every size and released before
+    evaluation; each evaluation scene is simulated once for the whole grid.
+    A row equals evaluate_point with the codec that fit_codec gives at that
+    size.
     """
     if not taus or not codebook_sizes:
         raise ConfigError("sweep grids must be non-empty")
@@ -461,6 +488,9 @@ def rd_sweep(
     training = _training_set(cfg, embed_dim, train_scenes)
     fits = [_fit_on(training, k) for k in codebook_sizes]
     codecs = [(f.params, f.codebook) for f in fits]
+    # The training observations are not needed to evaluate; freeing them
+    # keeps them out of the evaluation's peak memory.
+    del training, fits
     return _sweep(cfg, codecs, taus, (0.0,), (0,), (True,), scenes_per_point, budget)
 
 

@@ -212,6 +212,7 @@ def kmeans_fit(
     n = x.shape[0]
     require_int("k", k, 1)
     require_int("iters", iters, 0)
+    require_int("seed", seed, 0)
     if n < k:
         raise InsufficientDataError(f"k-means needs at least {k} samples, got {n}")
 

@@ -67,10 +67,8 @@ def derive_seed(*parts: int) -> int:
     """Collision-resistant 64-bit stream seed from non-negative integer parts."""
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
-        value = int(part)
-        if value < 0:
-            raise ConfigError(f"seed parts must be non-negative, got {value}")
-        h.update(value.to_bytes(16, "little"))
+        require_int("seed part", part, 0)
+        h.update(int(part).to_bytes(16, "little"))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -110,8 +108,8 @@ class ScenarioConfig:
         require_unit_interval("visibility_overlap", self.visibility_overlap)
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha must be in [0,1), got {self.alpha}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit an unsigned 64-bit integer")
+        require_int("seed", self.seed, 0, 2**64 - 1)
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,7 @@ class Scene:
     def __post_init__(self) -> None:
         arr = frozen_array("scene latent", self.latent, np.float64, (None, None, None))
         object.__setattr__(self, "latent", arr)
+        require_int("frame index", self.t, 0)
 
 
 def generate_frames(cfg: ScenarioConfig, t_max: int) -> list[Scene]:
@@ -201,6 +200,8 @@ def observe(scene: Scene, agent_id: int, cfg: ScenarioConfig) -> FeatureMap:
 
 def translate(f: FeatureMap, dh: int, dw: int) -> FeatureMap:
     """Shift the map by whole cells, zero-filling vacated cells."""
+    require_int("dh", dh, None)
+    require_int("dw", dw, None)
     out = np.zeros(f.shape, dtype=np.float32)
     h, w = f.height, f.width
     src_h = slice(max(0, -dh), min(h, h - dh))
@@ -215,6 +216,7 @@ def translate(f: FeatureMap, dh: int, dw: int) -> FeatureMap:
 def perturb_pose(f: FeatureMap, sigma_pose: float, seed: int) -> FeatureMap:
     """Integer translation with offsets round(Normal(0, sigma_pose)) per axis."""
     require_nonnegative("sigma_pose", sigma_pose)
+    require_int("seed", seed, 0)
     if sigma_pose == 0.0:
         return f
     offsets = np.random.default_rng(seed).normal(0.0, sigma_pose, size=2)

@@ -21,6 +21,7 @@ from dsc_codec import (
     Mask,
     MessageParseError,
     StepRejectedError,
+    decode_latents,
     decode_message,
     encode_message,
     finetune_step,
@@ -29,8 +30,10 @@ from dsc_codec import (
     load_codec_params,
     mse,
     rans_decode,
+    reconstruct,
     save_codec_params,
     si_context,
+    translate,
 )
 import dsc_codec.codec as codec_module
 from dsc_codec.codec import _GATHER_MAX_SHARE, _window_sums, project_cells
@@ -230,6 +233,29 @@ def test_window_sums_gather_and_slices_are_bit_identical(radius, monkeypatch):
             assert np.array_equal(chosen, everywhere[bits.ravel()])
 
 
+@pytest.mark.parametrize("radius", [1, 2])
+def test_whole_map_context_gathered_at_a_mask_equals_si_context(radius):
+    # A receiver builds its context once at every cell and gathers each
+    # link's rows from it. Masks just below and just above the gather/slice
+    # switch hold border cells and cells that a pose shift zero-filled.
+    rng = np.random.default_rng(40 + radius)
+    c, h, w = 4, 16, 20
+    params = make_params(rng.normal(size=(3, c)), rng.normal(size=c), context_radius=radius)
+    # Rows 0-2 and columns w-2, w-1 are zero after the shift.
+    f = translate(FeatureMap(rng.normal(size=(c, h, w))), 3, -2)
+    everywhere = si_context(f, params, Mask.ones(h, w))
+    forced = [0, w - 1, (h - 1) * w, h * w - 1, 1 * w + 5, 8 * w + w - 1, 9 * w]
+    rest = [cell for cell in rng.permutation(h * w) if cell not in forced]
+    order = forced + rest
+    switch = int(np.ceil(_GATHER_MAX_SHARE * h * w))
+    for count in (switch - 1, switch + 1):
+        bits = np.zeros(h * w, dtype=bool)
+        bits[order[:count]] = True
+        mask = Mask(bits.reshape(h, w))
+        assert (count < _GATHER_MAX_SHARE * h * w) == (count == switch - 1)
+        assert np.array_equal(everywhere[mask.bits.ravel()], si_context(f, params, mask))
+
+
 # ------------------------------------------------------------ encode / decode
 
 
@@ -278,6 +304,58 @@ def test_decode_is_deterministic(small_cfg, small_fitted, rng):
     a = decode_message(msg, params, cb, f_local=local)
     b = decode_message(msg, params, cb, f_local=local)
     assert np.array_equal(a.values, b.values)
+
+
+def _single_stage_decode(msg, params, cb, f_local):
+    # The decode as one body: symbols, codewords, design rows, matmul, scatter.
+    out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
+    if msg.num_symbols:
+        table = FrequencyTable(msg.freqs, msg.precision)
+        deq = dequantize(rans_decode(msg.payload, table, msg.num_symbols, msg.final_state), cb)
+        blocks = [deq] if f_local is None else [deq, si_context(f_local, params, msg.mask)]
+        w = params.w_uncond if f_local is None else params.w_cond
+        recon = np.concatenate(blocks + [np.ones((len(deq), 1))], axis=1) @ w
+        out.reshape(msg.channels, -1)[:, msg.mask.bits.ravel()] = recon.T.astype(np.float32)
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.8])
+@pytest.mark.parametrize("conditional", [True, False])
+def test_decode_message_is_reconstruct_of_decode_latents(small_cfg, small_fitted, tau, conditional):
+    params, cb = small_fitted.params, small_fitted.codebook
+    scene = generate_scene(small_cfg, 0)
+    sender, local = observe(scene, 1, small_cfg), observe(scene, 0, small_cfg)
+    mask = mask_from_scores(score_map(sender), tau)
+    # tau=0 keeps every cell (whole-map context sums), tau=0.8 a few (row gathers).
+    assert (mask.count() < _GATHER_MAX_SHARE * mask.bits.size) == (tau > 0)
+    msg = encode_message(apply_mask(sender, mask), mask, params, cb)
+    f_local = local if conditional else None
+
+    latents = decode_latents(msg, params, cb)
+    assert latents.shape == (mask.count(), params.embed_dim)
+    context = si_context(local, params, mask) if conditional else None
+    staged = reconstruct(msg, latents, params, context)
+    whole = decode_message(msg, params, cb, f_local=f_local)
+    assert np.array_equal(whole.values, staged.values)
+    assert np.array_equal(whole.values, _single_stage_decode(msg, params, cb, f_local))
+
+
+def test_reconstruct_checks_its_rows_and_decoder(small_cfg, small_fitted):
+    params, cb = small_fitted.params, small_fitted.codebook
+    scene = generate_scene(small_cfg, 0)
+    sender, local = observe(scene, 1, small_cfg), observe(scene, 0, small_cfg)
+    mask = mask_from_scores(score_map(sender), 0.5)
+    msg = encode_message(apply_mask(sender, mask), mask, params, cb)
+    latents = decode_latents(msg, params, cb)
+    context = si_context(local, params, mask)
+    with pytest.raises(ShapeMismatchError, match="latents must have shape"):
+        reconstruct(msg, latents[1:], params, context)
+    with pytest.raises(ShapeMismatchError, match="context must have shape"):
+        reconstruct(msg, latents, params, context[:, 1:])
+    with pytest.raises(ConfigError, match=r"\(w_cond\) is not fitted"):
+        reconstruct(msg, latents, dataclasses.replace(params, w_cond=None), context)
+    empty = encode_message(FeatureMap.zeros(*sender.shape), Mask.zeros(*mask.bits.shape), params, cb)
+    assert decode_latents(empty, params, cb).shape == (0, params.embed_dim)
 
 
 def test_decode_error_taxonomy(small_cfg, small_fitted, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -18,15 +19,17 @@ from dsc_codec import (
     generate_scene,
     kmeans_fit,
     observe,
+    perturb_pose,
     rans_decode,
     raw_payload_bytes,
     rd_sweep,
     robustness_sweep,
     run_link,
+    translate,
 )
 from dsc_codec import simulate
 from dsc_codec.errors import frozen_array
-from dsc_codec.simulate import scene_config, visibility_mask
+from dsc_codec.simulate import Scene, derive_seed, scene_config, visibility_mask
 from tests.test_pipeline import _count_calls
 
 # ------------------------------------------------------------- frozen_array
@@ -109,6 +112,8 @@ _INTEGER_ARGUMENTS = [
      lambda s, v: kmeans_fit(s.samples, v, 2, 0), 1, None),
     ("kmeans_fit iters", "iters",
      lambda s, v: kmeans_fit(s.samples, 2, v, 0), 0, None),
+    ("kmeans_fit seed", "seed",
+     lambda s, v: kmeans_fit(s.samples, 2, 1, v), 0, None),
     ("FrequencyTable precision", "precision",
      lambda s, v: FrequencyTable([1 << 12], v), 8, 16),
     ("build_freq_table num_symbols", "num_symbols",
@@ -121,6 +126,14 @@ _INTEGER_ARGUMENTS = [
      lambda s, v: generate_frames(s.cfg, v), 0, None),
     ("scene_config index", "scene index",
      lambda s, v: scene_config(s.cfg, v), 0, None),
+    ("ScenarioConfig seed", "seed",
+     lambda s, v: dataclasses.replace(s.cfg, seed=v), 0, 2**64 - 1),
+    ("Scene t", "frame index",
+     lambda s, v: Scene(s.scene.latent, v), 0, None),
+    ("derive_seed part", "seed part",
+     lambda s, v: derive_seed(v, 2), 0, None),
+    ("perturb_pose seed", "seed",
+     lambda s, v: perturb_pose(s.feature, 1.0, v), 0, None),
     ("visibility_mask agent_id", "agent_id",
      lambda s, v: visibility_mask(s.cfg, v), 0, 1),
     ("observe agent_id", "agent_id",
@@ -171,3 +184,31 @@ def test_integer_argument_rejects_non_integers_and_out_of_range_before_simulatin
             call(setup, value)
     assert fields == []
 
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0)])
+def test_translate_rejects_non_integer_shifts(small_cfg, value):
+    feature = observe(generate_scene(small_cfg, 0), 0, small_cfg)
+    with pytest.raises(ConfigError, match="^dh must be an integer"):
+        translate(feature, value, 0)
+    with pytest.raises(ConfigError, match="^dw must be an integer"):
+        translate(feature, 0, value)
+
+
+def test_numpy_integer_seeds_frames_and_shifts_give_the_same_output(small_cfg):
+    as_numpy = dataclasses.replace(small_cfg, seed=np.uint64(small_cfg.seed))
+    assert as_numpy == small_cfg and type(as_numpy.seed) is int
+    scene = generate_scene(small_cfg, 2)
+    assert np.array_equal(Scene(scene.latent, np.int64(2)).latent, scene.latent)
+    observed = observe(Scene(scene.latent, np.int32(2)), 1, small_cfg)
+    assert np.array_equal(observed.values, observe(scene, 1, small_cfg).values)
+    assert derive_seed(np.uint64(7), np.int8(2)) == derive_seed(7, 2)
+    feature = observe(scene, 0, small_cfg)
+    shifted = translate(feature, np.int64(-3), np.int16(2))
+    assert np.array_equal(shifted.values, translate(feature, -3, 2).values)
+    posed = perturb_pose(feature, 2.0, np.uint64(9))
+    assert np.array_equal(posed.values, perturb_pose(feature, 2.0, 9).values)
+    samples = np.random.default_rng(0).normal(size=(20, 3))
+    np.testing.assert_array_equal(
+        kmeans_fit(samples, 2, 3, np.int64(4))[0], kmeans_fit(samples, 2, 3, 4)[0]
+    )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsc_codec import (
     ConfigError,
@@ -117,6 +118,17 @@ def test_mse_zero_iff_equal():
     assert mse(f, FeatureMap(bumped)) > 0.0
     with pytest.raises(ShapeMismatchError):
         mse(f, random_map(5, c=2))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_mse_matches_two_copy_float64_formula_bit_for_bit(data):
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)))
+    elements = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    a = data.draw(arrays(np.float32, shape, elements=elements))
+    b = data.draw(arrays(np.float32, shape, elements=elements))
+    diff = a.astype(np.float64) - b.astype(np.float64)
+    assert mse(FeatureMap(a), FeatureMap(b)) == float(np.mean(diff * diff))
 
 
 def test_raw_payload_bytes_values():

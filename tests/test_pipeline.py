@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -8,6 +10,7 @@ from dsc_codec import (
     FeatureMap,
     InsufficientDataError,
     ScenarioConfig,
+    SymbolOutOfRangeError,
     elementwise_max,
     evaluate_point,
     fit_codec,
@@ -18,7 +21,7 @@ from dsc_codec import (
     robustness_sweep,
     write_csv,
 )
-from dsc_codec import pipeline, quantizer, simulate
+from dsc_codec import codec, pipeline, quantizer, simulate
 from dsc_codec.pipeline import (
     CSV_HEADER,
     DEFAULT_EVAL_T,
@@ -390,6 +393,98 @@ def test_run_link_simulates_its_scene_once(monkeypatch, small_cfg, small_fitted)
     # Chain frames 0..3, then one field each for the receiver and sender.
     assert len(fields) == 3 + 1 + 2
     assert len(encodes) == 1
+
+
+def test_robustness_sweep_decodes_each_message_once_and_builds_one_context(
+    monkeypatch, small_cfg, small_fitted
+):
+    decodes = _count_calls(monkeypatch, codec, "rans_decode")
+    contexts = _count_calls(monkeypatch, pipeline, "si_context")
+    decoder_contexts = _count_calls(monkeypatch, codec, "si_context")
+    rows = robustness_sweep(
+        small_cfg, [0.0, 1.0], [0, 2], small_fitted.params, small_fitted.codebook, scenes=1
+    )
+    assert len(rows) == 8
+    # One symbol decode per message for both decoders, one context per scene.
+    assert len(decodes) == 4
+    assert len(contexts) == 1
+    assert decoder_contexts == []
+
+
+def test_scene_builds_one_context_per_distinct_radius(monkeypatch, small_cfg, small_fitted):
+    params, cb = small_fitted.params, small_fitted.codebook
+    wider = dataclasses.replace(params, context_radius=2)
+    codecs = [(params, cb), (wider, cb), (params, cb)]
+    contexts = _count_calls(monkeypatch, pipeline, "si_context")
+    links = pipeline._scene_links(
+        small_cfg, DEFAULT_EVAL_T, 1, 0, codecs, (0.0, 0.8), (0.0,), (0,), None, (True,)
+    )
+    assert sorted(args[1].context_radius for args in contexts) == [1, 2]
+    assert links[(0, 1, 0, 0, True)] == links[(2, 1, 0, 0, True)]
+    assert links[(0, 1, 0, 0, True)] != links[(1, 1, 0, 0, True)]
+    # No conditional decoder, no context.
+    pipeline._scene_links(
+        small_cfg, DEFAULT_EVAL_T, 1, 0, codecs, (0.0,), (0.0,), (0,), None, (False,)
+    )
+    assert len(contexts) == 2
+
+
+def test_failed_symbol_decode_fails_every_decoder_and_falls_back_to_local(
+    monkeypatch, small_cfg, small_fitted
+):
+    grid = (
+        scene_config(small_cfg, 1, stream="eval"), DEFAULT_EVAL_T, 1, 0,
+        [(small_fitted.params, small_fitted.codebook)], (0.0, 0.8), (0.0, 2.0), (0, 1),
+    )
+    dropped = pipeline._scene_links(*grid, 0, (True, False))
+
+    def corrupt(*args, **kwargs):
+        raise SymbolOutOfRangeError("corrupt stream")
+
+    monkeypatch.setattr(pipeline, "decode_latents", corrupt)
+    links = pipeline._scene_links(*grid, None, (True, False))
+    assert links.keys() == dropped.keys() and len(links) == 16
+    for key, link in links.items():
+        assert link.failed and link.within_budget
+        no_link = dropped[key]
+        assert not no_link.failed and not no_link.within_budget
+        assert link.fusion_mse == no_link.fusion_mse
+        assert link.recon_mse == no_link.recon_mse
+        assert link.payload_bytes == no_link.payload_bytes
+
+
+def _csv_sha256(rows) -> str:
+    handle = io.StringIO()
+    write_csv(rows, handle)
+    return hashlib.sha256(handle.getvalue().encode("ascii")).hexdigest()
+
+
+# CSV digests of the small-config sweeps, recorded before the receiver
+# decoded each message's symbols once and built one context per scene; any
+# output bit that moves changes them.
+_PINNED_ROBUSTNESS_CSV = {
+    0.0: "eaf53263a50d86b8e6803ef021b4550d33715fc857752ee35d675aa770568f0c",
+    0.7: "1460bceb5c1c977023b4ebe5b6d6c2ec66315dd01303cbaf5bca626976fce5e3",
+    0.9: "0c5b3f07ff06c55d3eb72cd1856fa4db691e955f60b8d8d6723b34eab0a42445",
+}
+_PINNED_RD_CSV = "22e586b5d12af61290566fd05f20a351eca74a8b28d6606d3f8b117345db2349"
+
+
+@pytest.mark.parametrize("tau", sorted(_PINNED_ROBUSTNESS_CSV))
+def test_robustness_sweep_csv_bytes_are_pinned(small_cfg, small_fitted, tau):
+    rows = robustness_sweep(
+        small_cfg, (0.0, 1.5, 4.0), (0, 2), small_fitted.params, small_fitted.codebook,
+        tau=tau, scenes=2,
+    )
+    assert _csv_sha256(rows) == _PINNED_ROBUSTNESS_CSV[tau]
+
+
+def test_rd_sweep_csv_bytes_are_pinned(small_cfg):
+    rows = rd_sweep(
+        small_cfg, taus=(0.0, 0.5, 0.8, 0.9), codebook_sizes=(4, 16), embed_dim=8,
+        scenes_per_point=2, train_scenes=2,
+    )
+    assert _csv_sha256(rows) == _PINNED_RD_CSV
 
 
 def test_csv_roundtrip_and_sorted_emission(tmp_path, small_cfg):
