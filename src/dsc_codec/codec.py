@@ -49,7 +49,7 @@ from .errors import (
     require_int,
     require_nonnegative,
 )
-from .features import FeatureMap, Mask, require_same_shape, require_spatial_match
+from .features import FeatureMap, Mask, _frozen_map, require_same_shape, require_spatial_match
 from .quantizer import Codebook, dequantize, quantize_map
 from .rans import MIN_PRECISION, RANS_L, FrequencyTable, build_freq_table, rans_decode, rans_encode
 from .wire import MAX_MESSAGE_PRECISION, Message
@@ -174,6 +174,19 @@ def project_cells(cells: np.ndarray, params: CodecParams) -> np.ndarray:
     return (cells - params.mean) @ params.projection.T
 
 
+def _kept_cells(f: FeatureMap, flat: np.ndarray) -> np.ndarray:
+    """f.cell_vectors()[flat] without the float64 copy of every cell.
+
+    The kept columns of the float32 map are gathered straight into a
+    C-order (flat.sum(), C) float64 block, the layout the boolean gather
+    gives, so the projection that follows makes the same float operations.
+    """
+    cols = f.values.reshape(f.channels, -1)
+    if not flat.all():
+        cols = cols[:, flat]
+    return cols.T.astype(np.float64, order="C")
+
+
 # Below this share of kept cells the window sums gather rows at the kept
 # cells; at or above it they add whole-map shifted slices, whose cost does not
 # depend on the share. On a 128x128x32 float32 grid the two cost about the
@@ -190,6 +203,11 @@ def _add_in_order(parts) -> np.ndarray:
     return acc
 
 
+def _sums_by_slices(bits: np.ndarray) -> bool:
+    """Whether _window_sums adds whole-map slices (True) or gathers rows."""
+    return np.count_nonzero(bits) >= _GATHER_MAX_SHARE * bits.size
+
+
 def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
     """Sum the (2r+1)^2 windows of a zero-padded grid at the set cells of bits.
 
@@ -198,11 +216,12 @@ def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
     row is summed left to right and the row sums top to bottom, whether as
     row gathers at the kept cells (sparse bits) or as whole-map shifted
     slices (dense bits), so both evaluations make the same adds in the same
-    order and give the same bits.
+    order and give the same bits. Only the grid cells inside the window of a
+    set cell are read into the result.
     """
     h, w = bits.shape
     k = 2 * radius + 1
-    if np.count_nonzero(bits) < _GATHER_MAX_SHARE * bits.size:
+    if not _sums_by_slices(bits):
         wp = w + 2 * radius
         ys, xs = np.nonzero(bits)
         starts = ys * wp + xs
@@ -212,7 +231,8 @@ def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
             for dy in range(k)
         )
     line_sums = _add_in_order(grid[:, dx : dx + w] for dx in range(k))
-    return _add_in_order(line_sums[dy : dy + h] for dy in range(k))[bits]
+    sums = _add_in_order(line_sums[dy : dy + h] for dy in range(k))
+    return sums.reshape(h * w, -1) if bits.all() else sums[bits]
 
 
 def _require_channels(f: FeatureMap, params: CodecParams) -> None:
@@ -233,23 +253,28 @@ def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarr
     """
     _require_channels(f_local, params)
     require_spatial_match(f_local, mask)
-    h, w = f_local.height, f_local.width
+    c, h, w = f_local.shape
     r = params.context_radius
     k = 2 * r + 1
     hp, wp = h + 2 * r, w + 2 * r
     bits = mask.bits
-    near = np.zeros((hp, wp), dtype=bool)
-    for dy in range(k):
-        for dx in range(k):
-            near[dy : dy + h, dx : dx + w] |= bits
-    cells = np.flatnonzero(near[r : r + h, r : r + w])
-    ys, xs = np.divmod(cells, w)
     # float32 holds the feature values exactly; the window sums are float64.
-    grid = np.zeros((hp * wp, f_local.channels), dtype=np.float32)
-    grid[(ys + r) * wp + (xs + r)] = np.take(
-        f_local.values.reshape(f_local.channels, -1), cells, axis=1
-    ).T
-    ctx = _window_sums(grid.reshape(hp, wp, -1), bits, r)
+    grid = np.zeros((hp, wp, c), dtype=np.float32)
+    if _sums_by_slices(bits):
+        # Whole-map sums: one slice copy of the map, whatever the mask.
+        grid[r : r + h, r : r + w] = f_local.values.transpose(1, 2, 0)
+    else:
+        # Row gathers: only the cells near a kept cell are copied.
+        near = np.zeros((hp, wp), dtype=bool)
+        for dy in range(k):
+            for dx in range(k):
+                near[dy : dy + h, dx : dx + w] |= bits
+        cells = np.flatnonzero(near[r : r + h, r : r + w])
+        ys, xs = np.divmod(cells, w)
+        grid.reshape(hp * wp, c)[(ys + r) * wp + (xs + r)] = np.take(
+            f_local.values.reshape(c, -1), cells, axis=1
+        ).T
+    ctx = _window_sums(grid, bits, r)
     ctx /= k * k
     return ctx
 
@@ -288,8 +313,7 @@ def encode_message(
     flat = mask.bits.ravel()
     n = int(flat.sum())
     if n > 0:
-        cells = f_pruned.cell_vectors()[flat]
-        latents = project_cells(cells, params)
+        latents = project_cells(_kept_cells(f_pruned, flat), params)
         idx = quantize_map(latents, cb)
         table = build_freq_table(idx, cb.size, precision)
         payload, state = rans_encode(idx, table)
@@ -369,7 +393,7 @@ def fit_conditional_decoder(
         flat = mask.bits.ravel()
         if not flat.any():
             continue
-        y = sender_pruned.cell_vectors()[flat]
+        y = _kept_cells(sender_pruned, flat)
         deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
         x = _design(deq, si_context(receiver, params, mask))
         gram += x.T @ x
@@ -461,7 +485,9 @@ def reconstruct(
     conditional decoder w_cond maps [latent | context | 1] to channels;
     without them the unconditional decoder w_uncond maps [latent | 1].
     latents are decode_latents(msg, params, cb). Pruned cells come back as
-    exact zeros.
+    exact zeros. The float32 rows are checked for finiteness and written into
+    the map once; a decoder that drives them past float32 range raises
+    ConfigError.
     """
     w = _decoder_weights(params, context is not None)
     _require_message_channels(msg, params)
@@ -469,11 +495,20 @@ def reconstruct(
     for name, rows, width in (("latents", latents, params.embed_dim), ("context", context, c)):
         if rows is not None and rows.shape != (n, width):
             raise ShapeMismatchError(f"{name} must have shape ({n}, {width}), got {rows.shape}")
-    out = np.zeros((msg.channels, msg.height, msg.width), dtype=np.float32)
-    if n > 0:
-        recon = _design(latents, context) @ w
-        out.reshape(msg.channels, -1)[:, msg.mask.bits.ravel()] = recon.T.astype(np.float32)
-    return FeatureMap(out)
+    # Overflow to inf/nan is exactly what the row check reports, so numpy
+    # warnings are suppressed rather than surfaced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = (_design(latents, context) @ w).astype(np.float32)
+    if not np.isfinite(rows).all():
+        raise ConfigError("feature map contains non-finite values")
+    shape = (c, msg.height, msg.width)
+    if n == msg.height * msg.width:
+        out = np.empty(shape, dtype=np.float32)
+        out.reshape(c, n)[:] = rows.T
+    else:
+        out = np.zeros(shape, dtype=np.float32)
+        out.reshape(c, -1)[:, msg.mask.bits.ravel()] = rows.T
+    return _frozen_map(out)
 
 
 def decode_message(

@@ -2,8 +2,15 @@
 
 A feature map is a C x H x W grid of finite float32 values stored row-major
 (channel, then row, then column) so that serialization is reproducible
-byte-for-byte. Masked-out cells are exactly 0.0, which makes them neutral
-under the max fusion used downstream.
+byte-for-byte. Masked-out cells are exactly 0.0. That zero is not neutral
+under the max fusion used downstream: about half of all feature values are
+negative, so a pruned cell fused by max clamps the receiver's value up to 0
+there (ROADMAP.md, item 1).
+
+FeatureMap(values) copies and checks its input. The maps this package
+builds for itself (masking, fusion, zeros, shifts, decoder reconstructions)
+are frozen in place around the array just allocated for them, with no copy
+and no rescan.
 """
 
 from __future__ import annotations
@@ -47,12 +54,27 @@ class FeatureMap:
 
     @classmethod
     def zeros(cls, channels: int, height: int, width: int) -> "FeatureMap":
-        return cls(np.zeros((channels, height, width), dtype=np.float32))
+        for name, size in (("channels", channels), ("height", height), ("width", width)):
+            require_int(name, size, 1)
+        return _frozen_map(np.zeros((channels, height, width), dtype=np.float32))
 
     def cell_vectors(self) -> np.ndarray:
         """Per-cell channel vectors, shape (H*W, C), float64, row-major cells."""
         c = self.channels
         return self.values.reshape(c, -1).T.astype(np.float64)
+
+
+def _frozen_map(values: np.ndarray) -> FeatureMap:
+    """Freeze values in place as a FeatureMap, with no copy and no check.
+
+    Only for an array this package has just allocated and keeps no other
+    reference to: fresh, C-order float32 of shape (C, H, W) with every size
+    >= 1, and all finite. Any other input goes through FeatureMap(values).
+    """
+    values.flags.writeable = False
+    f = object.__new__(FeatureMap)
+    object.__setattr__(f, "values", values)
+    return f
 
 
 @dataclass(frozen=True)
@@ -102,13 +124,13 @@ def require_same_shape(a: FeatureMap, b: FeatureMap) -> None:
 def apply_mask(f: FeatureMap, m: Mask) -> FeatureMap:
     """Zero every channel of the cells where the mask bit is off."""
     require_spatial_match(f, m)
-    return FeatureMap(f.values * m.bits[np.newaxis, :, :])
+    return _frozen_map(f.values * m.bits[np.newaxis, :, :])
 
 
 def elementwise_max(a: FeatureMap, b: FeatureMap) -> FeatureMap:
     """Cell-wise maximum of two same-shape maps."""
     require_same_shape(a, b)
-    return FeatureMap(np.maximum(a.values, b.values))
+    return _frozen_map(np.maximum(a.values, b.values))
 
 
 def mse(a: FeatureMap, b: FeatureMap) -> float:

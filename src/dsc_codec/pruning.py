@@ -30,8 +30,7 @@ class ScoreMap:
 
 def score_map(f: FeatureMap) -> ScoreMap:
     """Per-cell channel-vector norm divided by the map's maximum cell norm."""
-    v = f.values.astype(np.float64)
-    norms = np.sqrt(np.sum(v * v, axis=0))
+    norms = np.sqrt(np.sum(np.square(f.values, dtype=np.float64), axis=0))
     peak = float(norms.max())
     if peak == 0.0:
         return ScoreMap(norms)

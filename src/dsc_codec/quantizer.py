@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -65,15 +65,21 @@ def codebook_hash(codewords: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Immutable K x D codeword matrix with a content-derived version hash."""
+    """Immutable K x D codeword matrix with a content-derived version hash.
+
+    version_hash is codebook_hash(codewords), computed once at construction
+    since the codewords are frozen.
+    """
 
     codewords: np.ndarray
+    version_hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = frozen_array("codebook", self.codewords, np.float32, (None, None))
         if arr.shape[0] > 0xFFFF or arr.shape[1] > 0xFFFF:
             raise ConfigError("codebook dimensions must fit unsigned 16-bit fields")
         object.__setattr__(self, "codewords", arr)
+        object.__setattr__(self, "version_hash", codebook_hash(arr))
 
     @property
     def size(self) -> int:
@@ -82,10 +88,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.codewords.shape[1]
-
-    @property
-    def version_hash(self) -> int:
-        return codebook_hash(self.codewords)
 
 
 def _blocks(vectors: np.ndarray, codewords: np.ndarray):

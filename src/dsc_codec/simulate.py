@@ -44,7 +44,7 @@ from .errors import (
     require_nonnegative,
     require_unit_interval,
 )
-from .features import FeatureMap, Mask, require_same_shape, require_spatial_match
+from .features import FeatureMap, Mask, _frozen_map, require_same_shape, require_spatial_match
 
 # Stream tags for seed derivation. Never renumber: fixtures depend on them.
 STREAM_SCENE = 1
@@ -210,7 +210,7 @@ def translate(f: FeatureMap, dh: int, dw: int) -> FeatureMap:
     dst_w = slice(max(0, dw), min(w, w + dw))
     if src_h.start < src_h.stop and src_w.start < src_w.stop:
         out[:, dst_h, dst_w] = f.values[:, src_h, src_w]
-    return FeatureMap(out)
+    return _frozen_map(out)
 
 
 def perturb_pose(f: FeatureMap, sigma_pose: float, seed: int) -> FeatureMap:

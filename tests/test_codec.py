@@ -36,10 +36,11 @@ from dsc_codec import (
     translate,
 )
 import dsc_codec.codec as codec_module
+import dsc_codec.quantizer as quantizer_module
 from dsc_codec.codec import _GATHER_MAX_SHARE, _window_sums, project_cells
 from dsc_codec.features import apply_mask
 from dsc_codec.pruning import mask_from_scores, score_map
-from dsc_codec.quantizer import dequantize, quantize_map
+from dsc_codec.quantizer import codebook_hash, dequantize, quantize_map
 from dsc_codec.simulate import generate_scene, observe
 from dsc_codec.wire import MAX_MESSAGE_PRECISION, Message
 
@@ -411,6 +412,58 @@ def test_decode_names_the_decoder_that_is_not_fitted(
 
 
 # ------------------------------------------------------ receiver contract
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_overflowing_decoder_raises_config_error_without_warning(scale, full):
+    # Finite weights that drive a reconstruction past float32 range (1e300)
+    # or past float64 range (1e308) raise ConfigError and nothing else;
+    # pytest turns any numpy overflow warning into an error.
+    rng = np.random.default_rng(0)
+    c, h, w, d = 4, 5, 5, 2
+    cb = Codebook(rng.normal(size=(3, d)))
+    params = make_params(
+        rng.normal(size=(d, c)),
+        np.zeros(c),
+        cb,
+        w_cond=np.full((d + c + 1, c), scale),
+        w_uncond=np.full((d + 1, c), scale),
+    )
+    f = FeatureMap(rng.normal(size=(c, h, w)))
+    mask = Mask.ones(h, w) if full else Mask(rng.random((h, w)) < 0.5)
+    msg = encode_message(apply_mask(f, mask), mask, params, cb)
+    latents = decode_latents(msg, params, cb)
+    for local in (f, None):
+        with pytest.raises(ConfigError, match="feature map contains non-finite values"):
+            decode_message(msg, params, cb, f_local=local)
+    with pytest.raises(ConfigError, match="feature map contains non-finite values"):
+        reconstruct(msg, latents, params, si_context(f, params, mask))
+
+
+def test_codebook_hash_is_computed_once_per_codebook(monkeypatch, small_cfg, small_fitted):
+    calls = []
+
+    def counting_hash(codewords):
+        calls.append(1)
+        return codebook_hash(codewords)
+
+    monkeypatch.setattr(quantizer_module, "codebook_hash", counting_hash)
+    params = small_fitted.params
+    cb = Codebook(small_fitted.codebook.codewords)
+    assert len(calls) == 1
+    scene = generate_scene(small_cfg, 0)
+    sender, local = observe(scene, 1, small_cfg), observe(scene, 0, small_cfg)
+    mask = mask_from_scores(score_map(sender), 0.5)
+    msg = encode_message(apply_mask(sender, mask), mask, params, cb)
+    decode_message(msg, params, cb, f_local=local)
+    decode_message(msg, params, cb)
+    assert len(calls) == 1
+    assert cb.version_hash == codebook_hash(cb.codewords) == params.codebook_hash
+    assert "version_hash" not in repr(cb)
+    assert [f.name for f in dataclasses.fields(Codebook) if f.init or f.compare] == ["codewords"]
+    with pytest.raises(TypeError):
+        Codebook(cb.codewords, cb.version_hash)
+
 
 # Fixed header: magic, version, flags, C, H, W, D, K, p, codebook hash.
 _HEADER = struct.Struct("<4sBBHHHHHBQ")

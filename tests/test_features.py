@@ -38,6 +38,12 @@ def test_featuremap_rejects_nonfinite_and_bad_shapes():
         FeatureMap(np.zeros((0, 2, 2)))
 
 
+@pytest.mark.parametrize("sizes", [(0, 2, 2), (1, 0, 2), (1, 2, -1), (2.5, 2, 2)])
+def test_zeros_rejects_sizes_that_are_not_integers_from_one(sizes):
+    with pytest.raises(ConfigError):
+        FeatureMap.zeros(*sizes)
+
+
 def test_featuremap_is_immutable():
     f = random_map(0)
     with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsc_codec import (
     ConfigError,
@@ -85,3 +88,23 @@ def test_tau_zero_preserves_cells_with_nonzero_channel_vector(rng):
     nonzero = np.any(f.values != 0.0, axis=0)
     assert np.array_equal(m.bits, nonzero)
     assert np.array_equal(apply_mask(f, m).values, f.values)
+
+
+_MAPS = st.tuples(st.integers(1, 64), st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(
+        np.float32, shape, elements=st.floats(width=32, allow_nan=False, allow_infinity=False)
+    )
+)
+
+
+@given(_MAPS)
+# A lone cell with C=64 is where numpy sums axis 0 pairwise rather than
+# channel by channel; its normalized score is 1.0 whatever the order.
+@example(np.random.default_rng(64).normal(size=(64, 1, 1)).astype(np.float32))
+@settings(max_examples=100, deadline=None)
+def test_score_map_is_the_float64_channel_norm_bit_for_bit(values):
+    v = values.astype(np.float64)
+    norms = np.sqrt(np.sum(v * v, axis=0))
+    peak = norms.max()
+    expected = norms if peak == 0.0 else np.minimum(norms / peak, 1.0)
+    assert np.array_equal(score_map(FeatureMap(values)).values, expected)
