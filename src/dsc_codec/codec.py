@@ -65,7 +65,7 @@ _FLAG_HAS_UNCOND = 2
 _EMA_DECAY = 0.99
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodecParams:
     """All learnable state of one codec except the codebook itself.
 
@@ -337,7 +337,7 @@ def encode_message(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoderFit:
     """Ridge solutions for the conditional decoder and its nested baseline.
 

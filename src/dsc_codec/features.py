@@ -26,7 +26,7 @@ _FMAP_MAGIC = b"FMAP"
 _FMAP_HEADER = struct.Struct("<4sHHH")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Immutable C x H x W grid of finite reals (float32 storage)."""
 
@@ -77,7 +77,7 @@ def _frozen_map(values: np.ndarray) -> FeatureMap:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
     """Immutable H x W boolean gate, row-major."""
 

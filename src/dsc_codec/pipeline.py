@@ -157,7 +157,7 @@ def _check_taus(taus: Sequence[float]) -> None:
         require_unit_interval("tau", tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TrainingSet:
     """The K-independent part of a codec fit.
 

@@ -15,7 +15,7 @@ from .errors import ConfigError, frozen_array, require_unit_interval
 from .features import FeatureMap, Mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMap:
     """Immutable H x W grid of scores in [0, 1]."""
 

@@ -9,19 +9,27 @@ distortion sequence non-increasing and avoids dead codewords that would
 waste index entropy.
 
 Every squared distance is computed in one float order: the sum of
-(x_d - c_d)^2 over d = 0..D-1, which is scipy's ``cdist`` sqeuclidean.
-Assignment runs ``cdist`` in blocks of about 2^18 distances (2 MB), so a
-block's row count shrinks as K grows; a row's values do not depend on the
-block it is in. ``_column_sqdist`` gives the same numbers for a distance to
-one known centre per sample, reading the samples column by column; the
+(x_d - c_d)^2 over d = 0..D-1, which is scipy's ``cdist`` sqeuclidean, and
+every assignment is the lowest-index argmin of those numbers. Assignment
+(``_assign``, behind ``quantize_map`` and Lloyd's loop) runs in blocks of
+about 2^18 distances (2 MB), so a block's row count shrinks as K grows; a
+row's result does not depend on the block it is in. From K = 32 up, a block
+is first screened with one BLAS product that estimates every distance; a
+row is assigned from the estimate only when a rounding bound proves that
+the estimate picks cdist's answer, and every other row (ties, near-ties,
+non-finite values) gets its ``cdist`` row. Below K = 32 every row gets its
+``cdist`` row. BLAS never decides an assignment that the bound has not
+proved, so the result is cdist's on every platform. ``_column_sqdist``
+gives cdist's numbers for a distance to one known centre per sample,
+reading the samples column by column; the screen's distances, the
 k-means++ init, the reseed pass and Lloyd's per-sample distance use it.
 Lloyd's loop keeps Hamerly's bounds: a lower bound on each sample's
 distance to every other centre, and half of each centre's distance to its
 nearest other centre. A sample whose exact distance is below the larger of
 the two, by a slack of 1e-9 of the data's diameter, keeps its centre
-without a row of K distances. Every other sample gets its full row and the
-lowest-index argmin, so centres, history and codebook hash are the same as
-with a full assignment pass each iteration.
+without an assignment. Every other sample is assigned again, so centres,
+history and codebook hash are the same as with a full ``cdist`` pass each
+iteration.
 """
 
 from __future__ import annotations
@@ -51,6 +59,15 @@ _BLOCK_DISTANCES = 1 << 18
 # below the Hamerly bound by this fraction of the data's diameter, which is
 # far above the rounding of any distance, move or bound.
 _BOUND_SLACK = 1e-9
+# From this many codewords up, assignment screens each block with one GEMM
+# estimate before cdist (see _assign). At D = 16 and 2^18 distances per
+# block (65536 samples, one OpenBLAS thread on a 2-core AVX-512 Xeon) the
+# screen is about even with cdist at K = 32-40 and ahead from 48: k-means
+# at K = 48 took 0.95 s against 1.05 s, and one assignment pass at K = 16
+# 1.5-2x as long as cdist's. At least 2, so that a runner-up exists.
+_SCREEN_MIN_K = 32
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL = 2.0**-1074
 
 
 def codebook_hash(codewords: np.ndarray) -> int:
@@ -63,7 +80,7 @@ def codebook_hash(codewords: np.ndarray) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Immutable K x D codeword matrix with a content-derived version hash.
 
@@ -90,29 +107,13 @@ class Codebook:
         return self.codewords.shape[1]
 
 
-def _blocks(vectors: np.ndarray, codewords: np.ndarray):
-    """(row slice, squared cdist block) over vectors, about _BLOCK_DISTANCES each."""
-    rows = max(1, _BLOCK_DISTANCES // codewords.shape[0])
-    for lo in range(0, vectors.shape[0], rows):
-        block = slice(lo, lo + rows)
-        yield block, cdist(vectors[block], codewords, metric="sqeuclidean")
-
-
 def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-index argmin assignment and squared distance.
+    """Lowest-index argmin assignment and squared distance, exactly as cdist.
 
-    Rows go through cdist in blocks of about 2^18 distances, so a block
-    stays cache-sized whatever K is; the result does not depend on the block
-    size.
+    See _assign; the result does not depend on the block size.
     """
-    n = vectors.shape[0]
-    idx = np.empty(n, dtype=np.int32)
-    sqdist = np.empty(n, dtype=np.float64)
-    for rows, d2 in _blocks(vectors, codewords):
-        best = np.argmin(d2, axis=1)
-        idx[rows] = best
-        sqdist[rows] = d2[np.arange(best.size), best]
-    return idx, sqdist
+    idx, sqdist, _ = _assign(vectors, codewords, runner_up=False)
+    return idx.astype(np.int32), sqdist
 
 
 def _nearest_two(
@@ -120,22 +121,116 @@ def _nearest_two(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_nearest plus each row's distance (not squared) to its runner-up.
 
-    The runner-up is the smallest entry of the row other than the chosen
-    one, so it is 0 under a tie and inf when K = 1. It is found with a
-    second argmin, which numpy runs faster than min on short rows.
+    The runner-up is the smallest cdist entry of the row other than the
+    chosen one, so it is 0 under a tie and inf when K = 1. The screen
+    settles a row here only when its estimates prove the runner-up as well
+    as the nearest codeword (see _assign); the distance is cdist's either
+    way.
     """
-    n = vectors.shape[0]
+    return _assign(vectors, codewords, runner_up=True)
+
+
+def _assign(
+    vectors: np.ndarray, codewords: np.ndarray, runner_up: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Nearest codeword, its squared distance and (if runner_up) the runner-up distance.
+
+    Rows go in blocks of about _BLOCK_DISTANCES distances. With K at or above
+    _SCREEN_MIN_K a block is first screened with one GEMM: for a row x,
+
+        est_j = |c_j|^2 / 2 - x . c_j = (|x - c_j|^2 - |x|^2) / 2,
+
+    computed as x @ (-C^T) plus the precomputed half squared norms. The row
+    is settled when the runner-up estimate exceeds the smallest one by more
+    than 2 eps(x), with (|.| the Euclidean norm, u = 2^-53, eta = 2^-1074)
+
+        eps(x) = 1.01 gamma_{D+4} (|x| + max_j |c_j|)^2 + 2 (D+4) eta,
+        gamma_n = n u / (1 - n u).
+
+    Why that proves the estimate picks cdist's answer. Let a = |x|,
+    b = |c_j| and d_j = |x - c_j|^2, and write g = 1 + gamma_{D+2}. With
+    gradual underflow (IEEE 754's default; not under flush-to-zero), a
+    float product or square is off by a relative u plus an absolute eta/2
+    at most, and a sum or difference only by a relative u. So, in any
+    summation order, with or without FMA (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3):
+      - the dot product is within gamma_D ab + g (D/2) eta, half the
+        squared norm within gamma_D b^2/2 + g (D/4) eta + eta/2, and est_j,
+        one rounded add later, within gamma_{D+1} (ab + b^2/2) +
+        g (3D/4 + 1/2) eta of its real value (d_j - a^2)/2;
+      - cdist's entry (D differences, D squares, D-1 adds in a row) is
+        within gamma_{D+2} d_j + g (D/2) eta of d_j, and d_j <= (a + b)^2.
+    As ab + b^2/2 <= (a + b)^2/2, twice the first error plus the second is
+    below 2 (gamma_{D+2} (a + b)^2 + (D + 1) eta) per codeword. So if
+    est_j - est_i > 2 (gamma_{D+2} (a + max_j |c_j|)^2 + (D + 1) eta), then
+    cdist's entry for j exceeds its entry for i: the smaller estimate is
+    the strictly smaller cdist entry. eps(x) adds a margin (gamma_{D+4}, the
+    factor 1.01, and 2 (D+4) eta against (D+1) eta) that covers the
+    rounding of |x|, of max_j |c_j|, of eps itself and of the computed gap.
+    For _nearest_two the third-smallest estimate must also clear the
+    runner-up by 2 eps(x), so the runner-up is proven as well.
+
+    An overflow anywhere in a row's estimates needs a |x_d c_jd| or |c_j|^2
+    near the float64 maximum, which makes (|x| + max_j |c_j|)^2 and so eps
+    inf; a NaN fails every comparison. Either way the row is not settled.
+
+    BLAS never decides an assignment that the bound has not proved. Every
+    other row (ties, near-ties, a NaN or inf estimate or bound) and every
+    row when K < _SCREEN_MIN_K gets its cdist row and the lowest-index
+    argmin. A screened row's distances are computed with _column_sqdist on
+    the chosen codewords, bit for bit as cdist, so indices and distances
+    are those of a cdist pass whichever path a row takes.
+    """
+    n, dim = vectors.shape
+    k = codewords.shape[0]
     idx = np.empty(n, dtype=np.intp)
     sqdist = np.empty(n, dtype=np.float64)
-    second = np.empty(n, dtype=np.float64)
-    for rows, d2 in _blocks(vectors, codewords):
-        at = np.arange(d2.shape[0])
-        best = np.argmin(d2, axis=1)
-        idx[rows] = best
-        sqdist[rows] = d2[at, best]
-        d2[at, best] = np.inf
-        second[rows] = d2[at, np.argmin(d2, axis=1)]
-    return idx, sqdist, np.sqrt(second)
+    second = np.empty(n, dtype=np.float64) if runner_up else None
+    screened = k >= _SCREEN_MIN_K
+    if screened:
+        neg_t = -codewords.T
+        sq_norms = np.einsum("kd,kd->k", codewords, codewords)
+        half_sq = 0.5 * sq_norms
+        terms = dim + 4
+        gamma = terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+        reach = np.sqrt(np.einsum("nd,nd->n", vectors, vectors)) + np.sqrt(sq_norms.max())
+        tol = 2.0 * (1.01 * gamma * reach**2 + 2 * terms * _SUBNORMAL)
+    rows = max(1, _BLOCK_DISTANCES // k)
+    for lo in range(0, n, rows):
+        block = vectors[lo : lo + rows]
+        out = slice(lo, lo + block.shape[0])
+        rest = slice(None)
+        if screened:
+            est = block @ neg_t
+            est += half_sq
+            at = np.arange(block.shape[0])
+            best = np.argmin(est, axis=1)
+            low = est[at, best]
+            est[at, best] = np.inf
+            runner = np.argmin(est, axis=1)
+            high = est[at, runner]
+            gap = high - low
+            settled = gap > tol[out]
+            if runner_up:
+                est[at, runner] = np.inf
+                gap = est[at, np.argmin(est, axis=1)] - high
+                settled &= gap > tol[out]
+            idx[out] = best
+            sqdist[out] = _column_sqdist(block.T, codewords.T.take(best, axis=1))
+            if runner_up:
+                second[out] = _column_sqdist(block.T, codewords.T.take(runner, axis=1))
+            rest = np.flatnonzero(~settled)
+        todo = block[rest]
+        if todo.shape[0]:
+            d2 = cdist(todo, codewords, metric="sqeuclidean")
+            at = np.arange(d2.shape[0])
+            best = np.argmin(d2, axis=1)
+            idx[out][rest] = best
+            sqdist[out][rest] = d2[at, best]
+            if runner_up:
+                d2[at, best] = np.inf
+                second[out][rest] = d2[at, np.argmin(d2, axis=1)]
+    return idx, sqdist, None if second is None else np.sqrt(second)
 
 
 def _column_sqdist(columns: np.ndarray, targets) -> np.ndarray:
@@ -198,15 +293,18 @@ def kmeans_fit(
     stabilize.
 
     Each iteration computes every sample's exact distance to its centre
-    with _column_sqdist. A sample keeps its centre without a full cdist row
+    with _column_sqdist. A sample keeps its centre without an assignment
     when that distance is below one of two Hamerly bounds, less a slack:
     its lower bound, which starts as the distance to its runner-up centre
     and loses the largest centre move each iteration, or half the distance
-    from its centre to the nearest other centre. Every other sample gets a
-    full row, so ties and near-ties still go through argmin's lowest-index
-    rule. A reseed resets the lower bounds to 0. Besides the (D, N) copy of
-    the samples, the bounds keep O(N + K) numbers and a (D, N) gather of
-    centre coordinates; nothing is N x K.
+    from its centre to the nearest other centre. Every other sample is
+    assigned again by _nearest_two: from K = _SCREEN_MIN_K up through the
+    BLAS screen, which hands ties and near-ties to cdist, and below it
+    through cdist alone. Either way ties go through argmin's lowest-index
+    rule and the runner-up distance is exact, so the centres are those of a
+    full cdist pass. A reseed resets the lower bounds to 0. Besides the
+    (D, N) copy of the samples, the bounds keep O(N + K) numbers and a
+    (D, N) gather of centre coordinates; nothing is N x K.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:

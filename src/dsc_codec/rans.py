@@ -33,7 +33,7 @@ MIN_PRECISION = 8
 MAX_PRECISION = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyTable:
     """Quantized symbol frequencies summing to exactly 2^precision."""
 

@@ -112,7 +112,7 @@ class ScenarioConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Shared latent field at one frame index."""
 

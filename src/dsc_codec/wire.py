@@ -59,7 +59,7 @@ def unpack_mask(data: bytes, height: int, width: int) -> Mask:
     return Mask(bits.astype(bool).reshape(height, width))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Message:
     """A complete per-link bitstream: header, mask, table, payload, state."""
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import struct
 
@@ -36,6 +37,7 @@ from dsc_codec import (
     translate,
 )
 import dsc_codec.codec as codec_module
+import dsc_codec.pipeline as pipeline_module
 import dsc_codec.quantizer as quantizer_module
 from dsc_codec.codec import _GATHER_MAX_SHARE, _window_sums, project_cells
 from dsc_codec.features import apply_mask
@@ -463,6 +465,39 @@ def test_codebook_hash_is_computed_once_per_codebook(monkeypatch, small_cfg, sma
     assert [f.name for f in dataclasses.fields(Codebook) if f.init or f.compare] == ["codewords"]
     with pytest.raises(TypeError):
         Codebook(cb.codewords, cb.version_hash)
+
+
+def _containers(cfg, fitted):
+    """One instance of every frozen container that stores an ndarray."""
+    scene = generate_scene(cfg, 0)
+    sender = observe(scene, 1, cfg)
+    mask = mask_from_scores(score_map(sender), 0.5)
+    msg = encode_message(apply_mask(sender, mask), mask, fitted.params, fitted.codebook)
+    return {
+        "CodecParams": fitted.params,
+        "DecoderFit": fitted.decoder_fit,
+        "Codebook": fitted.codebook,
+        "FeatureMap": sender,
+        "Mask": mask,
+        "ScoreMap": score_map(sender),
+        "FrequencyTable": FrequencyTable(np.array([1000, 24, 3072]), 12),
+        "Message": msg,
+        "Scene": scene,
+        "_TrainingSet": pipeline_module._training_set(cfg, 4, 1),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["CodecParams", "DecoderFit", "Codebook", "FeatureMap", "Mask", "ScoreMap", "FrequencyTable",
+     "Message", "Scene", "_TrainingSet"],
+)
+def test_frozen_containers_compare_and_hash_by_identity(small_cfg, small_fitted, name):
+    a = _containers(small_cfg, small_fitted)[name]
+    twin = copy.copy(a)
+    assert a == a
+    assert a != twin
+    assert len({a, a, twin}) == 2
 
 
 # Fixed header: magic, version, flags, C, H, W, D, K, p, codebook hash.

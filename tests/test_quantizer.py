@@ -293,6 +293,134 @@ def test_nearest_does_not_depend_on_block_size(monkeypatch, k):
         assert np.array_equal(got, ref)
 
 
+def _reference_nearest(vectors, codewords):
+    """Plain cdist and lowest-index argmin: index, squared distance, runner-up distance."""
+    d2 = cdist(vectors, codewords, metric="sqeuclidean")
+    at = np.arange(d2.shape[0])
+    best = np.argmin(d2, axis=1)
+    sqdist = d2[at, best].copy()
+    d2[at, best] = np.inf
+    return best, sqdist, np.sqrt(d2[at, np.argmin(d2, axis=1)])
+
+
+def _assert_matches_reference(vectors, codewords):
+    idx, sqdist, second = _reference_nearest(vectors, codewords)
+    got_idx, got_sqdist = _nearest(vectors, codewords)
+    assert np.array_equal(got_idx, idx)
+    assert np.array_equal(got_sqdist, sqdist)
+    for got, want in zip(_nearest_two(vectors, codewords), (idx, sqdist, second)):
+        assert np.array_equal(got, want)
+    if np.abs(codewords).max() < 1e38:  # a Codebook stores float32
+        cb = Codebook(codewords)
+        want_idx = _reference_nearest(vectors, cb.codewords.astype(np.float64))[0]
+        assert np.array_equal(quantize_map(vectors, cb), want_idx)
+
+
+def _twins(codewords, r):
+    """Replace a random half of the codewords by their predecessor moved 1 ulp."""
+    twins = np.flatnonzero(r.random(codewords.shape[0]) < 0.5)
+    twins = twins[twins > 0]
+    codewords[twins] = np.nextafter(codewords[twins - 1], np.inf)
+    return codewords
+
+
+@st.composite
+def assignment_cases(draw):
+    """(vectors, codewords) as float64 arrays.
+
+    Kinds: Gaussian codewords with samples near them or halfway between two;
+    integer-grid data with exact ties; codewords 1 ulp from a neighbour; and
+    duplicated codewords. Scales reach into subnormal products (1e-160,
+    1e-300) and near overflow of the squared norms (1e150). K is drawn on
+    both sides of the screen's crossover.
+    """
+    cross = quantizer._SCREEN_MIN_K
+    edges = st.sampled_from([1, 2, 3, cross - 1, cross, cross + 1, 3 * cross])
+    k = draw(edges | st.integers(1, 100))
+    d = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["gauss", "midpoint", "grid", "ulp", "duplicated"]))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-300, 1e150]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        codewords = r.integers(-2, 3, size=(k, d)) * scale
+        vectors = r.integers(-4, 5, size=(n, d)) * (scale / 2)
+    else:
+        codewords = r.normal(size=(k, d)) * scale
+        pick = r.integers(0, k, size=(2, n))
+        if kind == "midpoint":
+            vectors = (codewords[pick[0]] + codewords[pick[1]]) / 2
+        else:
+            vectors = codewords[pick[0]]
+        spread = scale * 10.0 ** r.uniform(-12, 0.5, size=(n, 1))
+        vectors = vectors + r.normal(size=(n, d)) * spread
+        if kind == "ulp":
+            codewords = _twins(codewords, r)
+        elif kind == "duplicated":
+            codewords = codewords[r.integers(0, max(1, k // 3), size=k)]
+    return vectors, codewords
+
+
+@settings(max_examples=400, deadline=None)
+@given(assignment_cases())
+def test_assignment_matches_cdist_reference_bit_for_bit(case):
+    vectors, codewords = case
+    _assert_matches_reference(vectors, codewords)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e150])
+def test_screen_near_ties_match_cdist_at_every_scale(scale):
+    # Samples halfway between two codewords, nudged by 1e-12 to 1, on both
+    # sides of the crossover: the screen must hand every near-tie to cdist.
+    r = np.random.default_rng(29)
+    for k in (quantizer._SCREEN_MIN_K - 1, quantizer._SCREEN_MIN_K, 128):
+        codewords = r.normal(size=(k, 16)) * scale
+        pick = r.integers(0, k, size=(2, 3000))
+        halfway = (codewords[pick[0]] + codewords[pick[1]]) / 2
+        nudge = r.normal(size=(3000, 16)) * (scale * 10.0 ** r.uniform(-12, 0, size=(3000, 1)))
+        _assert_matches_reference(halfway + nudge, codewords)
+
+
+def test_screen_proves_the_runner_up_too():
+    # Each sample sits near one codeword; its runner-up and third are often a
+    # pair 1 ulp apart, so only the runner-up check keeps the exact one.
+    r = np.random.default_rng(31)
+    k = 2 * quantizer._SCREEN_MIN_K
+    codewords = _twins(r.normal(size=(k, 16)), r)
+    vectors = codewords[r.integers(0, k, size=4000)] + r.normal(size=(4000, 16)) * 0.05
+    _assert_matches_reference(vectors, codewords)
+
+
+def _count_cdist_rows(monkeypatch) -> list[int]:
+    rows = []
+
+    def counting(vectors, codewords, metric):
+        rows.append(vectors.shape[0])
+        return cdist(vectors, codewords, metric=metric)
+
+    monkeypatch.setattr(quantizer, "cdist", counting)
+    return rows
+
+
+def test_screen_settles_almost_every_row_above_the_crossover(monkeypatch):
+    r = np.random.default_rng(4096)
+    x = r.normal(size=(4096, 16))
+    codewords = r.normal(size=(256, 16))
+    rows = _count_cdist_rows(monkeypatch)
+    _nearest(x, codewords)
+    _nearest_two(x, codewords)
+    quantize_map(x, Codebook(codewords))
+    assert sum(rows) < 0.01 * 3 * x.shape[0]
+
+
+def test_every_row_goes_to_cdist_below_the_crossover(monkeypatch):
+    r = np.random.default_rng(4095)
+    x = r.normal(size=(500, 16))
+    rows = _count_cdist_rows(monkeypatch)
+    _nearest_two(x, r.normal(size=(quantizer._SCREEN_MIN_K - 1, 16)))
+    assert sum(rows) == x.shape[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_column_kernel_equals_cdist_bit_for_bit(d, n, seed):
