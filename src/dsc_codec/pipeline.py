@@ -211,7 +211,9 @@ def _training_set(cfg: ScenarioConfig, embed_dim: int, train_scenes: int) -> _Tr
     return _TrainingSet(
         projection=projection,
         mean=mean,
-        kmeans_sample=latents[::step],
+        # A C-order copy: Lloyd's passes read whole rows, and the pooled
+        # latents are not kept alive through every fit.
+        kmeans_sample=np.ascontiguousarray(latents[::step]),
         kmeans_seed=derive_seed(cfg.seed, STREAM_KMEANS),
         pairs=pairs,
     )

@@ -11,25 +11,18 @@ waste index entropy.
 Every squared distance is computed in one float order: the sum of
 (x_d - c_d)^2 over d = 0..D-1, which is scipy's ``cdist`` sqeuclidean, and
 every assignment is the lowest-index argmin of those numbers. Assignment
-(``_assign``, behind ``quantize_map`` and Lloyd's loop) runs in blocks of
-about 2^18 distances (2 MB), so a block's row count shrinks as K grows; a
-row's result does not depend on the block it is in. From K = 32 up, a block
-is first screened with one BLAS product that estimates every distance; a
-row is assigned from the estimate only when a rounding bound proves that
-the estimate picks cdist's answer, and every other row (ties, near-ties,
-non-finite values) gets its ``cdist`` row. Below K = 32 every row gets its
-``cdist`` row. BLAS never decides an assignment that the bound has not
-proved, so the result is cdist's on every platform. ``_column_sqdist``
-gives cdist's numbers for a distance to one known centre per sample,
-reading the samples column by column; the screen's distances, the
-k-means++ init, the reseed pass and Lloyd's per-sample distance use it.
-Lloyd's loop keeps Hamerly's bounds: a lower bound on each sample's
-distance to every other centre, and half of each centre's distance to its
-nearest other centre. A sample whose exact distance is below the larger of
-the two, by a slack of 1e-9 of the data's diameter, keeps its centre
-without an assignment. Every other sample is assigned again, so centres,
-history and codebook hash are the same as with a full ``cdist`` pass each
-iteration.
+(``_nearest``, behind ``quantize_map`` and every Lloyd iteration) runs in
+blocks of about 2^18 distances (2 MB), so a block's row count shrinks as K
+grows; a row's result does not depend on the block it is in. From K = 32
+up, a block is first screened with one BLAS product that estimates every
+distance; a row is assigned from the estimate only when a rounding bound
+proves that the estimate picks cdist's answer, and every other row (ties,
+near-ties, non-finite values) gets its ``cdist`` row. Below K = 32 every
+row gets its ``cdist`` row. BLAS never decides an assignment that the bound
+has not proved, so the result is cdist's on every platform.
+``_column_sqdist`` gives cdist's numbers for a distance to one known centre
+per sample, reading the samples column by column; the screen's distances,
+the k-means++ init and the reseed pass use it.
 """
 
 from __future__ import annotations
@@ -55,16 +48,12 @@ _CDBK_MAGIC = b"CDBK"
 _CDBK_HEADER = struct.Struct("<4sHHQ")
 # Distances per cdist block: 2^18 float64 entries (2 MB) stay cache-sized.
 _BLOCK_DISTANCES = 1 << 18
-# A sample keeps its centre without a full row only when its distance is
-# below the Hamerly bound by this fraction of the data's diameter, which is
-# far above the rounding of any distance, move or bound.
-_BOUND_SLACK = 1e-9
 # From this many codewords up, assignment screens each block with one GEMM
-# estimate before cdist (see _assign). At D = 16 and 2^18 distances per
-# block (65536 samples, one OpenBLAS thread on a 2-core AVX-512 Xeon) the
-# screen is about even with cdist at K = 32-40 and ahead from 48: k-means
-# at K = 48 took 0.95 s against 1.05 s, and one assignment pass at K = 16
-# 1.5-2x as long as cdist's. At least 2, so that a runner-up exists.
+# estimate before cdist (see _nearest). At D = 16 and 2^18 distances per
+# block (65536 samples, one OpenBLAS thread on a 2-core AVX-512 Xeon) one
+# screened pass is about even with cdist at K = 32-40 and ahead from 48
+# (34 ms against 41 ms at K = 48), and 1.5x as long as cdist's at K = 16.
+# At least 2, so that a runner-up estimate exists.
 _SCREEN_MIN_K = 32
 _UNIT_ROUNDOFF = 2.0**-53
 _SUBNORMAL = 2.0**-1074
@@ -110,33 +99,9 @@ class Codebook:
 def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest-index argmin assignment and squared distance, exactly as cdist.
 
-    See _assign; the result does not depend on the block size.
-    """
-    idx, sqdist, _ = _assign(vectors, codewords, runner_up=False)
-    return idx.astype(np.int32), sqdist
-
-
-def _nearest_two(
-    vectors: np.ndarray, codewords: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_nearest plus each row's distance (not squared) to its runner-up.
-
-    The runner-up is the smallest cdist entry of the row other than the
-    chosen one, so it is 0 under a tie and inf when K = 1. The screen
-    settles a row here only when its estimates prove the runner-up as well
-    as the nearest codeword (see _assign); the distance is cdist's either
-    way.
-    """
-    return _assign(vectors, codewords, runner_up=True)
-
-
-def _assign(
-    vectors: np.ndarray, codewords: np.ndarray, runner_up: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Nearest codeword, its squared distance and (if runner_up) the runner-up distance.
-
-    Rows go in blocks of about _BLOCK_DISTANCES distances. With K at or above
-    _SCREEN_MIN_K a block is first screened with one GEMM: for a row x,
+    Rows go in blocks of about _BLOCK_DISTANCES distances; a row's result
+    does not depend on its block. With K at or above _SCREEN_MIN_K a block
+    is first screened with one GEMM: for a row x,
 
         est_j = |c_j|^2 / 2 - x . c_j = (|x - c_j|^2 - |x|^2) / 2,
 
@@ -167,8 +132,6 @@ def _assign(
     the strictly smaller cdist entry. eps(x) adds a margin (gamma_{D+4}, the
     factor 1.01, and 2 (D+4) eta against (D+1) eta) that covers the
     rounding of |x|, of max_j |c_j|, of eps itself and of the computed gap.
-    For _nearest_two the third-smallest estimate must also clear the
-    runner-up by 2 eps(x), so the runner-up is proven as well.
 
     An overflow anywhere in a row's estimates needs a |x_d c_jd| or |c_j|^2
     near the float64 maximum, which makes (|x| + max_j |c_j|)^2 and so eps
@@ -177,15 +140,14 @@ def _assign(
     BLAS never decides an assignment that the bound has not proved. Every
     other row (ties, near-ties, a NaN or inf estimate or bound) and every
     row when K < _SCREEN_MIN_K gets its cdist row and the lowest-index
-    argmin. A screened row's distances are computed with _column_sqdist on
-    the chosen codewords, bit for bit as cdist, so indices and distances
+    argmin. A screened row's distance is computed with _column_sqdist on
+    the chosen codeword, bit for bit as cdist, so indices and distances
     are those of a cdist pass whichever path a row takes.
     """
     n, dim = vectors.shape
     k = codewords.shape[0]
-    idx = np.empty(n, dtype=np.intp)
+    idx = np.empty(n, dtype=np.int32)
     sqdist = np.empty(n, dtype=np.float64)
-    second = np.empty(n, dtype=np.float64) if runner_up else None
     screened = k >= _SCREEN_MIN_K
     if screened:
         neg_t = -codewords.T
@@ -207,30 +169,17 @@ def _assign(
             best = np.argmin(est, axis=1)
             low = est[at, best]
             est[at, best] = np.inf
-            runner = np.argmin(est, axis=1)
-            high = est[at, runner]
-            gap = high - low
-            settled = gap > tol[out]
-            if runner_up:
-                est[at, runner] = np.inf
-                gap = est[at, np.argmin(est, axis=1)] - high
-                settled &= gap > tol[out]
+            settled = est[at, np.argmin(est, axis=1)] - low > tol[out]
             idx[out] = best
             sqdist[out] = _column_sqdist(block.T, codewords.T.take(best, axis=1))
-            if runner_up:
-                second[out] = _column_sqdist(block.T, codewords.T.take(runner, axis=1))
             rest = np.flatnonzero(~settled)
         todo = block[rest]
         if todo.shape[0]:
             d2 = cdist(todo, codewords, metric="sqeuclidean")
-            at = np.arange(d2.shape[0])
             best = np.argmin(d2, axis=1)
             idx[out][rest] = best
-            sqdist[out][rest] = d2[at, best]
-            if runner_up:
-                d2[at, best] = np.inf
-                second[out][rest] = d2[at, np.argmin(d2, axis=1)]
-    return idx, sqdist, None if second is None else np.sqrt(second)
+            sqdist[out][rest] = d2[np.arange(d2.shape[0]), best]
+    return idx, sqdist
 
 
 def _column_sqdist(columns: np.ndarray, targets) -> np.ndarray:
@@ -292,19 +241,10 @@ def kmeans_fit(
     history is non-increasing by construction. Stops early once assignments
     stabilize.
 
-    Each iteration computes every sample's exact distance to its centre
-    with _column_sqdist. A sample keeps its centre without an assignment
-    when that distance is below one of two Hamerly bounds, less a slack:
-    its lower bound, which starts as the distance to its runner-up centre
-    and loses the largest centre move each iteration, or half the distance
-    from its centre to the nearest other centre. Every other sample is
-    assigned again by _nearest_two: from K = _SCREEN_MIN_K up through the
-    BLAS screen, which hands ties and near-ties to cdist, and below it
-    through cdist alone. Either way ties go through argmin's lowest-index
-    rule and the runner-up distance is exact, so the centres are those of a
-    full cdist pass. A reseed resets the lower bounds to 0. Besides the
-    (D, N) copy of the samples, the bounds keep O(N + K) numbers and a
-    (D, N) gather of centre coordinates; nothing is N x K.
+    Each iteration moves every non-empty centre to the mean of its samples,
+    assigns every sample again with _nearest and then reseeds each empty
+    cluster, so the centres are those of a full cdist pass each iteration.
+    Samples must be finite.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -315,15 +255,14 @@ def kmeans_fit(
     require_int("seed", seed, 0)
     if n < k:
         raise InsufficientDataError(f"k-means needs at least {k} samples, got {n}")
+    if not np.isfinite(x).all():
+        raise ConfigError("samples must be finite")
 
     columns = np.ascontiguousarray(x.T)
     rng = np.random.default_rng(seed)
     centers = np.empty((k, x.shape[1]), dtype=np.float64)
     centers[0] = x[int(rng.integers(n))]
     d2 = _column_sqdist(columns, centers[0])
-    # Samples and centroids lie within sqrt(d2.max()) of the first pick, so
-    # no distance, centre move or bound exceeds twice that.
-    slack = _BOUND_SLACK * 2.0 * float(np.sqrt(d2.max()))
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -333,7 +272,7 @@ def kmeans_fit(
         centers[j] = x[pick]
         d2 = np.minimum(d2, _column_sqdist(columns, centers[j]))
 
-    assign, dist, lower = _nearest_two(x, centers)
+    assign, dist = _nearest(x, centers)
     history = [float(dist.mean())]
     for _ in range(iters):
         prev_assign = assign
@@ -343,21 +282,8 @@ def kmeans_fit(
         counts = np.bincount(assign, minlength=k)
         sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
         filled = counts > 0
-        moved = sums[filled] / counts[filled, None]
-        lower -= np.sqrt(np.max(np.sum((moved - centers[filled]) ** 2, axis=1)))
-        centers[filled] = moved
-        # A centre's runner-up among the centres is its nearest other centre
-        # (it is 0 from itself); a sample nearer than half that to its own
-        # centre is nearer to it than to any other.
-        _, _, half_gap = _nearest_two(centers, centers)
-        half_gap *= 0.5
-
-        dist = _column_sqdist(columns, centers.T.take(assign, axis=1))
-        bound = np.maximum(lower, half_gap[assign])
-        bound -= slack
-        rows = np.flatnonzero(np.sqrt(dist) >= bound)
-        assign = assign.copy()
-        assign[rows], dist[rows], lower[rows] = _nearest_two(x[rows], centers)
+        centers[filled] = sums[filled] / counts[filled, None]
+        assign, dist = _nearest(x, centers)
 
         present = np.bincount(assign, minlength=k) > 0
         for j in np.flatnonzero(~present):
@@ -367,8 +293,6 @@ def kmeans_fit(
             take = newd < dist
             assign = np.where(take, j, assign)
             dist = np.minimum(dist, newd)
-            # The reseeded centre can sit anywhere: no lower bound survives.
-            lower[:] = 0.0
         history.append(float(dist.mean()))
         if np.array_equal(assign, prev_assign):
             break

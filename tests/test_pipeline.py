@@ -311,6 +311,16 @@ def test_fit_codec_rejects_invalid_arguments_before_simulating(monkeypatch, smal
     assert scenes == []
 
 
+def test_kmeans_sample_is_a_c_order_array_of_its_own(monkeypatch, small_cfg):
+    # A limit below the 2048 training cells makes the sample every 5th row;
+    # Lloyd's passes read it row by row, and it must not keep the pooled
+    # latents alive.
+    monkeypatch.setattr(pipeline, "_KMEANS_SAMPLE_LIMIT", 500)
+    sample = pipeline._training_set(small_cfg, 4, 1).kmeans_sample
+    assert sample.shape[0] <= 500
+    assert sample.flags.c_contiguous and sample.flags.owndata
+
+
 def test_fit_codec_rejects_training_scenes_with_no_kept_cell(monkeypatch):
     # All-zero observations score 0 everywhere, so pruning keeps no cell.
     cfg = ScenarioConfig(channels=8, height=16, width=16, seed=3)

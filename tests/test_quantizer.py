@@ -8,6 +8,7 @@ from scipy.spatial.distance import cdist
 
 from dsc_codec import (
     Codebook,
+    ConfigError,
     FormatError,
     InsufficientDataError,
     SymbolOutOfRangeError,
@@ -19,7 +20,7 @@ from dsc_codec import (
     train_codebook,
 )
 from dsc_codec import quantizer
-from dsc_codec.quantizer import _column_sqdist, _nearest, _nearest_two
+from dsc_codec.quantizer import _column_sqdist, _nearest
 
 
 def codebook(rows) -> Codebook:
@@ -134,6 +135,15 @@ def test_kmeans_insufficient_samples():
         train_codebook(np.zeros((3, 2)), 4, iters=5, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fit", [kmeans_fit, train_codebook])
+def test_kmeans_rejects_non_finite_samples(fit, bad):
+    samples = np.random.default_rng(50).normal(size=(50, 4))
+    samples[17, 2] = bad
+    with pytest.raises(ConfigError, match="must be finite"):
+        fit(samples, 4, 5, 0)
+
+
 def test_kmeans_handles_duplicate_points():
     samples = np.zeros((10, 2))
     samples[5:] = 1.0
@@ -190,15 +200,16 @@ def _reference_kmeans_fit(samples, k, iters, seed):
 @pytest.mark.parametrize(
     "n, d, k, duplicated",
     [(600, 4, 4, False), (600, 16, 16, False), (2000, 16, 64, False), (3000, 3, 256, False),
-     (40, 3, 9, True)],
+     (40, 3, 9, True), (80, 3, 40, True)],
 )
 def test_kmeans_matches_per_cluster_loop_reference(n, d, k, duplicated):
     r = np.random.default_rng(n + d + k)
     samples = r.normal(size=(n, d)) * r.uniform(0.5, 3.0, size=d)
     if duplicated:
-        # Eight distinct points, each repeated five times: k-means++ runs out
-        # of distance mass and picks duplicates, which leaves empty clusters.
-        samples = np.repeat(samples[:8], 5, axis=0)
+        # Eight distinct points, each repeated n / 8 times: k-means++ runs
+        # out of distance mass and picks duplicates, which leaves empty
+        # clusters, on cdist below _SCREEN_MIN_K and on the screen above it.
+        samples = np.repeat(samples[:8], n // 8, axis=0)
     centers, history = kmeans_fit(samples, k, iters=25, seed=k)
     ref_centers, ref_history, reseeds = _reference_kmeans_fit(samples, k, 25, k)
     assert np.array_equal(centers, ref_centers)
@@ -253,31 +264,12 @@ def kmeans_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(kmeans_inputs())
-def test_bounded_lloyd_matches_full_assignment_reference(case):
+def test_kmeans_matches_per_cluster_loop_reference_on_drawn_inputs(case):
     samples, k, iters, seed = case
     centers, history = kmeans_fit(samples, k, iters, seed)
     ref_centers, ref_history, _ = _reference_kmeans_fit(samples, k, iters, seed)
     assert np.array_equal(centers, ref_centers)
     assert history == ref_history
-
-
-def test_bounded_lloyd_skips_rows_of_settled_samples(monkeypatch):
-    # Four tight, far-apart clusters: once the centres stop moving, the
-    # bounds settle every sample and no full cdist row is computed.
-    r = np.random.default_rng(3)
-    samples = np.repeat(np.eye(4) * 100.0, 50, axis=0) + r.normal(size=(200, 4))
-    rows = []
-
-    def counting(vectors, codewords):
-        if vectors is not codewords:  # not the centre-to-centre gap pass
-            rows.append(vectors.shape[0])
-        return _nearest_two(vectors, codewords)
-
-    monkeypatch.setattr(quantizer, "_nearest_two", counting)
-    _, history = kmeans_fit(samples, 4, iters=10, seed=1)
-    assert rows[0] == 200
-    assert rows[-1] == 0
-    assert len(history) < 11
 
 
 @pytest.mark.parametrize("k", [1, 3, 64])
@@ -287,29 +279,23 @@ def test_nearest_does_not_depend_on_block_size(monkeypatch, k):
     centers = r.normal(size=(k, 5))
     centers[-1] = centers[0]  # an exact tie between two codewords
     want = _nearest(x, centers)
-    want_two = _nearest_two(x, centers)
     monkeypatch.setattr(quantizer, "_BLOCK_DISTANCES", 5)
-    for got, ref in zip(_nearest(x, centers) + _nearest_two(x, centers), want + want_two):
+    for got, ref in zip(_nearest(x, centers), want):
         assert np.array_equal(got, ref)
 
 
 def _reference_nearest(vectors, codewords):
-    """Plain cdist and lowest-index argmin: index, squared distance, runner-up distance."""
+    """Plain cdist and lowest-index argmin: index and squared distance."""
     d2 = cdist(vectors, codewords, metric="sqeuclidean")
-    at = np.arange(d2.shape[0])
     best = np.argmin(d2, axis=1)
-    sqdist = d2[at, best].copy()
-    d2[at, best] = np.inf
-    return best, sqdist, np.sqrt(d2[at, np.argmin(d2, axis=1)])
+    return best, d2[np.arange(d2.shape[0]), best]
 
 
 def _assert_matches_reference(vectors, codewords):
-    idx, sqdist, second = _reference_nearest(vectors, codewords)
+    idx, sqdist = _reference_nearest(vectors, codewords)
     got_idx, got_sqdist = _nearest(vectors, codewords)
     assert np.array_equal(got_idx, idx)
     assert np.array_equal(got_sqdist, sqdist)
-    for got, want in zip(_nearest_two(vectors, codewords), (idx, sqdist, second)):
-        assert np.array_equal(got, want)
     if np.abs(codewords).max() < 1e38:  # a Codebook stores float32
         cb = Codebook(codewords)
         want_idx = _reference_nearest(vectors, cb.codewords.astype(np.float64))[0]
@@ -381,9 +367,9 @@ def test_screen_near_ties_match_cdist_at_every_scale(scale):
         _assert_matches_reference(halfway + nudge, codewords)
 
 
-def test_screen_proves_the_runner_up_too():
-    # Each sample sits near one codeword; its runner-up and third are often a
-    # pair 1 ulp apart, so only the runner-up check keeps the exact one.
+def test_screen_matches_cdist_next_to_ulp_twin_codewords():
+    # Each sample sits near one codeword, which often has a twin 1 ulp away:
+    # the screen must hand those rows to cdist rather than pick a twin.
     r = np.random.default_rng(31)
     k = 2 * quantizer._SCREEN_MIN_K
     codewords = _twins(r.normal(size=(k, 16)), r)
@@ -408,16 +394,15 @@ def test_screen_settles_almost_every_row_above_the_crossover(monkeypatch):
     codewords = r.normal(size=(256, 16))
     rows = _count_cdist_rows(monkeypatch)
     _nearest(x, codewords)
-    _nearest_two(x, codewords)
     quantize_map(x, Codebook(codewords))
-    assert sum(rows) < 0.01 * 3 * x.shape[0]
+    assert sum(rows) < 0.01 * 2 * x.shape[0]
 
 
 def test_every_row_goes_to_cdist_below_the_crossover(monkeypatch):
     r = np.random.default_rng(4095)
     x = r.normal(size=(500, 16))
     rows = _count_cdist_rows(monkeypatch)
-    _nearest_two(x, r.normal(size=(quantizer._SCREEN_MIN_K - 1, 16)))
+    _nearest(x, r.normal(size=(quantizer._SCREEN_MIN_K - 1, 16)))
     assert sum(rows) == x.shape[0]
 
 
@@ -435,9 +420,9 @@ def test_column_kernel_equals_cdist_bit_for_bit(d, n, seed):
     assert np.array_equal(own, full[np.arange(n), assign])
 
 
-# train_codebook hashes on a fixed sample, recorded before the bounded
-# Lloyd loop replaced the full assignment pass; any codebook bit that moves
-# changes them.
+# train_codebook hashes on a fixed sample, recorded with a full cdist
+# assignment pass per Lloyd iteration; any codebook bit that moves changes
+# them.
 _PINNED_HASHES = {
     1: 0x0D47D482657D5E5C,
     4: 0x578FF2A90AE40990,
