@@ -57,12 +57,14 @@ from .wire import MAX_MESSAGE_PRECISION, Message
 DEFAULT_PRECISION = 12
 
 _DCCP_MAGIC = b"DCCP"
-_DCCP_VERSION = 2
-_DCCP_HEADER = struct.Struct("<4sBBHHBdddQ")
+_DCCP_VERSION = 3
+_DCCP_HEADER = struct.Struct("<4sBBHHBdQ")
 _FLAG_HAS_COND = 1
 _FLAG_HAS_UNCOND = 2
 # Weight of the old codeword in finetune_step's moving-average refresh.
 _EMA_DECAY = 0.99
+# Weight of finetune_step's commitment term, which pulls latents toward their codewords.
+_COMMITMENT_BETA = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +85,6 @@ class CodecParams:
     codebook_hash: int
     context_radius: int = 1
     ridge_lambda: float = 1e-3
-    recon_weight: float = 1.0
-    commitment_beta: float = 0.25
     w_cond: np.ndarray | None = None
     w_uncond: np.ndarray | None = None
 
@@ -98,8 +98,6 @@ class CodecParams:
         require_int("context_radius", self.context_radius, 0, 0xFF)
         require_int("codebook_hash", self.codebook_hash, 0, 2**64 - 1)
         require_nonnegative("ridge_lambda", self.ridge_lambda)
-        require_nonnegative("recon_weight", self.recon_weight)
-        require_nonnegative("commitment_beta", self.commitment_beta)
         if self.w_cond is not None:
             w_cond = frozen_array("w_cond", self.w_cond, np.float64, (d + c + 1, c))
             object.__setattr__(self, "w_cond", w_cond)
@@ -548,8 +546,9 @@ def finetune_step(
     The quantizer's Jacobian is replaced by identity (straight-through): the
     decoder consumes the assigned codewords in the forward pass while the
     reconstruction gradient flows into the projection as if it consumed the
-    latents. The loss is recon_weight * reconstruction MSE plus the codebook
-    and commitment terms; the codebook itself carries no gradient and is
+    latents. The loss is the reconstruction MSE plus (1 + _COMMITMENT_BETA)
+    times the mean squared latent-to-codeword distance per cell (the codebook
+    and commitment terms); the codebook itself carries no gradient and is
     refreshed by an exponential moving average (decay _EMA_DECAY) over
     assigned latents when update_codebook is set. Passing precomputed
     assignments freezes the quantizer, which makes the step a plain smooth
@@ -601,11 +600,11 @@ def finetune_step(
         gap = z - codewords
         l_rec = float(np.mean(resid * resid))
         l_gap = float(np.sum(gap * gap) / m)
-        loss = params.recon_weight * l_rec + l_gap + params.commitment_beta * l_gap
+        loss = l_rec + l_gap + _COMMITMENT_BETA * l_gap
 
-        g_resid = (2.0 * params.recon_weight / (m * c)) * resid
+        g_resid = (2.0 / (m * c)) * resid
         g_w = x.T @ g_resid
-        g_z = g_resid @ params.w_cond[:d].T + (2.0 * params.commitment_beta / m) * gap
+        g_z = g_resid @ params.w_cond[:d].T + (2.0 * _COMMITMENT_BETA / m) * gap
         g_proj = g_z.T @ (v - params.mean)
         g_mean = -params.projection.T @ g_z.sum(axis=0)
 
@@ -631,7 +630,7 @@ def finetune_step(
 
 
 def save_codec_params(params: CodecParams, path) -> None:
-    """Write the versioned DCCP container (header + f64 LE weight blocks)."""
+    """Write the version-3 DCCP container (header + f64 LE weight blocks)."""
     flags = 0
     if params.w_cond is not None:
         flags |= _FLAG_HAS_COND
@@ -647,8 +646,6 @@ def save_codec_params(params: CodecParams, path) -> None:
                 params.embed_dim,
                 params.context_radius,
                 params.ridge_lambda,
-                params.recon_weight,
-                params.commitment_beta,
                 params.codebook_hash,
             )
         )
@@ -665,9 +662,7 @@ def load_codec_params(path) -> CodecParams:
         data = fh.read()
     if len(data) < _DCCP_HEADER.size:
         raise FormatError("codec params file too short for header")
-    magic, version, flags, c, d, radius, lam, recon_w, beta, cb_hash = _DCCP_HEADER.unpack_from(
-        data, 0
-    )
+    magic, version, flags, c, d, radius, lam, cb_hash = _DCCP_HEADER.unpack_from(data, 0)
     if magic != _DCCP_MAGIC:
         raise FormatError(f"bad codec params magic {magic!r}")
     if version != _DCCP_VERSION:
@@ -695,8 +690,6 @@ def load_codec_params(path) -> CodecParams:
         codebook_hash=cb_hash,
         context_radius=radius,
         ridge_lambda=lam,
-        recon_weight=recon_w,
-        commitment_beta=beta,
         w_cond=w_cond,
         w_uncond=w_uncond,
     )

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -53,6 +54,7 @@ import numpy as np
 from .codec import (
     CodecParams,
     DecoderFit,
+    _kept_cells,
     decode_latents,
     encode_message,
     fit_conditional_decoder,
@@ -90,12 +92,12 @@ _KMEANS_ITERS = 25
 
 @dataclass(frozen=True)
 class LinkResult:
-    """Outcome of one directed sender -> receiver exchange."""
+    """Outcome of one directed sender -> receiver exchange.
 
-    sender: int
-    receiver: int
+    A link over budget or whose decode failed leaves the receiver its own feature only.
+    """
+
     payload_bytes: int
-    budget: int | None
     within_budget: bool
     recon_mse: float
     fusion_mse: float
@@ -161,14 +163,13 @@ def _check_taus(taus: Sequence[float]) -> None:
 class _TrainingSet:
     """The K-independent part of a codec fit.
 
-    The PCA projection and mean, the k-means sample of training latents
-    that survive pruning and its seed, and the (sender, its tau=0 mask,
-    receiver) decoder pairs. One training set serves a codec fit at every
-    codebook size.
+    The encoder (CodecParams with the PCA projection and mean only), the
+    k-means sample of training latents that survive pruning and its seed,
+    and the (sender, its tau=0 mask, receiver) decoder pairs. One training
+    set serves a codec fit at every codebook size.
     """
 
-    projection: np.ndarray
-    mean: np.ndarray
+    encoder: CodecParams
     kmeans_sample: np.ndarray
     kmeans_seed: int
     pairs: list[tuple[FeatureMap, Mask, FeatureMap]]
@@ -184,33 +185,25 @@ def _training_set(cfg: ScenarioConfig, embed_dim: int, train_scenes: int) -> _Tr
         observations.append([observe(scene, a, cfg_s) for a in range(cfg.num_agents)])
 
     pooled = [f for per_scene in observations for f in per_scene]
-    projection, mean = fit_encoder_projection(pooled, embed_dim)
-    encoder = CodecParams(projection=projection, mean=mean, codebook_hash=0)
+    encoder = CodecParams(*fit_encoder_projection(pooled, embed_dim), codebook_hash=0)
 
-    masks = [
-        [mask_from_scores(score_map(f), 0.0) for f in per_scene]
-        for per_scene in observations
-    ]
-    latent_blocks = []
-    for per_scene, per_masks in zip(observations, masks):
-        for f, m in zip(per_scene, per_masks):
+    # At tau=0 only all-zero cells are pruned, so each observation is its own
+    # pruned sender feature.
+    latent_blocks, pairs = [], []
+    for per_scene in observations:
+        masks = [mask_from_scores(score_map(f), 0.0) for f in per_scene]
+        for f, m in zip(per_scene, masks):
             flat = m.bits.ravel()
             if flat.any():
-                latent_blocks.append(project_cells(f.cell_vectors()[flat], encoder))
+                latent_blocks.append(project_cells(_kept_cells(f, flat), encoder))
+        for j, i in itertools.permutations(range(cfg.num_agents), 2):
+            pairs.append((per_scene[j], masks[j], per_scene[i]))
     if not latent_blocks:
         raise InsufficientDataError("no training cell survives pruning")
     latents = np.concatenate(latent_blocks, axis=0)
     step = max(1, -(-latents.shape[0] // _KMEANS_SAMPLE_LIMIT))
-
-    # At tau=0 only all-zero cells are pruned, so each observation is its own
-    # pruned sender feature.
-    pairs = []
-    for per_scene, per_masks in zip(observations, masks):
-        for j, i in itertools.permutations(range(cfg.num_agents), 2):
-            pairs.append((per_scene[j], per_masks[j], per_scene[i]))
     return _TrainingSet(
-        projection=projection,
-        mean=mean,
+        encoder=encoder,
         # A C-order copy: Lloyd's passes read whole rows, and the pooled
         # latents are not kept alive through every fit.
         kmeans_sample=np.ascontiguousarray(latents[::step]),
@@ -224,11 +217,7 @@ def _fit_on(training: _TrainingSet, codebook_size: int) -> FittedCodec:
     codebook = train_codebook(
         training.kmeans_sample, codebook_size, _KMEANS_ITERS, training.kmeans_seed
     )
-    params = CodecParams(
-        projection=training.projection,
-        mean=training.mean,
-        codebook_hash=codebook.version_hash,
-    )
+    params = replace(training.encoder, codebook_hash=codebook.version_hash)
     fit = fit_conditional_decoder(training.pairs, params, codebook)
     return FittedCodec(params=params.with_decoder_fit(fit), codebook=codebook, decoder_fit=fit)
 
@@ -297,9 +286,11 @@ def _scene_links(
     for sigma in sigmas:
         require_nonnegative("sigma_pose", sigma)
     for delay in delays:
-        if not (delay >= 0 and float(delay).is_integer()):
+        if not (delay >= 0 and (isinstance(delay, numbers.Integral) or float(delay).is_integer())):
             raise ConfigError(f"delay must be a whole number >= 0, got {delay}")
     delays = [int(delay) for delay in delays]
+    if budget is not None:
+        require_int("budget", budget, 0)
 
     frames = generate_frames(cfg, t)
     f_local = observe(frames[t], receiver, cfg)
@@ -352,10 +343,7 @@ def _scene_links(
                         if recon is None:
                             recon = FeatureMap.zeros(*f_sender.shape)
                         links[(ci, ti, si, di, conditional)] = LinkResult(
-                            sender=sender,
-                            receiver=receiver,
                             payload_bytes=payload,
-                            budget=budget,
                             within_budget=within,
                             recon_mse=mse(recon, pruned),
                             fusion_mse=mse(fused, oracle),
@@ -385,9 +373,9 @@ def run_link(
     would break entropy decodability), as is a link whose decode fails; the
     receiver then falls back to its local feature only. A t that is not an
     integer >= 0, a sender or receiver that is not an agent index, a tau
-    outside [0, 1], a sigma_pose that is not finite and >= 0, or a delay
-    that is not a whole number >= 0 raises ConfigError before anything is
-    simulated.
+    outside [0, 1], a sigma_pose that is not finite and >= 0, a delay that
+    is not a whole number >= 0, or a budget that is neither None nor an
+    integer >= 0 raises ConfigError before anything is simulated.
     """
     links = _scene_links(
         cfg, t, sender, receiver, [(params, cb)], (tau,), (sigma_pose,), (delay,), budget,
@@ -478,7 +466,8 @@ def rd_sweep(
     built once, shared by the codec fit of every size and released before
     evaluation; each evaluation scene is simulated once for the whole grid.
     A row equals evaluate_point with the codec that fit_codec gives at that
-    size.
+    size, embed_dim and train_scenes (fit_codec's train_scenes defaults to 8,
+    rd_sweep's to 6).
     """
     if not taus or not codebook_sizes:
         raise ConfigError("sweep grids must be non-empty")
@@ -486,6 +475,8 @@ def rd_sweep(
     for k in codebook_sizes:
         require_int("codebook size", k, 1)
     require_int("scenes_per_point", scenes_per_point, 1)
+    if budget is not None:
+        require_int("budget", budget, 0)
     # _training_set checks its own arguments before it simulates anything.
     training = _training_set(cfg, embed_dim, train_scenes)
     fits = [_fit_on(training, k) for k in codebook_sizes]

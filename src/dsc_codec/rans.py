@@ -143,15 +143,8 @@ def rans_encode(idx, ft: FrequencyTable) -> tuple[bytes, int]:
 def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.ndarray:
     """Decode exactly n symbols; raises DecodeError on any inconsistency."""
     require_int("symbol count", n, 0)
-    if not RANS_L <= state < (RANS_L << 8) and not (n == 0 and state == RANS_L):
+    if not RANS_L <= state < (RANS_L << 8):
         raise DecodeError(f"initial coder state {state:#x} outside the valid interval")
-    if n == 0:
-        if payload:
-            raise DecodeError(f"{len(payload)} payload bytes left over for 0 symbols")
-        if state != RANS_L:
-            raise DecodeError("zero-symbol stream must carry the initial coder state")
-        return np.empty(0, dtype=np.int32)
-
     p = ft.precision
     mask = (1 << p) - 1
     freqs = ft.freqs.tolist()

@@ -220,7 +220,9 @@ def perturb_pose(f: FeatureMap, sigma_pose: float, seed: int) -> FeatureMap:
     if sigma_pose == 0.0:
         return f
     offsets = np.random.default_rng(seed).normal(0.0, sigma_pose, size=2)
-    dh, dw = (int(np.rint(v)) for v in offsets)
+    # A shift of at least the map size zero-fills it, so clipping there keeps
+    # every output and lets a huge draw round to an int.
+    dh, dw = (int(np.rint(np.clip(v, -n, n))) for v, n in zip(offsets, f.shape[1:]))
     return translate(f, dh, dw)
 
 

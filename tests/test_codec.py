@@ -58,7 +58,7 @@ def make_params(projection, mean, cb=None, **kw):
     )
 
 
-@pytest.mark.parametrize("field", ["ridge_lambda", "recon_weight", "commitment_beta"])
+@pytest.mark.parametrize("field", ["ridge_lambda"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_codec_params_rejects_negative_or_non_finite_hyperparameters(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
@@ -858,8 +858,9 @@ def test_finetune_loss_uses_the_decoder_context(rng):
     x = np.concatenate([codewords, ctx, np.ones((len(v), 1))], axis=1)
     resid = x @ params.w_cond - v
     gap = z - codewords
-    expected = params.recon_weight * np.mean(resid * resid) + (
-        1.0 + params.commitment_beta
+    # Reconstruction weight 1, codebook weight 1, commitment weight beta.
+    expected = np.mean(resid * resid) + (
+        1.0 + codec_module._COMMITMENT_BETA
     ) * np.sum(gap * gap) / len(v)
     _, _, loss = finetune_step(
         params, cb, batch, lr=0.0, assignments=assignments, update_codebook=False
@@ -974,10 +975,10 @@ def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
     path = tmp_path / "codec.dccp"
     save_codec_params(small_fitted.params, path)
     data = bytearray(path.read_bytes())
-    assert data[4] == 2
-    data[4] = 1
+    assert data[4] == 3
+    data[4] = 2
     path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="version 1"):
+    with pytest.raises(FormatError, match="version 2"):
         load_codec_params(path)
 
 

@@ -98,6 +98,8 @@ _INTEGER_ARGUMENTS = [
      lambda s, v: rd_sweep(s.cfg, [0.0], [4], 4, v, 1), 1, None),
     ("rd_sweep train_scenes", "train_scenes",
      lambda s, v: rd_sweep(s.cfg, [0.0], [4], 4, 1, v), 1, None),
+    ("rd_sweep budget", "budget",
+     lambda s, v: rd_sweep(s.cfg, [0.0], [4], 4, 1, 1, budget=v), 0, None),
     ("evaluate_point scenes", "scenes",
      lambda s, v: evaluate_point(s.cfg, s.params, s.cb, 0.0, scenes=v), 1, None),
     ("robustness_sweep scenes", "scenes",
@@ -108,6 +110,8 @@ _INTEGER_ARGUMENTS = [
      lambda s, v: run_link(s.cfg, 4, v, 0, s.params, s.cb), 0, 1),
     ("run_link receiver", "receiver",
      lambda s, v: run_link(s.cfg, 4, 1, v, s.params, s.cb), 0, 1),
+    ("run_link budget", "budget",
+     lambda s, v: run_link(s.cfg, 4, 1, 0, s.params, s.cb, budget=v), 0, None),
     ("kmeans_fit k", "k",
      lambda s, v: kmeans_fit(s.samples, v, 2, 0), 1, None),
     ("kmeans_fit iters", "iters",

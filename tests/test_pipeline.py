@@ -191,6 +191,23 @@ def test_robustness_sweep_rejects_invalid_grid_before_simulating(
     assert frames == []
 
 
+def test_run_link_rejects_a_budget_string_before_simulating(
+    monkeypatch, small_cfg, small_fitted
+):
+    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    with pytest.raises(ConfigError, match="^budget must be an integer, got '100'"):
+        run_link(small_cfg, 4, 1, 0, small_fitted.params, small_fitted.codebook, budget="100")
+    assert frames == []
+
+
+def test_run_link_accepts_a_delay_past_float_range(small_cfg, small_fitted):
+    # Any delay >= t sends frame 0; 10**400 has no float.
+    params, cb = small_fitted.params, small_fitted.codebook
+    cfg_s = scene_config(small_cfg, 0, stream="eval")
+    huge = run_link(cfg_s, DEFAULT_EVAL_T, 1, 0, params, cb, delay=10**400)
+    assert huge == run_link(cfg_s, DEFAULT_EVAL_T, 1, 0, params, cb, delay=DEFAULT_EVAL_T)
+
+
 def test_run_link_delay_uses_stale_sender_frame(small_cfg, small_fitted):
     params, cb = small_fitted.params, small_fitted.codebook
     cfg_s = scene_config(small_cfg, 3, stream="eval")

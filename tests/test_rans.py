@@ -61,9 +61,24 @@ def test_zero_symbol_stream():
     ft = build_freq_table([0, 1], 2, precision=8)
     payload, state = rans_encode(np.empty(0, dtype=np.int64), ft)
     assert payload == b"" and state == RANS_L
-    assert rans_decode(b"", ft, 0, RANS_L).size == 0
-    with pytest.raises(DecodeError):
-        rans_decode(b"\x00", ft, 0, RANS_L)
+    out = rans_decode(b"", ft, 0, RANS_L)
+    assert out.dtype == np.int32 and out.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "payload, state, match",
+    [(b, RANS_L, "unconsumed payload bytes") for b in (b"\x00", b"\xff", b"\x00\x01")]
+    + [
+        (b"", s, "did not return to the initial value")
+        for s in (RANS_L + 1, 2 * RANS_L, (RANS_L << 8) - 1)
+    ]
+    + [(b"", s, "outside the valid interval") for s in (0, RANS_L - 1, RANS_L << 8, 2**64)],
+)
+def test_zero_symbol_stream_rejects_leftover_bytes_and_any_other_state(payload, state, match):
+    # n = 0 runs the general decode loop zero times; its end checks decide.
+    ft = build_freq_table([0, 1], 2, precision=8)
+    with pytest.raises(DecodeError, match=match):
+        rans_decode(payload, ft, 0, state)
 
 
 def test_encode_rejects_zero_frequency_symbol():

@@ -199,6 +199,18 @@ def test_perturb_pose_zero_sigma_is_identity():
             perturb_pose(f, sigma, seed=3)
 
 
+def test_perturb_pose_clips_offsets_without_changing_the_shift():
+    f = FeatureMap(np.random.default_rng(1).normal(size=(2, 8, 6)))
+    # Draws of 1e308 * N(0, 1) reach +-inf; the map still comes back empty.
+    assert np.all(perturb_pose(f, 1e308, 3).values == 0.0)
+    # sigma 6 often draws past the 8x6 map: the clipped shift empties it just
+    # as the unclipped one does.
+    for seed in range(40):
+        draws = np.random.default_rng(seed).normal(0.0, 6.0, size=2)
+        dh, dw = (int(np.rint(v)) for v in draws)
+        assert np.array_equal(perturb_pose(f, 6.0, seed).values, translate(f, dh, dw).values)
+
+
 def test_perturb_pose_offset_statistics():
     # Empirical std of the sampled column offset vs sigma = 2, over 1000 seeds.
     f = FeatureMap(np.zeros((1, 3, 3), dtype=np.float32))
