@@ -27,7 +27,7 @@ from .codec import (
     load_codec_params,
     save_codec_params,
 )
-from .errors import CodecError
+from .errors import CodecError, require_int
 from .features import apply_mask, load_feature_map, save_feature_map
 from .pipeline import (
     fit_codec,
@@ -118,6 +118,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    if args.budget is not None:
+        require_int("budget", args.budget, 0)
     params = load_codec_params(args.params)
     cb = load_codebook(args.codebook)
     f = load_feature_map(args.input)

@@ -201,38 +201,6 @@ def _add_in_order(parts) -> np.ndarray:
     return acc
 
 
-def _sums_by_slices(bits: np.ndarray) -> bool:
-    """Whether _window_sums adds whole-map slices (True) or gathers rows."""
-    return np.count_nonzero(bits) >= _GATHER_MAX_SHARE * bits.size
-
-
-def _window_sums(grid: np.ndarray, bits: np.ndarray, radius: int) -> np.ndarray:
-    """Sum the (2r+1)^2 windows of a zero-padded grid at the set cells of bits.
-
-    grid is (H+2r, W+2r, X) with the (H, W) cells at offset (r, r); the
-    result is (bits.sum(), X) float64 in row-major cell order. Each window
-    row is summed left to right and the row sums top to bottom, whether as
-    row gathers at the kept cells (sparse bits) or as whole-map shifted
-    slices (dense bits), so both evaluations make the same adds in the same
-    order and give the same bits. Only the grid cells inside the window of a
-    set cell are read into the result.
-    """
-    h, w = bits.shape
-    k = 2 * radius + 1
-    if not _sums_by_slices(bits):
-        wp = w + 2 * radius
-        ys, xs = np.nonzero(bits)
-        starts = ys * wp + xs
-        rows = grid.reshape(-1, grid.shape[2])
-        return _add_in_order(
-            _add_in_order(np.take(rows, starts + (dy * wp + dx), axis=0) for dx in range(k))
-            for dy in range(k)
-        )
-    line_sums = _add_in_order(grid[:, dx : dx + w] for dx in range(k))
-    sums = _add_in_order(line_sums[dy : dy + h] for dy in range(k))
-    return sums.reshape(h * w, -1) if bits.all() else sums[bits]
-
-
 def _require_channels(f: FeatureMap, params: CodecParams) -> None:
     if f.channels != params.channels:
         raise ShapeMismatchError(
@@ -257,22 +225,32 @@ def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarr
     hp, wp = h + 2 * r, w + 2 * r
     bits = mask.bits
     # float32 holds the feature values exactly; the window sums are float64.
+    # Each window row is summed left to right and the row sums top to
+    # bottom, in both branches, so the two make the same adds in the same
+    # order and give the same bits.
     grid = np.zeros((hp, wp, c), dtype=np.float32)
-    if _sums_by_slices(bits):
-        # Whole-map sums: one slice copy of the map, whatever the mask.
+    if np.count_nonzero(bits) >= _GATHER_MAX_SHARE * bits.size:
+        # Whole-map shifted slices: one slice copy of the map, whatever the mask.
         grid[r : r + h, r : r + w] = f_local.values.transpose(1, 2, 0)
+        line_sums = _add_in_order(grid[:, dx : dx + w] for dx in range(k))
+        sums = _add_in_order(line_sums[dy : dy + h] for dy in range(k))
+        ctx = sums.reshape(h * w, c) if bits.all() else sums[bits]
     else:
-        # Row gathers: only the cells near a kept cell are copied.
+        # Row gathers at the kept cells: only the cells near one are copied.
         near = np.zeros((hp, wp), dtype=bool)
         for dy in range(k):
             for dx in range(k):
                 near[dy : dy + h, dx : dx + w] |= bits
         cells = np.flatnonzero(near[r : r + h, r : r + w])
         ys, xs = np.divmod(cells, w)
-        grid.reshape(hp * wp, c)[(ys + r) * wp + (xs + r)] = np.take(
-            f_local.values.reshape(c, -1), cells, axis=1
-        ).T
-    ctx = _window_sums(grid, bits, r)
+        rows = grid.reshape(hp * wp, c)
+        rows[(ys + r) * wp + (xs + r)] = np.take(f_local.values.reshape(c, -1), cells, axis=1).T
+        ys, xs = np.nonzero(bits)
+        starts = ys * wp + xs
+        ctx = _add_in_order(
+            _add_in_order(np.take(rows, starts + (dy * wp + dx), axis=0) for dx in range(k))
+            for dy in range(k)
+        )
     ctx /= k * k
     return ctx
 
@@ -551,10 +529,11 @@ def finetune_step(
     and commitment terms); the codebook itself carries no gradient and is
     refreshed by an exponential moving average (decay _EMA_DECAY) over
     assigned latents when update_codebook is set. Passing precomputed
-    assignments freezes the quantizer, which makes the step a plain smooth
-    gradient step. The decoder context is si_context of each receiver at
-    every cell; it does not depend on the projection or mean, so it carries
-    no gradient to them.
+    assignments (integer codeword indices in [0, K), one per cell in batch
+    order, checked before the projection) freezes the quantizer, which
+    makes the step a plain smooth gradient step. The decoder context is
+    si_context of each receiver at every cell; it does not depend on the
+    projection or mean, so it carries no gradient to them.
 
     Returns (updated params, updated codebook, loss before the step). The
     loss is evaluated at the incoming parameters; a non-finite loss or
@@ -581,15 +560,19 @@ def finetune_step(
     c = params.channels
     d = params.embed_dim
 
-    z = project_cells(v, params)
-    if assignments is None:
-        assign = quantize_map(z, cb)
-    else:
-        assign = np.asarray(assignments, dtype=np.int64)
+    if assignments is not None:
+        assign = np.asarray(assignments)
         if assign.shape != (m,):
             raise ShapeMismatchError(
                 f"assignments must have one entry per cell ({m}), got {assign.shape}"
             )
+        if not np.issubdtype(assign.dtype, np.integer):
+            raise ConfigError(f"assignments must be integer indices, got dtype {assign.dtype}")
+        if assign.min() < 0 or assign.max() >= cb.size:
+            raise ConfigError(f"assignments must be in [0, {cb.size}) for this codebook")
+    z = project_cells(v, params)
+    if assignments is None:
+        assign = quantize_map(z, cb)
     # Overflow to inf/nan here is exactly the condition the rejection path
     # reports, so numpy warnings are suppressed rather than surfaced.
     with np.errstate(over="ignore", invalid="ignore"):

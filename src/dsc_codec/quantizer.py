@@ -11,18 +11,20 @@ waste index entropy.
 Every squared distance is computed in one float order: the sum of
 (x_d - c_d)^2 over d = 0..D-1, which is scipy's ``cdist`` sqeuclidean, and
 every assignment is the lowest-index argmin of those numbers. Assignment
-(``_nearest``, behind ``quantize_map`` and every Lloyd iteration) runs in
-blocks of about 2^18 distances (2 MB), so a block's row count shrinks as K
-grows; a row's result does not depend on the block it is in. From K = 32
-up, a block is first screened with one BLAS product that estimates every
-distance; a row is assigned from the estimate only when a rounding bound
-proves that the estimate picks cdist's answer, and every other row (ties,
-near-ties, non-finite values) gets its ``cdist`` row. Below K = 32 every
-row gets its ``cdist`` row. BLAS never decides an assignment that the bound
-has not proved, so the result is cdist's on every platform.
+(``_nearest``, behind ``quantize_map`` and every Lloyd iteration) returns
+indices only and runs in blocks of about 2^18 distances (2 MB), so a
+block's row count shrinks as K grows; a row's result does not depend on the
+block it is in. From K = 32 up, a block is first screened with one BLAS
+product that estimates every distance; a row is assigned from the estimate
+only when a rounding bound proves that the estimate picks cdist's answer,
+and every other row (ties, near-ties, non-finite values) is decided on its
+``cdist`` row. Below K = 32 every row is decided on its ``cdist`` row. BLAS
+never decides an assignment that the bound has not proved, so the result
+is cdist's on every platform.
 ``_column_sqdist`` gives cdist's numbers for a distance to one known centre
-per sample, reading the samples column by column; the screen's distances,
-the k-means++ init and the reseed pass use it.
+per sample, reading the samples column by column. Every distance Lloyd's
+loop reads comes from it: the k-means++ init, the distortion after each
+assignment and the reseed pass.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ class Codebook:
         return self.codewords.shape[1]
 
 
-def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-index argmin assignment and squared distance, exactly as cdist.
+def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    """Lowest-index argmin of cdist's squared distances, as int32 indices.
 
     Rows go in blocks of about _BLOCK_DISTANCES distances; a row's result
     does not depend on its block. With K at or above _SCREEN_MIN_K a block
@@ -139,15 +141,14 @@ def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np
 
     BLAS never decides an assignment that the bound has not proved. Every
     other row (ties, near-ties, a NaN or inf estimate or bound) and every
-    row when K < _SCREEN_MIN_K gets its cdist row and the lowest-index
-    argmin. A screened row's distance is computed with _column_sqdist on
-    the chosen codeword, bit for bit as cdist, so indices and distances
-    are those of a cdist pass whichever path a row takes.
+    row when K < _SCREEN_MIN_K gets the lowest-index argmin of its cdist
+    row, so the indices are those of a cdist pass whichever path a row
+    takes. No distance is returned; a caller that needs one measures it
+    with _column_sqdist.
     """
     n, dim = vectors.shape
     k = codewords.shape[0]
     idx = np.empty(n, dtype=np.int32)
-    sqdist = np.empty(n, dtype=np.float64)
     screened = k >= _SCREEN_MIN_K
     if screened:
         neg_t = -codewords.T
@@ -171,24 +172,22 @@ def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np
             est[at, best] = np.inf
             settled = est[at, np.argmin(est, axis=1)] - low > tol[out]
             idx[out] = best
-            sqdist[out] = _column_sqdist(block.T, codewords.T.take(best, axis=1))
             rest = np.flatnonzero(~settled)
         todo = block[rest]
         if todo.shape[0]:
-            d2 = cdist(todo, codewords, metric="sqeuclidean")
-            best = np.argmin(d2, axis=1)
-            idx[out][rest] = best
-            sqdist[out][rest] = d2[np.arange(d2.shape[0]), best]
-    return idx, sqdist
+            idx[out][rest] = np.argmin(cdist(todo, codewords, metric="sqeuclidean"), axis=1)
+    return idx
 
 
 def _column_sqdist(columns: np.ndarray, targets) -> np.ndarray:
     """Squared distance of each sample to its target, bit for bit as cdist.
 
-    columns is the (D, N) transposed sample matrix and targets has one entry
-    per dimension: a scalar (one centre for every sample) or an N-array (each
-    sample's own centre). The squared differences are summed from d = 0 to
-    D-1, the float operations of cdist's sqeuclidean.
+    columns is the (D, N) transposed sample matrix and targets yields one
+    entry per dimension, read once in order: a scalar (one centre for every
+    sample) or an N-array (each sample's own centre). The squared
+    differences are summed from d = 0 to D-1, the float operations of
+    cdist's sqeuclidean. It is the only source of the distances kmeans_fit
+    reads.
     """
     acc = np.zeros(columns.shape[1])
     diff = np.empty_like(acc)
@@ -215,8 +214,7 @@ def quantize_map(latent, cb: Codebook) -> np.ndarray:
 
     Exact ties go to the lowest index.
     """
-    idx, _ = _nearest(_as_latents(latent, cb.dim), cb.codewords.astype(np.float64))
-    return idx
+    return _nearest(_as_latents(latent, cb.dim), cb.codewords.astype(np.float64))
 
 
 def dequantize(idx, cb: Codebook) -> np.ndarray:
@@ -244,7 +242,8 @@ def kmeans_fit(
     Each iteration moves every non-empty centre to the mean of its samples,
     assigns every sample again with _nearest and then reseeds each empty
     cluster, so the centres are those of a full cdist pass each iteration.
-    Samples must be finite.
+    Every distance read (k-means++ weights, distortion, reseed) is
+    _column_sqdist's, bit for bit as cdist's. Samples must be finite.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -272,7 +271,8 @@ def kmeans_fit(
         centers[j] = x[pick]
         d2 = np.minimum(d2, _column_sqdist(columns, centers[j]))
 
-    assign, dist = _nearest(x, centers)
+    assign = _nearest(x, centers)
+    dist = _column_sqdist(columns, (c.take(assign) for c in centers.T))
     history = [float(dist.mean())]
     for _ in range(iters):
         prev_assign = assign
@@ -283,7 +283,8 @@ def kmeans_fit(
         sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
-        assign, dist = _nearest(x, centers)
+        assign = _nearest(x, centers)
+        dist = _column_sqdist(columns, (c.take(assign) for c in centers.T))
 
         present = np.bincount(assign, minlength=k) > 0
         for j in np.flatnonzero(~present):

@@ -146,6 +146,27 @@ def test_encode_is_byte_deterministic(tmp_path, scenario_file, fitted_dir):
     assert outs[0] == outs[1]
 
 
+def test_encode_rejects_negative_budget_before_reading_or_writing(tmp_path, monkeypatch, capsys):
+    def no_read(*args, **kwargs):
+        raise AssertionError("encode read its inputs before checking --budget")
+
+    monkeypatch.setattr(cli, "load_codec_params", no_read)
+    msg_path = tmp_path / "link.msg"
+    status = cli_dispatch(
+        [
+            "encode",
+            "--params", str(tmp_path / "codec.dccp"),
+            "--codebook", str(tmp_path / "codebook.cdbk"),
+            "--input", str(tmp_path / "agent1_t0.fmap"),
+            "--budget", "-1",
+            "--out", str(msg_path),
+        ]
+    )
+    assert status == 1
+    assert capsys.readouterr().err == "error: budget must be >= 0, got -1\n"
+    assert not msg_path.exists()
+
+
 def test_sweep_rd_csv_schema(tmp_path, scenario_file):
     csv_path = tmp_path / "rd.csv"
     status = cli_dispatch(

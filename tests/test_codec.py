@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -39,7 +40,7 @@ from dsc_codec import (
 import dsc_codec.codec as codec_module
 import dsc_codec.pipeline as pipeline_module
 import dsc_codec.quantizer as quantizer_module
-from dsc_codec.codec import _GATHER_MAX_SHARE, _window_sums, project_cells
+from dsc_codec.codec import _GATHER_MAX_SHARE, project_cells
 from dsc_codec.features import apply_mask
 from dsc_codec.pruning import mask_from_scores, score_map
 from dsc_codec.quantizer import codebook_hash, dequantize, quantize_map
@@ -204,36 +205,38 @@ def test_si_context_rejects_mask_of_other_shape():
 
 
 @pytest.mark.parametrize("radius", [1, 2])
-def test_window_sums_gather_and_slices_are_bit_identical(radius, monkeypatch):
+def test_si_context_gather_and_slices_are_bit_identical(radius, monkeypatch):
     # The share of kept cells picks the strategy: just below the switch point
-    # the sums are row gathers, at or above it whole-map slices. On the same
-    # inputs each strategy, forced either way, must give the same bits.
+    # si_context gathers rows, at or above it it adds whole-map slices. On
+    # the same inputs each strategy, forced either way, must give the bits
+    # of the unforced call and of the whole-map context gathered at the mask.
     rng = np.random.default_rng(7 + radius)
-    h, w, x = 16, 20, 3
-    grid = rng.normal(size=(h + 2 * radius, w + 2 * radius, x))
+    c, h, w = 3, 16, 20
+    params = make_params(rng.normal(size=(2, c)), rng.normal(size=c), context_radius=radius)
+    # Values over 2^-40..2^40 make float64 window sums round, so a change
+    # in the order of the adds changes their bits.
+    f = FeatureMap(rng.normal(size=(c, h, w)) * np.exp2(rng.integers(-40, 41, size=(c, h, w))))
     order = rng.permutation(h * w)
     switch = int(np.ceil(_GATHER_MAX_SHARE * h * w))
     below = np.zeros(h * w, dtype=bool)
     below[order[: switch - 1]] = True
     above = below.copy()
     above[order[switch - 1 : switch + 1]] = True
-    below, above = below.reshape(h, w), above.reshape(h, w)
-    assert np.count_nonzero(below) < _GATHER_MAX_SHARE * h * w <= np.count_nonzero(above)
+    below, above = Mask(below.reshape(h, w)), Mask(above.reshape(h, w))
+    assert below.count() < _GATHER_MAX_SHARE * h * w <= above.count()
 
-    # A float32 grid (as si_context builds) must sum in float64 either way.
-    for grid in (grid, grid.astype(np.float32)):
-        everywhere = _window_sums(grid, np.ones((h, w), dtype=bool), radius)
-        for bits in (below, above):
-            chosen = _window_sums(grid, bits, radius)
-            monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
-            gathered = _window_sums(grid, bits, radius)
-            monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
-            sliced = _window_sums(grid, bits, radius)
-            monkeypatch.undo()
-            assert chosen.dtype == np.float64
-            assert np.array_equal(gathered, sliced)
-            assert np.array_equal(chosen, sliced)
-            assert np.array_equal(chosen, everywhere[bits.ravel()])
+    everywhere = si_context(f, params, Mask.ones(h, w))
+    for mask in (below, above):
+        chosen = si_context(f, params, mask)
+        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
+        gathered = si_context(f, params, mask)
+        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
+        sliced = si_context(f, params, mask)
+        monkeypatch.undo()
+        assert chosen.dtype == gathered.dtype == sliced.dtype == np.float64
+        assert np.array_equal(gathered, sliced)
+        assert np.array_equal(chosen, sliced)
+        assert np.array_equal(chosen, everywhere[mask.bits.ravel()])
 
 
 @pytest.mark.parametrize("radius", [1, 2])
@@ -939,6 +942,41 @@ def test_finetune_rejects_nonfinite_loss(rng):
     for lr in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
             finetune_step(params, cb, batch, lr=lr)
+
+
+def test_finetune_rejects_assignments_that_are_not_codeword_indices(rng, monkeypatch):
+    # Fractional indices used to be truncated silently, and an index past
+    # the codebook raised a DecodeError. Both are the caller's argument
+    # error, caught before the projection or any loss product is formed.
+    params, cb, batch = finetune_setup(rng)
+    m = sum(s.height * s.width for s, _ in batch)
+    valid = np.zeros(m, dtype=np.int32)
+    valid[-1] = cb.size - 1
+    finetune_step(params, cb, batch, lr=0.0, assignments=valid, update_codebook=False)
+
+    def no_projection(*args):
+        raise AssertionError("projected before the assignments were checked")
+
+    monkeypatch.setattr(codec_module, "project_cells", no_projection)
+    past = valid.copy()
+    past[3] = cb.size
+    negative = valid.copy()
+    negative[0] = -1
+    in_range = re.escape(f"[0, {cb.size})")
+    cases = [
+        (np.full(m, 0.7), "integer"),
+        (np.zeros(m, dtype=bool), "integer"),
+        (valid.astype(np.float64), "integer"),
+        (past, in_range),
+        (negative, in_range),
+        (np.full(m, 2**40, dtype=np.int64), in_range),
+    ]
+    for bad, match in cases:
+        with pytest.raises(ConfigError, match=match):
+            finetune_step(params, cb, batch, lr=0.0, assignments=bad, update_codebook=False)
+    for bad in (valid[:-1], valid.reshape(2, -1), np.full(m + 1, 0.7)):
+        with pytest.raises(ShapeMismatchError):
+            finetune_step(params, cb, batch, lr=0.0, assignments=bad, update_codebook=False)
 
 
 # ------------------------------------------------------------------ file io

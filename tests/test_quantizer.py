@@ -154,15 +154,17 @@ def test_kmeans_handles_duplicate_points():
 def _reference_kmeans_fit(samples, k, iters, seed):
     """kmeans_fit with the per-cluster centroid loop; also counts reseeds.
 
-    The vectorised update matches it bit for bit when D >= 2 (numpy sums a
-    single column pairwise in mean, so D = 1 is not compared).
+    Indices and distances come from plain cdist (_reference_nearest and
+    _reference_sqdist), not from _nearest or _column_sqdist. The vectorised update matches it bit
+    for bit when D >= 2 (numpy sums a single column pairwise in mean, so
+    D = 1 is not compared).
     """
     x = np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     centers = np.empty((k, x.shape[1]), dtype=np.float64)
     centers[0] = x[int(rng.integers(n))]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = _reference_sqdist(x, centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -170,9 +172,9 @@ def _reference_kmeans_fit(samples, k, iters, seed):
         else:
             pick = int(rng.integers(n))
         centers[j] = x[pick]
-        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _reference_sqdist(x, centers[j]))
 
-    assign, dist = _nearest(x, centers)
+    assign, dist = _reference_nearest(x, centers)
     history = [float(dist.mean())]
     reseeds = 0
     for _ in range(iters):
@@ -181,13 +183,13 @@ def _reference_kmeans_fit(samples, k, iters, seed):
             members = assign == j
             if members.any():
                 centers[j] = x[members].mean(axis=0)
-        assign, dist = _nearest(x, centers)
+        assign, dist = _reference_nearest(x, centers)
         present = np.bincount(assign, minlength=k) > 0
         for j in np.flatnonzero(~present):
             reseeds += 1
             far = int(np.argmax(dist))
             centers[j] = x[far]
-            newd = np.sum((x - centers[j]) ** 2, axis=1)
+            newd = _reference_sqdist(x, centers[j])
             take = newd < dist
             assign = np.where(take, j, assign)
             dist = np.minimum(dist, newd)
@@ -280,8 +282,12 @@ def test_nearest_does_not_depend_on_block_size(monkeypatch, k):
     centers[-1] = centers[0]  # an exact tie between two codewords
     want = _nearest(x, centers)
     monkeypatch.setattr(quantizer, "_BLOCK_DISTANCES", 5)
-    for got, ref in zip(_nearest(x, centers), want):
-        assert np.array_equal(got, ref)
+    assert np.array_equal(_nearest(x, centers), want)
+
+
+def _reference_sqdist(vectors, center):
+    """Plain cdist squared distance of every row to one centre."""
+    return cdist(vectors, center[None], metric="sqeuclidean")[:, 0]
 
 
 def _reference_nearest(vectors, codewords):
@@ -292,10 +298,10 @@ def _reference_nearest(vectors, codewords):
 
 
 def _assert_matches_reference(vectors, codewords):
-    idx, sqdist = _reference_nearest(vectors, codewords)
-    got_idx, got_sqdist = _nearest(vectors, codewords)
-    assert np.array_equal(got_idx, idx)
-    assert np.array_equal(got_sqdist, sqdist)
+    idx, _ = _reference_nearest(vectors, codewords)
+    got = _nearest(vectors, codewords)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, idx)
     if np.abs(codewords).max() < 1e38:  # a Codebook stores float32
         cb = Codebook(codewords)
         want_idx = _reference_nearest(vectors, cb.codewords.astype(np.float64))[0]
@@ -407,11 +413,18 @@ def test_every_row_goes_to_cdist_below_the_crossover(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
-def test_column_kernel_equals_cdist_bit_for_bit(d, n, seed):
+@given(
+    st.integers(1, 40),
+    st.integers(1, 60),
+    st.sampled_from([1.0, 1e-160, 1e-300, 1e150]),
+    st.integers(0, 2**32 - 1),
+)
+def test_column_kernel_equals_cdist_bit_for_bit(d, n, scale, seed):
+    # Every distance kmeans_fit reads comes from this kernel, so it is
+    # checked at the assignment cases' scales, subnormal products included.
     r = np.random.default_rng(seed)
-    x = r.normal(size=(n, d)) * r.uniform(0.001, 1000.0, size=d)
-    centers = r.normal(size=(7, d)) * 10.0
+    x = r.normal(size=(n, d)) * r.uniform(0.001, 1000.0, size=d) * scale
+    centers = r.normal(size=(7, d)) * (10.0 * scale)
     columns = np.ascontiguousarray(x.T)
     full = cdist(x, centers, metric="sqeuclidean")
     assert np.array_equal(_column_sqdist(columns, centers[2]), full[:, 2])
