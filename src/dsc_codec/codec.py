@@ -14,7 +14,9 @@ projection), and a ridge-fit linear decoder maps
 decoder, fit on the same data without the context block, is the ablation
 baseline: decode_message without a local feature. Because it is nested
 inside the conditional model, its training objective can never beat the
-conditional one.
+conditional one. fit_conditional_decoder fits the decoders of several
+codecs in one pass over the training pairs, building each pair's context
+once per distinct radius.
 
 Decoding has two stages. decode_latents checks the header against the codec
 and codebook, rANS-decodes the symbols and dequantizes them; it does not
@@ -338,44 +340,67 @@ def _design(latents: np.ndarray, ctx: np.ndarray | None) -> np.ndarray:
 
 def fit_conditional_decoder(
     pairs: Sequence[tuple[FeatureMap, Mask, FeatureMap]],
-    params: CodecParams,
-    cb: Codebook,
-) -> DecoderFit:
-    """Closed-form ridge fit of the conditional decoder and nested baseline.
+    codecs: Sequence[tuple[CodecParams, Codebook]],
+) -> list[DecoderFit]:
+    """Closed-form ridge fits of the conditional decoder and nested baseline.
 
-    pairs are (pruned sender feature, its mask, receiver feature) triples.
-    Each unpruned cell gives one design row [dequantized latent | context | 1]
-    with its sender channel vector as target; the rows of one pair are added
-    into the normal equations (X^T X, X^T Y and the sum of Y^2) and dropped,
-    so no stacked design matrix is built. The unconditional decoder solves
-    the latent + intercept sub-block of the same equations. If the solved
-    conditional objective numerically exceeds the embedded unconditional one
-    (possible when the context carries nothing), the embedded solution is
-    installed instead, preserving the nested-model guarantee exactly. The
-    ridge penalty is params.ridge_lambda.
+    pairs are (pruned sender feature, its mask, receiver feature) triples;
+    codecs are (params, codebook) pairs, and one DecoderFit is returned per
+    codec, in order (an empty codecs raises ConfigError). Each unpruned cell
+    gives one design row [dequantized latent | context | 1] with its sender
+    channel vector as target. One pass serves every codec: a pair's targets
+    are gathered once and its context built once per distinct radius; each
+    codec adds its rows into its own normal equations (X^T X, X^T Y; the sum
+    of Y^2 is shared) in pair order and drops them, so each fit equals its
+    one-codec fit bit for bit. The unconditional decoder solves the latent +
+    intercept sub-block of the same equations. If the solved conditional
+    objective numerically exceeds the embedded unconditional one (possible
+    when the context carries nothing), the embedded solution is installed
+    instead, preserving the nested-model guarantee exactly. Each codec's
+    ridge_lambda is its penalty.
     """
-    _require_matching_codebook(params, cb)
-    lam = params.ridge_lambda
-    d, c = params.embed_dim, params.channels
-    cols = d + c + 1
-    gram = np.zeros((cols, cols))
-    xty = np.zeros((cols, c))
+    if not codecs:
+        raise ConfigError("no codec to fit a decoder for")
+    normal = []
+    for params, cb in codecs:
+        _require_matching_codebook(params, cb)
+        cols = params.embed_dim + params.channels + 1
+        normal.append((np.zeros((cols, cols)), np.zeros((cols, params.channels))))
     yty = 0.0
     m = 0
     for sender_pruned, mask, receiver in pairs:
         require_spatial_match(sender_pruned, mask)
         require_same_shape(sender_pruned, receiver)
-        _require_channels(sender_pruned, params)
+        for params, _ in codecs:
+            _require_channels(sender_pruned, params)
         flat = mask.bits.ravel()
         if not flat.any():
             continue
         y = _kept_cells(sender_pruned, flat)
-        deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
-        x = _design(deq, si_context(receiver, params, mask))
-        gram += x.T @ x
-        xty += x.T @ y
+        contexts = {}
+        for (params, cb), (gram, xty) in zip(codecs, normal):
+            # Quantize first, in a one-codec pass's allocation order: building
+            # the context first left a later fit's peak RSS 25 MB higher.
+            deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
+            if params.context_radius not in contexts:
+                contexts[params.context_radius] = si_context(receiver, params, mask)
+            x = _design(deq, contexts[params.context_radius])
+            gram += x.T @ x
+            xty += x.T @ y
         yty += float(np.sum(y * y))
         m += len(y)
+    return [
+        _solve_decoder(params, gram, xty, yty, m)
+        for (params, _), (gram, xty) in zip(codecs, normal)
+    ]
+
+
+def _solve_decoder(
+    params: CodecParams, gram: np.ndarray, xty: np.ndarray, yty: float, m: int
+) -> DecoderFit:
+    """Both ridge decoders of one codec from its summed normal equations."""
+    lam = params.ridge_lambda
+    d, cols = params.embed_dim, len(gram)
     if m < cols:
         raise InsufficientDataError(f"need at least {cols} unpruned training cells, got {m}")
 
@@ -650,6 +675,8 @@ def load_codec_params(path) -> CodecParams:
         raise FormatError(f"bad codec params magic {magic!r}")
     if version != _DCCP_VERSION:
         raise FormatError(f"unsupported codec params version {version}")
+    if flags & ~(_FLAG_HAS_COND | _FLAG_HAS_UNCOND):
+        raise FormatError(f"undefined codec params flag bits {flags:#04x}")
     pos = _DCCP_HEADER.size
 
     def block(rows: int, cols: int, what: str) -> np.ndarray:

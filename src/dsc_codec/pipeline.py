@@ -24,11 +24,11 @@ single link (run_link) is the routine on a one-point grid; each sweep runs
 it once per scene over its whole grid.
 
 A codec fit has a K-independent part - training scenes, their observations,
-the PCA projection, the pruning masks and the pooled latents - and a per-K
-part: the k-means codebook and the ridge decoders. fit_codec does both; the
-rate-distortion sweep builds the training set once and fits every codebook
-size on it, so one sweep does one training set and one scene walk per
-evaluation scene.
+the PCA projection, the pruning masks and the k-means sample - and a per-K
+part: the k-means codebook and the ridge decoders. One fit does the first
+part once and fits the decoders of every size in one pass over the training
+pairs; fit_codec is its one-size case, and the rate-distortion sweep makes
+one fit for all its sizes and one scene walk per evaluation scene.
 
 Sweeps aggregate links over independently seeded scenes through one
 evaluation body: it runs the per-scene routine once per evaluation scene at
@@ -159,23 +159,12 @@ def _check_taus(taus: Sequence[float]) -> None:
         require_unit_interval("tau", tau)
 
 
-@dataclass(frozen=True, eq=False)
-class _TrainingSet:
-    """The K-independent part of a codec fit.
-
-    The encoder (CodecParams with the PCA projection and mean only), the
-    k-means sample of training latents that survive pruning and its seed,
-    and the (sender, its tau=0 mask, receiver) decoder pairs. One training
-    set serves a codec fit at every codebook size.
-    """
-
-    encoder: CodecParams
-    kmeans_sample: np.ndarray
-    kmeans_seed: int
-    pairs: list[tuple[FeatureMap, Mask, FeatureMap]]
-
-
-def _training_set(cfg: ScenarioConfig, embed_dim: int, train_scenes: int) -> _TrainingSet:
+def _fit_codecs(
+    cfg: ScenarioConfig, codebook_sizes: Sequence[int], embed_dim: int, train_scenes: int
+) -> list[FittedCodec]:
+    """One codec per size: the K-independent part once, one decoder pass."""
+    for k in codebook_sizes:
+        require_int("codebook size", k, 1)
     require_int("train_scenes", train_scenes, 1)
     require_int("embed_dim", embed_dim, 1)
     observations: list[list[FeatureMap]] = []
@@ -200,26 +189,19 @@ def _training_set(cfg: ScenarioConfig, embed_dim: int, train_scenes: int) -> _Tr
             pairs.append((per_scene[j], masks[j], per_scene[i]))
     if not latent_blocks:
         raise InsufficientDataError("no training cell survives pruning")
-    latents = np.concatenate(latent_blocks, axis=0)
-    step = max(1, -(-latents.shape[0] // _KMEANS_SAMPLE_LIMIT))
-    return _TrainingSet(
-        encoder=encoder,
-        # A C-order copy: Lloyd's passes read whole rows, and the pooled
-        # latents are not kept alive through every fit.
-        kmeans_sample=np.ascontiguousarray(latents[::step]),
-        kmeans_seed=derive_seed(cfg.seed, STREAM_KMEANS),
-        pairs=pairs,
-    )
-
-
-def _fit_on(training: _TrainingSet, codebook_size: int) -> FittedCodec:
-    """Codebook and ridge decoders of one codebook size on a shared training set."""
-    codebook = train_codebook(
-        training.kmeans_sample, codebook_size, _KMEANS_ITERS, training.kmeans_seed
-    )
-    params = replace(training.encoder, codebook_hash=codebook.version_hash)
-    fit = fit_conditional_decoder(training.pairs, params, codebook)
-    return FittedCodec(params=params.with_decoder_fit(fit), codebook=codebook, decoder_fit=fit)
+    step = max(1, -(-sum(map(len, latent_blocks)) // _KMEANS_SAMPLE_LIMIT))
+    # A C-order copy: Lloyd's passes read whole rows, and the pooled latents
+    # are freed before the first codebook is trained.
+    sample = np.ascontiguousarray(np.concatenate(latent_blocks)[::step])
+    del latent_blocks
+    seed = derive_seed(cfg.seed, STREAM_KMEANS)
+    codebooks = [train_codebook(sample, k, _KMEANS_ITERS, seed) for k in codebook_sizes]
+    codecs = [(replace(encoder, codebook_hash=cb.version_hash), cb) for cb in codebooks]
+    fits = fit_conditional_decoder(pairs, codecs)
+    return [
+        FittedCodec(params=params.with_decoder_fit(fit), codebook=codebook, decoder_fit=fit)
+        for (params, codebook), fit in zip(codecs, fits)
+    ]
 
 
 def fit_codec(
@@ -236,11 +218,10 @@ def fit_codec(
     decoder rows use every ordered agent pair of every training scene. A
     codebook_size, embed_dim or train_scenes that is not an integer >= 1
     raises ConfigError before any scene is simulated; training scenes with
-    no nonzero cell raise InsufficientDataError.
+    no nonzero cell raise InsufficientDataError. rd_sweep makes the same fit
+    for all its sizes at once.
     """
-    require_int("codebook size", codebook_size, 1)
-    training = _training_set(cfg, embed_dim, train_scenes)
-    return _fit_on(training, codebook_size)
+    return _fit_codecs(cfg, [codebook_size], embed_dim, train_scenes)[0]
 
 
 def fuse_all(f_local: FeatureMap, reconstructions: Sequence[FeatureMap]) -> FeatureMap:
@@ -462,9 +443,9 @@ def rd_sweep(
 ) -> list[SweepRow]:
     """Rate-distortion grid over codebook size and tau, one row per pair.
 
-    Every argument is validated before any simulation. The training set is
-    built once, shared by the codec fit of every size and released before
-    evaluation; each evaluation scene is simulated once for the whole grid.
+    Every argument is validated before any simulation. One fit serves every
+    size and its training data is released before evaluation; each
+    evaluation scene is simulated once for the whole grid.
     A row equals evaluate_point with the codec that fit_codec gives at that
     size, embed_dim and train_scenes (fit_codec's train_scenes defaults to 8,
     rd_sweep's to 6).
@@ -472,18 +453,12 @@ def rd_sweep(
     if not taus or not codebook_sizes:
         raise ConfigError("sweep grids must be non-empty")
     _check_taus(taus)
-    for k in codebook_sizes:
-        require_int("codebook size", k, 1)
     require_int("scenes_per_point", scenes_per_point, 1)
     if budget is not None:
         require_int("budget", budget, 0)
-    # _training_set checks its own arguments before it simulates anything.
-    training = _training_set(cfg, embed_dim, train_scenes)
-    fits = [_fit_on(training, k) for k in codebook_sizes]
+    # _fit_codecs checks its own arguments before it simulates anything.
+    fits = _fit_codecs(cfg, codebook_sizes, embed_dim, train_scenes)
     codecs = [(f.params, f.codebook) for f in fits]
-    # The training observations are not needed to evaluate; freeing them
-    # keeps them out of the evaluation's peak memory.
-    del training, fits
     return _sweep(cfg, codecs, taus, (0.0,), (0,), (True,), scenes_per_point, budget)
 
 

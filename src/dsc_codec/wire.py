@@ -106,6 +106,8 @@ class Message:
             )
         if self.num_symbols == 0 and self.final_state != RANS_L:
             raise ConfigError("zero-symbol messages must carry the initial coder state")
+        if self.num_symbols == 0 and self.payload:
+            raise ConfigError("zero-symbol messages must carry an empty payload")
         arr.flags.writeable = False
         object.__setattr__(self, "freqs", arr)
 

@@ -405,7 +405,7 @@ def test_criterion_09_gradient_fidelity(rng):
         for _ in range(2)
     ]
     fit_pairs = [(s, Mask.ones(h, w), r) for s, r in batch]
-    base = base.with_decoder_fit(fit_conditional_decoder(fit_pairs, base, cb))
+    base = base.with_decoder_fit(fit_conditional_decoder(fit_pairs, [(base, cb)])[0])
     v = np.concatenate([s.cell_vectors() for s, _ in batch], axis=0)
     assignments = quantize_map(project_cells(v, base), cb)
 

@@ -38,7 +38,6 @@ from dsc_codec import (
     translate,
 )
 import dsc_codec.codec as codec_module
-import dsc_codec.pipeline as pipeline_module
 import dsc_codec.quantizer as quantizer_module
 from dsc_codec.codec import _GATHER_MAX_SHARE, project_cells
 from dsc_codec.features import apply_mask
@@ -247,8 +246,11 @@ def test_whole_map_context_gathered_at_a_mask_equals_si_context(radius):
     rng = np.random.default_rng(40 + radius)
     c, h, w = 4, 16, 20
     params = make_params(rng.normal(size=(3, c)), rng.normal(size=c), context_radius=radius)
-    # Rows 0-2 and columns w-2, w-1 are zero after the shift.
-    f = translate(FeatureMap(rng.normal(size=(c, h, w))), 3, -2)
+    # Rows 0-2 and columns w-2, w-1 are zero after the shift. Values over
+    # 2^-40..2^40 make float64 window sums round, so the gather and slice
+    # branches must add in the same order to agree.
+    values = rng.normal(size=(c, h, w)) * np.exp2(rng.integers(-40, 41, size=(c, h, w)))
+    f = translate(FeatureMap(values), 3, -2)
     everywhere = si_context(f, params, Mask.ones(h, w))
     forced = [0, w - 1, (h - 1) * w, h * w - 1, 1 * w + 5, 8 * w + w - 1, 9 * w]
     rest = [cell for cell in rng.permutation(h * w) if cell not in forced]
@@ -486,14 +488,13 @@ def _containers(cfg, fitted):
         "FrequencyTable": FrequencyTable(np.array([1000, 24, 3072]), 12),
         "Message": msg,
         "Scene": scene,
-        "_TrainingSet": pipeline_module._training_set(cfg, 4, 1),
     }
 
 
 @pytest.mark.parametrize(
     "name",
     ["CodecParams", "DecoderFit", "Codebook", "FeatureMap", "Mask", "ScoreMap", "FrequencyTable",
-     "Message", "Scene", "_TrainingSet"],
+     "Message", "Scene"],
 )
 def test_frozen_containers_compare_and_hash_by_identity(small_cfg, small_fitted, name):
     a = _containers(small_cfg, small_fitted)[name]
@@ -652,7 +653,7 @@ def test_perfect_side_information_drives_training_mse_to_zero(rng):
     sender = FeatureMap(rng.normal(size=(c, h, w)))
     cb = Codebook(rng.normal(size=(8, c)))
     params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0, ridge_lambda=1e-10)
-    fit = fit_conditional_decoder([(sender, Mask.ones(h, w), sender)], params, cb)
+    fit = fit_conditional_decoder([(sender, Mask.ones(h, w), sender)], [(params, cb)])[0]
     cells = sender.cell_vectors()
     idx = quantize_map(project_cells(cells, params), cb)
     from dsc_codec.quantizer import dequantize
@@ -672,7 +673,7 @@ def test_independent_context_gets_near_zero_weights(rng):
     cb = Codebook(rng.normal(size=(16, c)))
     params = identity_codec(c, cb, ridge_lambda=1e-3)
     pairs = [synthetic_pair(rng, c=c, h=24, w=24) for _ in range(16)]
-    fit = fit_conditional_decoder(pairs, params, cb)
+    fit = fit_conditional_decoder(pairs, [(params, cb)])[0]
     d = params.embed_dim
     ctx_block = fit.w_cond[d : d + c]
     main_block = fit.w_cond[:d]
@@ -688,7 +689,7 @@ def test_nested_model_dominance_holds_for_arbitrary_data(rng):
         params = identity_codec(c, cb)
         pairs = [synthetic_pair(rng, c=c, h=6, w=6)]
         params = dataclasses.replace(params, ridge_lambda=10.0 ** rng.integers(-8, 2))
-        fit = fit_conditional_decoder(pairs, params, cb)
+        fit = fit_conditional_decoder(pairs, [(params, cb)])[0]
         assert fit.cond_objective <= fit.uncond_objective
 
 
@@ -730,7 +731,9 @@ def test_summed_normal_equations_match_stacked_rows(seed):
         mask = Mask(rng.random((h, w)) < share)
         pairs.append((apply_mask(sender, mask), mask, receiver))
     lam = 10.0 ** rng.uniform(-4, 0)
-    fit = fit_conditional_decoder(pairs, dataclasses.replace(params, ridge_lambda=lam), cb)
+    fit = fit_conditional_decoder(
+        pairs, [(dataclasses.replace(params, ridge_lambda=lam), cb)]
+    )[0]
     w_cond, w_uncond, objective = _stacked_ridge_reference(pairs, params, cb, lam)
     assert fit.w_cond.shape == (d + c + 1, c) and fit.w_uncond.shape == (d + 1, c)
     assert fit.num_cells == sum(mask.count() for _, mask, _ in pairs)
@@ -746,7 +749,7 @@ def test_fit_requires_enough_cells(rng):
     params = identity_codec(c, cb)
     sender = FeatureMap(rng.normal(size=(c, 2, 2)))
     with pytest.raises(InsufficientDataError):
-        fit_conditional_decoder([(sender, Mask.ones(2, 2), sender)], params, cb)
+        fit_conditional_decoder([(sender, Mask.ones(2, 2), sender)], [(params, cb)])
 
 
 def test_fit_rejects_pairs_whose_channels_differ_from_the_codec(rng):
@@ -754,7 +757,65 @@ def test_fit_rejects_pairs_whose_channels_differ_from_the_codec(rng):
     params = identity_codec(4, cb)
     sender = FeatureMap(rng.normal(size=(3, 4, 4)))
     with pytest.raises(ShapeMismatchError, match="feature has 3 channels, codec expects 4"):
-        fit_conditional_decoder([(sender, Mask.ones(4, 4), sender)], params, cb)
+        fit_conditional_decoder([(sender, Mask.ones(4, 4), sender)], [(params, cb)])
+
+
+def _mixed_codecs_and_pairs(rng):
+    # Codecs mix K, context radius and ridge lambda, and the first is
+    # repeated; the second pair keeps no cell.
+    c, d, h, w = 5, 3, 9, 11
+    proj = np.linalg.qr(rng.normal(size=(c, c)))[0][:d]
+    mean = rng.normal(size=c) * 0.1
+    codecs = []
+    for k, radius, lam in ((4, 1, 1e-3), (16, 0, 1e-1), (8, 2, 1e-6), (4, 1, 1.0), (16, 2, 1e-3)):
+        cb = Codebook(rng.normal(size=(k, d)))
+        params = make_params(proj, mean, cb=cb, context_radius=radius, ridge_lambda=lam)
+        codecs.append((params, cb))
+    codecs.append(codecs[0])
+    pairs = []
+    for share in (1.0, 0.0, 0.4, 0.2):
+        sender = FeatureMap(rng.normal(size=(c, h, w)))
+        receiver = FeatureMap(sender.values + 0.5 * rng.normal(size=(c, h, w)))
+        mask = Mask(rng.random((h, w)) < share)
+        pairs.append((apply_mask(sender, mask), mask, receiver))
+    assert [mask.count() == 0 for _, mask, _ in pairs] == [False, True, False, False]
+    return codecs, pairs
+
+
+def test_one_pass_fit_of_many_codecs_equals_each_one_codec_fit(rng):
+    codecs, pairs = _mixed_codecs_and_pairs(rng)
+    fits = fit_conditional_decoder(pairs, codecs)
+    assert len(fits) == len(codecs)
+    for (params, cb), fit in zip(codecs, fits):
+        alone = fit_conditional_decoder(pairs, [(params, cb)])[0]
+        assert np.array_equal(fit.w_cond, alone.w_cond)
+        assert np.array_equal(fit.w_uncond, alone.w_uncond)
+        assert (fit.cond_objective, fit.uncond_objective, fit.num_cells) == (
+            alone.cond_objective, alone.uncond_objective, alone.num_cells,
+        )
+    assert np.array_equal(fits[0].w_cond, fits[-1].w_cond)
+    assert not np.array_equal(fits[0].w_cond, fits[3].w_cond)
+
+
+def test_one_pass_fit_builds_a_pair_context_once_per_distinct_radius(rng, monkeypatch):
+    codecs, pairs = _mixed_codecs_and_pairs(rng)
+    calls = []
+    original = codec_module.si_context
+
+    def counting(f_local, params, mask):
+        calls.append((id(f_local), params.context_radius))
+        return original(f_local, params, mask)
+
+    monkeypatch.setattr(codec_module, "si_context", counting)
+    fit_conditional_decoder(pairs, codecs)
+    kept = [receiver for _, mask, receiver in pairs if mask.count()]
+    assert sorted(calls) == sorted((id(r), radius) for r in kept for radius in (0, 1, 2))
+
+
+def test_fit_rejects_an_empty_codec_list(rng):
+    _, pairs = _mixed_codecs_and_pairs(rng)
+    with pytest.raises(ConfigError, match="no codec"):
+        fit_conditional_decoder(pairs, [])
 
 
 def test_conditional_beats_unconditional_on_held_out_scene(small_cfg, small_fitted):
@@ -815,7 +876,7 @@ def test_codec_transparency_with_fine_codebook(rng):
     cells = f.cell_vectors()
     cb = Codebook(cells)  # every cell is its own codeword
     params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0, ridge_lambda=1e-10)
-    fit = fit_conditional_decoder([(f, Mask.ones(h, w), f)], params, cb)
+    fit = fit_conditional_decoder([(f, Mask.ones(h, w), f)], [(params, cb)])[0]
     params = params.with_decoder_fit(fit)
     msg = encode_message(f, Mask.ones(h, w), params, cb)
     recon = decode_message(msg, params, cb)
@@ -834,7 +895,7 @@ def finetune_setup(rng, c=4, d=3, k=8, h=10, w=10):
         for _ in range(2)
     ]
     fit_pairs = [(s, Mask.ones(h, w), r) for s, r in pairs]
-    params = params.with_decoder_fit(fit_conditional_decoder(fit_pairs, params, cb))
+    params = params.with_decoder_fit(fit_conditional_decoder(fit_pairs, [(params, cb)])[0])
     return params, cb, pairs
 
 
@@ -1017,6 +1078,21 @@ def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
     data[4] = 2
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="version 2"):
+        load_codec_params(path)
+
+
+@pytest.mark.parametrize("bit", [0x04, 0x80])
+def test_codec_params_file_with_undefined_flag_bits_is_rejected(tmp_path, small_fitted, bit):
+    from dsc_codec import FormatError
+
+    path = tmp_path / "codec.dccp"
+    save_codec_params(small_fitted.params, path)
+    data = bytearray(path.read_bytes())
+    # The flags byte follows magic and version; both weight blocks are saved.
+    assert data[5] == 3
+    data[5] |= bit
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="flag"):
         load_codec_params(path)
 
 

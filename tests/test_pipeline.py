@@ -281,6 +281,7 @@ def test_rd_sweep_shares_fit_and_scene_work(monkeypatch, small_cfg, taus, sizes)
     fields = _count_calls(monkeypatch, simulate, "_unit_field")
     projections = _count_calls(monkeypatch, pipeline, "fit_encoder_projection")
     kmeans = _count_calls(monkeypatch, quantizer, "kmeans_fit")
+    training_contexts = _count_calls(monkeypatch, codec, "si_context")
     train, scenes = 2, 2
     points = rd_sweep(
         small_cfg, taus=taus, codebook_sizes=sizes, embed_dim=8,
@@ -293,6 +294,10 @@ def test_rd_sweep_shares_fit_and_scene_work(monkeypatch, small_cfg, taus, sizes)
     assert len(fields) == expected
     assert len(projections) == 1
     assert [args[1] for args in kmeans] == sizes
+    # One decoder pass: each ordered training pair's context is built once,
+    # whatever the number of sizes.
+    pairs = small_cfg.num_agents * (small_cfg.num_agents - 1)
+    assert len(training_contexts) == train * pairs
 
 
 @pytest.mark.parametrize(
@@ -333,7 +338,9 @@ def test_kmeans_sample_is_a_c_order_array_of_its_own(monkeypatch, small_cfg):
     # Lloyd's passes read it row by row, and it must not keep the pooled
     # latents alive.
     monkeypatch.setattr(pipeline, "_KMEANS_SAMPLE_LIMIT", 500)
-    sample = pipeline._training_set(small_cfg, 4, 1).kmeans_sample
+    samples = _count_calls(monkeypatch, pipeline, "train_codebook")
+    fit_codec(small_cfg, codebook_size=4, embed_dim=4, train_scenes=1)
+    [(sample, *_)] = samples
     assert sample.shape[0] <= 500
     assert sample.flags.c_contiguous and sample.flags.owndata
 

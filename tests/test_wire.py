@@ -141,7 +141,7 @@ def test_parse_rejects_bad_magic_and_version():
         Message.from_bytes(bytes(data))
 
 
-def _zero_symbol_bytes(k: int, flags: int) -> bytes:
+def _zero_symbol_bytes(k: int, flags: int, payload: bytes = b"") -> bytes:
     """A zero-symbol 2x3 message laid out field by field, with a K-entry table."""
     return b"".join(
         [
@@ -153,7 +153,7 @@ def _zero_symbol_bytes(k: int, flags: int) -> bytes:
             struct.pack("<I", 1) + b"\x00",  # mask length, 6 clear bits
             struct.pack("<I", 0),  # N
             bytes(2 * k),  # all-zero frequency table
-            struct.pack("<I", 0),  # payload length, empty payload
+            struct.pack("<I", len(payload)) + payload,  # payload length, payload
             struct.pack("<I", RANS_L),  # initial coder state
         ]
     )
@@ -171,6 +171,12 @@ def test_parse_rejects_undefined_flags():
     for flags in (0x01, 0x80):
         with pytest.raises(MessageParseError, match="flag"):
             Message.from_bytes(_zero_symbol_bytes(k=2, flags=flags))
+
+
+def test_parse_rejects_zero_symbol_message_with_a_payload():
+    assert Message.from_bytes(_zero_symbol_bytes(k=2, flags=0)).payload == b""
+    with pytest.raises(MessageParseError, match="empty payload"):
+        Message.from_bytes(_zero_symbol_bytes(k=2, flags=0, payload=b"\x01\x02\x03"))
 
 
 def test_parse_rejects_truncation_at_every_boundary():
