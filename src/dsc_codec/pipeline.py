@@ -164,7 +164,7 @@ def _fit_codecs(
 ) -> list[FittedCodec]:
     """One codec per size: the K-independent part once, one decoder pass."""
     for k in codebook_sizes:
-        require_int("codebook size", k, 1)
+        require_int("codebook size", k, 1, 0xFFFF)
     require_int("train_scenes", train_scenes, 1)
     require_int("embed_dim", embed_dim, 1)
     observations: list[list[FeatureMap]] = []
@@ -216,8 +216,9 @@ def fit_codec(
     drawn from the default stream are held out. The codebook is trained on
     the latents of cells that survive pruning at tau=0 (every nonzero cell);
     decoder rows use every ordered agent pair of every training scene. A
-    codebook_size, embed_dim or train_scenes that is not an integer >= 1
-    raises ConfigError before any scene is simulated; training scenes with
+    codebook_size outside [1, 65535] (the codebook's 16-bit size field), or
+    an embed_dim or train_scenes that is not an integer >= 1, raises
+    ConfigError before any scene is simulated; training scenes with
     no nonzero cell raise InsufficientDataError. rd_sweep makes the same fit
     for all its sizes at once.
     """

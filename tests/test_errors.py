@@ -25,9 +25,10 @@ from dsc_codec import (
     rd_sweep,
     robustness_sweep,
     run_link,
+    train_codebook,
     translate,
 )
-from dsc_codec import simulate
+from dsc_codec import quantizer, simulate
 from dsc_codec.errors import frozen_array
 from dsc_codec.simulate import Scene, derive_seed, scene_config, visibility_mask
 from tests.test_pipeline import _count_calls
@@ -85,13 +86,13 @@ def test_frozen_array_is_read_only_and_does_not_follow_its_input():
 # argument can come only from the argument's own check.
 _INTEGER_ARGUMENTS = [
     ("fit_codec codebook_size", "codebook size",
-     lambda s, v: fit_codec(s.cfg, codebook_size=v, embed_dim=4, train_scenes=1), 1, None),
+     lambda s, v: fit_codec(s.cfg, codebook_size=v, embed_dim=4, train_scenes=1), 1, 0xFFFF),
     ("fit_codec embed_dim", "embed_dim",
      lambda s, v: fit_codec(s.cfg, codebook_size=4, embed_dim=v, train_scenes=1), 1, None),
     ("fit_codec train_scenes", "train_scenes",
      lambda s, v: fit_codec(s.cfg, codebook_size=4, embed_dim=4, train_scenes=v), 1, None),
     ("rd_sweep codebook_sizes", "codebook size",
-     lambda s, v: rd_sweep(s.cfg, [0.0], [4, v], 4, 1, 1), 1, None),
+     lambda s, v: rd_sweep(s.cfg, [0.0], [4, v], 4, 1, 1), 1, 0xFFFF),
     ("rd_sweep embed_dim", "embed_dim",
      lambda s, v: rd_sweep(s.cfg, [0.0], [4], v, 1, 1), 1, None),
     ("rd_sweep scenes_per_point", "scenes_per_point",
@@ -118,6 +119,8 @@ _INTEGER_ARGUMENTS = [
      lambda s, v: kmeans_fit(s.samples, 2, v, 0), 0, None),
     ("kmeans_fit seed", "seed",
      lambda s, v: kmeans_fit(s.samples, 2, 1, v), 0, None),
+    ("train_codebook k", "k",
+     lambda s, v: train_codebook(s.samples, v, 2, 0), 1, 0xFFFF),
     ("FrequencyTable precision", "precision",
      lambda s, v: FrequencyTable([1 << 12], v), 8, 16),
     ("build_freq_table num_symbols", "num_symbols",
@@ -188,6 +191,19 @@ def test_integer_argument_rejects_non_integers_and_out_of_range_before_simulatin
             call(setup, value)
     assert fields == []
 
+
+
+# ------------------------------------------------------------ k-means input
+
+@pytest.mark.parametrize("k", [1, 2, quantizer._INIT_SCREEN_MIN_K])
+@pytest.mark.parametrize("fit", [kmeans_fit, train_codebook])
+def test_kmeans_rejects_samples_whose_squared_distances_overflow(fit, k):
+    # Finite samples of about 1e160: their squared distances pass float64's
+    # range. rng.choice used to raise a bare ValueError here, and the
+    # distance kernel an overflow warning.
+    samples = np.random.default_rng(51).normal(size=(100, 4)) * 1e160
+    with pytest.raises(ConfigError, match="overflow float64"):
+        fit(samples, k, 5, 0)
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0)])

@@ -202,7 +202,7 @@ def _reference_kmeans_fit(samples, k, iters, seed):
 @pytest.mark.parametrize(
     "n, d, k, duplicated",
     [(600, 4, 4, False), (600, 16, 16, False), (2000, 16, 64, False), (3000, 3, 256, False),
-     (40, 3, 9, True), (80, 3, 40, True)],
+     (40, 3, 9, True), (80, 3, 40, True), (400, 3, 80, True)],
 )
 def test_kmeans_matches_per_cluster_loop_reference(n, d, k, duplicated):
     r = np.random.default_rng(n + d + k)
@@ -210,7 +210,7 @@ def test_kmeans_matches_per_cluster_loop_reference(n, d, k, duplicated):
     if duplicated:
         # Eight distinct points, each repeated n / 8 times: k-means++ runs
         # out of distance mass and picks duplicates, which leaves empty
-        # clusters, on cdist below _SCREEN_MIN_K and on the screen above it.
+        # clusters; k = 80 also runs out inside the screened init.
         samples = np.repeat(samples[:8], n // 8, axis=0)
     centers, history = kmeans_fit(samples, k, iters=25, seed=k)
     ref_centers, ref_history, reseeds = _reference_kmeans_fit(samples, k, 25, k)
@@ -320,19 +320,21 @@ def _twins(codewords, r):
 def assignment_cases(draw):
     """(vectors, codewords) as float64 arrays.
 
-    Kinds: Gaussian codewords with samples near them or halfway between two;
-    integer-grid data with exact ties; codewords 1 ulp from a neighbour; and
-    duplicated codewords. Scales reach into subnormal products (1e-160,
-    1e-300) and near overflow of the squared norms (1e150). K is drawn on
-    both sides of the screen's crossover.
+    Kinds: Gaussian codewords with samples near them, halfway between two or
+    far outside the codebook; integer-grid data with exact ties; codewords
+    1 ulp from a neighbour; and duplicated codewords. Scales reach into subnormal products (1e-160,
+    1e-300) and near overflow of the squared norms (1e150), and around the
+    float32 screen's limits: estimates past float32 range (1e19, 2e19) and
+    float32 subnormal products or inputs (1e-20, 1e-40). K is drawn on both
+    sides of the screen's crossover.
     """
     cross = quantizer._SCREEN_MIN_K
     edges = st.sampled_from([1, 2, 3, cross - 1, cross, cross + 1, 3 * cross])
     k = draw(edges | st.integers(1, 100))
     d = draw(st.integers(1, 20))
     n = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["gauss", "midpoint", "grid", "ulp", "duplicated"]))
-    scale = draw(st.sampled_from([1.0, 1e-160, 1e-300, 1e150]))
+    kind = draw(st.sampled_from(["gauss", "midpoint", "grid", "ulp", "duplicated", "far"]))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-300, 1e150, 1e19, 2e19, 1e-20, 1e-40]))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "grid":
         codewords = r.integers(-2, 3, size=(k, d)) * scale
@@ -345,6 +347,10 @@ def assignment_cases(draw):
         else:
             vectors = codewords[pick[0]]
         spread = scale * 10.0 ** r.uniform(-12, 0.5, size=(n, 1))
+        if kind == "far":
+            # Up to 1e40 times the codebook's scale: dot products that
+            # overflow float32 next to squared norms that do not.
+            spread = scale * 10.0 ** r.uniform(0, 40, size=(n, 1))
         vectors = vectors + r.normal(size=(n, d)) * spread
         if kind == "ulp":
             codewords = _twins(codewords, r)
@@ -360,7 +366,7 @@ def test_assignment_matches_cdist_reference_bit_for_bit(case):
     _assert_matches_reference(vectors, codewords)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e150])
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e150, 1e19, 2e19, 1e-20, 1e-40])
 def test_screen_near_ties_match_cdist_at_every_scale(scale):
     # Samples halfway between two codewords, nudged by 1e-12 to 1, on both
     # sides of the crossover: the screen must hand every near-tie to cdist.
@@ -371,6 +377,31 @@ def test_screen_near_ties_match_cdist_at_every_scale(scale):
         halfway = (codewords[pick[0]] + codewords[pick[1]]) / 2
         nudge = r.normal(size=(3000, 16)) * (scale * 10.0 ** r.uniform(-12, 0, size=(3000, 1)))
         _assert_matches_reference(halfway + nudge, codewords)
+
+
+@pytest.mark.parametrize("scale", [1e-19, 1e-20, 1e-21])
+def test_screen_near_ties_match_cdist_where_estimates_are_float32_subnormal(scale):
+    # Dot products of about 1e-40: float32 rounds them on the subnormal
+    # grid, so only the bound's absolute (eta) term covers their error.
+    r = np.random.default_rng(37)
+    for d in (1, 5, 9, 16):
+        codewords = r.normal(size=(8, d)) * scale
+        pick = r.integers(0, 8, size=(2, 4000))
+        halfway = (codewords[pick[0]] + codewords[pick[1]]) / 2
+        nudge = r.normal(size=(4000, d)) * (scale * 10.0 ** r.uniform(-8, -2, size=(4000, 1)))
+        _assert_matches_reference(halfway + nudge, codewords)
+
+
+def test_screen_never_settles_a_row_whose_estimates_overflow():
+    # x' . c'_j overflows float32 for the three codewords along x, so their
+    # estimates are -inf (or inf) while the fourth is 0. In float64 all four
+    # distances round to the same number: cdist says 0, and the screen must
+    # not settle on the one finite estimate.
+    codewords = np.zeros((4, 3))
+    codewords[:3, 0] = 10.0
+    vectors = np.array([[1e38, 0.0, 0.0], [-1e38, 0.0, 0.0], [3e38, 1.0, 0.0]])
+    _assert_matches_reference(vectors, codewords)
+    assert _nearest(vectors, codewords).tolist() == [0, 0, 0]
 
 
 def test_screen_matches_cdist_next_to_ulp_twin_codewords():
@@ -410,6 +441,94 @@ def test_every_row_goes_to_cdist_below_the_crossover(monkeypatch):
     rows = _count_cdist_rows(monkeypatch)
     _nearest(x, r.normal(size=(quantizer._SCREEN_MIN_K - 1, 16)))
     assert sum(rows) == x.shape[0]
+
+
+def _count_kernel_rows(monkeypatch) -> list[int]:
+    rows = []
+    kernel = quantizer._column_sqdist
+
+    def counting(columns, targets):
+        rows.append(columns.shape[1])
+        return kernel(columns, targets)
+
+    monkeypatch.setattr(quantizer, "_column_sqdist", counting)
+    return rows
+
+
+def test_screened_init_measures_few_rows_per_centre(monkeypatch):
+    r = np.random.default_rng(4097)
+    x = r.normal(size=(4096, 16))
+    k = 256
+    rows = _count_kernel_rows(monkeypatch)
+    kmeans_fit(x, k, 0, 0)
+    # A full pass for the first centre, one call per later centre, and a
+    # full pass for the distortion of the first assignment.
+    assert len(rows) == k + 1 and rows[0] == rows[-1] == x.shape[0]
+    assert sum(rows[1:-1]) < 0.1 * (k - 1) * x.shape[0]
+
+
+def test_init_measures_every_row_below_the_crossover(monkeypatch):
+    x = np.random.default_rng(4098).normal(size=(500, 16))
+    k = quantizer._INIT_SCREEN_MIN_K - 1
+    rows = _count_kernel_rows(monkeypatch)
+    kmeans_fit(x, k, 0, 0)
+    assert rows == [x.shape[0]] * (k + 1)
+
+
+@st.composite
+def init_cases(draw):
+    """(samples, k, seed) for the k-means++ init, D >= 2.
+
+    Kinds: Gaussian samples; fewer distinct points than centres, so the
+    init runs out of distance mass and draws with rng.integers; and samples
+    nudged off the midpoints of pairs of base points, nearly equidistant
+    from two centres. Scales go from a tiny 1e-300 (distances that
+    underflow) through 1e-160 and 1e-20 (float32 subnormal estimates) to
+    1e19 (estimates past float32 range). K is drawn on both sides of both
+    crossovers.
+    """
+    low, high = quantizer._SCREEN_MIN_K, quantizer._INIT_SCREEN_MIN_K
+    edges = st.sampled_from([1, 2, low - 1, low, high - 1, high, high + 1, 2 * high])
+    k = draw(edges | st.integers(1, 150))
+    n = draw(st.integers(k, k + 120))
+    d = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["gauss", "duplicated", "near-tie"]))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-300, 1e19, 1e-20]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gauss":
+        samples = r.normal(size=(n, d))
+    elif kind == "duplicated":
+        distinct = r.normal(size=(draw(st.integers(1, 8)), d))
+        samples = distinct[r.integers(0, distinct.shape[0], size=n)]
+    else:
+        base = r.normal(size=(max(1, n // 4), d))
+        pick = r.integers(0, base.shape[0], size=(2, n))
+        nudge = r.normal(size=(n, d)) * 10.0 ** r.uniform(-12, 0, size=(n, 1))
+        samples = (base[pick[0]] + base[pick[1]]) / 2 + nudge
+        samples[: base.shape[0]] = base
+    return samples * scale, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(init_cases())
+def test_kmeans_pp_init_draws_what_rng_choice_draws(case):
+    # The reference init draws with rng.choice(n, p=d2 / total); the init
+    # under test replicates that draw and screens its distance passes.
+    samples, k, seed = case
+    centers, history = kmeans_fit(samples, k, 0, seed)
+    ref_centers, ref_history, _ = _reference_kmeans_fit(samples, k, 0, seed)
+    assert np.array_equal(centers, ref_centers)
+    assert history == ref_history
+
+
+@pytest.mark.parametrize("k", [1, 2, 70])
+def test_kmeans_fit_near_the_overflow_scale_matches_the_reference(k):
+    # Squared distances of about 1e301: still finite, so the fit goes ahead.
+    samples = np.random.default_rng(52).normal(size=(300, 4)) * 1e150
+    centers, history = kmeans_fit(samples, k, 5, 1)
+    ref_centers, ref_history, _ = _reference_kmeans_fit(samples, k, 5, 1)
+    assert np.array_equal(centers, ref_centers)
+    assert history == ref_history
 
 
 @settings(max_examples=100, deadline=None)
