@@ -24,8 +24,9 @@ single link (run_link) is the routine on a one-point grid; each sweep runs
 it once per scene over its whole grid.
 
 A codec fit has a K-independent part - training scenes, their observations,
-the PCA projection, the pruning masks and the k-means sample - and a per-K
-part: the k-means codebook and the ridge decoders. One fit does the first
+the PCA projection, the pruning masks and the k-means sample, drawn map by
+map so that only one map's latents are held at a time - and a per-K part:
+the k-means codebook and the ridge decoders. One fit does the first
 part once and fits the decoders of every size in one pass over the training
 pairs; fit_codec is its one-size case, and the rate-distortion sweep makes
 one fit for all its sizes and one scene walk per evaluation scene.
@@ -172,28 +173,38 @@ def _fit_codecs(
         cfg_s = scene_config(cfg, s, stream="train")
         scene = generate_scene(cfg_s, 0)
         observations.append([observe(scene, a, cfg_s) for a in range(cfg.num_agents)])
+        # The latent is not needed past its observations.
+        del scene
 
     pooled = [f for per_scene in observations for f in per_scene]
     encoder = CodecParams(*fit_encoder_projection(pooled, embed_dim), codebook_hash=0)
 
     # At tau=0 only all-zero cells are pruned, so each observation is its own
     # pruned sender feature.
-    latent_blocks, pairs = [], []
-    for per_scene in observations:
-        masks = [mask_from_scores(score_map(f), 0.0) for f in per_scene]
-        for f, m in zip(per_scene, masks):
-            flat = m.bits.ravel()
-            if flat.any():
-                latent_blocks.append(project_cells(_kept_cells(f, flat), encoder))
-        for j, i in itertools.permutations(range(cfg.num_agents), 2):
-            pairs.append((per_scene[j], masks[j], per_scene[i]))
-    if not latent_blocks:
+    masks = [[mask_from_scores(score_map(f), 0.0) for f in per_scene] for per_scene in observations]
+    pairs = [
+        (per_scene[j], per_masks[j], per_scene[i])
+        for per_scene, per_masks in zip(observations, masks)
+        for j, i in itertools.permutations(range(cfg.num_agents), 2)
+    ]
+    kept = sum(m.count() for per_masks in masks for m in per_masks)
+    if not kept:
         raise InsufficientDataError("no training cell survives pruning")
-    step = max(1, -(-sum(map(len, latent_blocks)) // _KMEANS_SAMPLE_LIMIT))
-    # A C-order copy: Lloyd's passes read whole rows, and the pooled latents
-    # are freed before the first codebook is trained.
-    sample = np.ascontiguousarray(np.concatenate(latent_blocks)[::step])
-    del latent_blocks
+    # The k-means sample is every step-th latent of the maps' kept cells in
+    # order. It is drawn map by map, so only one map's latents are held at a
+    # time: a map whose first latent is number start keeps its rows from
+    # offset (-start) % step on.
+    step = max(1, -(-kept // _KMEANS_SAMPLE_LIMIT))
+    pieces, start = [], 0
+    for f, m in zip(pooled, itertools.chain.from_iterable(masks)):
+        flat = m.bits.ravel()
+        if flat.any():
+            latents = project_cells(_kept_cells(f, flat), encoder)
+            pieces.append(np.ascontiguousarray(latents[(-start) % step :: step]))
+            start += latents.shape[0]
+    # C order, as Lloyd's passes read whole rows.
+    sample = np.concatenate(pieces)
+    del pieces
     seed = derive_seed(cfg.seed, STREAM_KMEANS)
     codebooks = [train_codebook(sample, k, _KMEANS_ITERS, seed) for k in codebook_sizes]
     codecs = [(replace(encoder, codebook_hash=cb.version_hash), cb) for cb in codebooks]

@@ -8,27 +8,27 @@ to the sample currently farthest from its assigned centroid, which keeps the
 distortion sequence non-increasing and avoids dead codewords that would
 waste index entropy.
 
-Every squared distance is computed in one float order: the sum of
-(x_d - c_d)^2 over d = 0..D-1, which is scipy's ``cdist`` sqeuclidean, and
-every assignment is the lowest-index argmin of those numbers. Assignment
-(``_nearest``, behind ``quantize_map`` and every Lloyd iteration) returns
-indices only and runs in blocks of about 2^18 distances (1 MB of float32),
-so a block's row count shrinks as K grows; a row's result does not depend
-on the block it is in. From K = 4 up, a block is first screened with one
-float32 BLAS product that estimates every distance; a row is assigned from
-the estimate only when a rounding bound proves that the estimate picks
-cdist's answer, and every other row (ties, near-ties, values too large or
-too small for float32, non-finite values) is decided on its ``cdist`` row.
-Below K = 4 every row is decided on its ``cdist`` row. BLAS never decides
-an assignment that the bound has not proved, so the result is cdist's on
-every platform.
-``_column_sqdist`` gives cdist's numbers for a distance to one known centre
-per sample, reading the samples column by column. Every distance Lloyd's
-loop reads comes from it: the k-means++ weights, the distortion after each
-assignment and the reseed pass. From K = 64 up, the k-means++ init screens
-each new centre with the same float32 estimate and bound, and measures with
-``_column_sqdist`` only the samples the bound cannot prove farther from the
-new centre than from their nearest centre so far.
+Every squared distance is computed by one numpy kernel (``_sqdist``) in one
+float order: the sum of (x_d - c_d)^2 over d = 0..D-1, which gives scipy's
+``cdist`` sqeuclidean bit for bit, and every assignment is the lowest-index
+argmin of those numbers. The module needs numpy only; the tests keep cdist
+as their reference. Assignment (``_nearest``, behind ``quantize_map`` and
+every Lloyd iteration) returns indices only and runs in blocks of about
+2^18 distances (1 MB of float32), so a block's row count shrinks as K
+grows; a row's result does not depend on the block it is in. Every block is
+first screened with one float32 BLAS product that estimates every distance;
+a row is assigned from the estimate only when a rounding bound proves that
+the estimate picks cdist's answer, and every other row (ties, near-ties,
+values too large or too small for float32, non-finite values) is decided on
+its exact row of distances to every codeword. BLAS never decides an
+assignment that the bound has not proved, so the result is cdist's on every
+platform.
+Every distance Lloyd's loop reads comes from the same kernel, one known
+centre per sample with the samples read column by column: the k-means++
+weights, the distortion after each assignment and the reseed pass. From
+K = 64 up, the k-means++ init screens each new centre with the same float32
+estimate and bound, and measures exactly only the samples the bound cannot
+prove farther from the new centre than from their nearest centre so far.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConfigError,
@@ -52,20 +51,13 @@ from .errors import (
 
 _CDBK_MAGIC = b"CDBK"
 _CDBK_HEADER = struct.Struct("<4sHHQ")
-# Distances per block: 2^18 float64 cdist entries (2 MB), or float32
+# Distances per block: 2^18 exact float64 distances (2 MB), or float32
 # estimates (1 MB), stay cache-sized.
 _BLOCK_DISTANCES = 1 << 18
-# From this many codewords up, assignment screens each block with one float32
-# GEMM estimate before cdist (see _nearest). At D = 16 and 2^18 distances per
-# block (65536 Lloyd-trained samples, one OpenBLAS thread on a 2-core
-# AVX-512 Xeon, best of 9, two rounds) one screened pass is about even with
-# cdist at K = 3 (4.6 against 4.2 ms, then 5.3 against 5.4), ahead from
-# K = 4 (4.3 against 4.5, then 5.3 against 5.8; 6.4 against 11.4 at K = 16)
-# and behind at K = 2 (5.0 against 4.3).
-_SCREEN_MIN_K = 4
 # From this many centres up, the k-means++ init screens each new centre
-# with the same estimate and bound (see _kmeans_pp). On the same samples and
-# machine (best of 7) a screened init takes 64 ms, as full passes do, at
+# with the same estimate and bound as _nearest (see _kmeans_pp). At D = 16
+# on 65536 Lloyd-trained samples (one OpenBLAS thread on a 2-core AVX-512
+# Xeon, best of 7) a screened init takes 64 ms, as full passes do, at
 # K = 48, 76 against 96 at K = 64 and 227 against 361 at K = 256. A new
 # centre is nearer than the kept one for about 1/j of the samples, so the
 # first centres leave many samples to measure, and the screen's fixed costs
@@ -119,9 +111,9 @@ def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     """Lowest-index argmin of cdist's squared distances, as int32 indices.
 
     Rows go in blocks of about _BLOCK_DISTANCES distances; a row's result
-    does not depend on its block. With K at or above _SCREEN_MIN_K a block
-    is first screened in float32. With x' and c'_j the float32 roundings of
-    a row x and of codeword c_j, and h_j = |c'_j|^2 / 2 computed in float32,
+    does not depend on its block. Every block is first screened in float32.
+    With x' and c'_j the float32 roundings of a row x and of codeword c_j,
+    and h_j = |c'_j|^2 / 2 computed in float32,
 
         est_j = (x', 1) . (-c'_j, h_j) ~ (|x' - c'_j|^2 - |x'|^2) / 2,
 
@@ -191,43 +183,40 @@ def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
 
     BLAS never decides an assignment that the bound has not proved. Every
     other row (ties, near-ties, rows past float32 range, rows whose terms
-    drown in the eta term, non-finite rows) and every row when K <
-    _SCREEN_MIN_K gets the lowest-index argmin of its cdist row, so the
-    indices are those of a cdist pass whichever path a row takes. No
-    distance is returned; a caller that needs one measures it with
-    _column_sqdist.
+    drown in the eta term, non-finite rows) gets the lowest-index argmin of
+    its row of _sqdist distances to every codeword, which are cdist's bit
+    for bit, so the indices are those of a cdist pass whichever path a row
+    takes. No distance is returned; a caller that needs one measures it with
+    _sqdist.
     """
     n, dim = vectors.shape
     k = codewords.shape[0]
     idx = np.empty(n, dtype=np.int32)
     rows = max(1, _BLOCK_DISTANCES // k)
-    screened = k >= _SCREEN_MIN_K
-    if screened:
-        low_c = codewords.astype(np.float32)
-        lifted_c = np.empty((k, dim + 1), dtype=np.float32)
-        np.negative(low_c, out=lifted_c[:, :dim])
-        lifted_c[:, dim] = 0.5 * np.einsum("kd,kd->k", low_c, low_c)
-        max_norm = np.sqrt(np.einsum("kd,kd->k", codewords, codewords).max())
-        tol = _screen_tol(np.einsum("nd,nd->n", vectors, vectors), max_norm, dim)
-        lifted = np.ones((min(rows, n), dim + 1), dtype=np.float32)
+    low_c = codewords.astype(np.float32)
+    lifted_c = np.empty((k, dim + 1), dtype=np.float32)
+    np.negative(low_c, out=lifted_c[:, :dim])
+    lifted_c[:, dim] = 0.5 * np.einsum("kd,kd->k", low_c, low_c)
+    max_norm = np.sqrt(np.einsum("kd,kd->k", codewords, codewords).max())
+    tol = _screen_tol(np.einsum("nd,nd->n", vectors, vectors), max_norm, dim)
+    lifted = np.ones((min(rows, n), dim + 1), dtype=np.float32)
     for lo in range(0, n, rows):
         block = vectors[lo : lo + rows]
         m = block.shape[0]
         out = idx[lo : lo + m]
-        rest = slice(None)
-        if screened:
-            # Estimates as (K, rows), so every reduction runs along
-            # contiguous rows; a row settles when only its smallest
-            # estimate is at or below the smallest plus tol.
-            lifted[:m, :dim] = block
-            est = lifted_c @ lifted[:m].T
-            near = est <= est.min(axis=0) + tol[lo : lo + m]
-            centre, row = np.divmod(np.flatnonzero(near), m)
-            out[row] = centre
-            rest = np.flatnonzero(np.bincount(row, minlength=m) != 1)
+        # Estimates as (K, rows), so every reduction runs along contiguous
+        # rows; a row settles when only its smallest estimate is at or
+        # below the smallest plus tol.
+        lifted[:m, :dim] = block
+        est = lifted_c @ lifted[:m].T
+        near = est <= est.min(axis=0) + tol[lo : lo + m]
+        centre, row = np.divmod(np.flatnonzero(near), m)
+        out[row] = centre
+        rest = np.flatnonzero(np.bincount(row, minlength=m) != 1)
         todo = block[rest]
         if todo.shape[0]:
-            out[rest] = np.argmin(cdist(todo, codewords, metric="sqeuclidean"), axis=1)
+            dist = _sqdist(todo.T[:, :, None], codewords.T, (todo.shape[0], k))
+            out[rest] = np.argmin(dist, axis=1)
     return idx
 
 
@@ -249,18 +238,21 @@ def _screen_tol(sq_norms: np.ndarray, max_norm: float, dim: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def _column_sqdist(columns: np.ndarray, targets) -> np.ndarray:
-    """Squared distance of each sample to its target, bit for bit as cdist.
+def _sqdist(columns: np.ndarray, targets, shape=None) -> np.ndarray:
+    """The one distance kernel: squared distances, bit for bit as cdist's.
 
-    columns is the (D, N) transposed sample matrix and targets yields one
-    entry per dimension, read once in order: a scalar (one centre for every
-    sample) or an N-array (each sample's own centre). The squared
-    differences are summed from d = 0 to D-1, the float operations of
-    cdist's sqeuclidean; like cdist, a distance past float64 range is inf,
-    without a warning. It is the only source of the distances kmeans_fit
-    reads.
+    columns and targets yield one entry per dimension d = 0..D-1, read once
+    in order, and each pair broadcasts to shape. The squared differences
+    (col - target)^2 are summed from d = 0 to D-1 into a float64 array of
+    that shape, the float operations of cdist's sqeuclidean; like cdist, a
+    distance past float64 range is inf, without a warning. The default
+    shape, (N,), measures each sample of the (D, N) transposed sample
+    matrix against its target: a scalar per dimension (one centre for every
+    sample) or an N-array (each sample's own centre); these are the only
+    distances kmeans_fit reads. _nearest reads (rows, K) distances of rows
+    to every codeword, with (D, rows, 1) columns and K-array targets.
     """
-    acc = np.zeros(columns.shape[1])
+    acc = np.zeros(columns.shape[1] if shape is None else shape)
     diff = np.empty_like(acc)
     for col, target in zip(columns, targets):
         np.subtract(col, target, out=diff)
@@ -304,7 +296,7 @@ def dequantize(idx, cb: Codebook) -> np.ndarray:
 def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
     """k-means++ centres, drawing what rng.choice(n, p=d2 / total) draws.
 
-    d2 holds each sample's _column_sqdist distance to its nearest centre so
+    d2 holds each sample's _sqdist distance to its nearest centre so
     far. A draw is numpy's own rng.choice draw for that p, without its
     validation passes: the cumulative sum of p scaled to end at 1, searched
     (side "right") at one rng.random(). With no mass left (d2 all zero) the
@@ -317,7 +309,7 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
     estimate exceeds the float32 sum of the kept one and its _screen_tol
     (with max_norm the largest sample norm, which bounds every centre's) is
     proved by _nearest's bound to be strictly farther from c, so its d2
-    stays. Only the other samples get a _column_sqdist distance and an
+    stays. Only the other samples get a _sqdist distance and an
     np.minimum, so d2 is bit for bit that of a full pass per centre. Below
     _INIT_SCREEN_MIN_K every centre gets a full pass.
     """
@@ -325,7 +317,7 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
     centers = np.empty((k, x.shape[1]))
     pick = int(rng.integers(n))
     centers[0] = x[pick]
-    d2 = _column_sqdist(columns, centers[0])
+    d2 = _sqdist(columns, centers[0])
     if not np.isfinite(d2.sum()):
         raise ConfigError("squared distances between the samples overflow float64")
     # One buffer for every draw: a fresh N-array per draw cost 3x as much
@@ -349,11 +341,11 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
             pick = int(rng.integers(n))
         centers[j] = x[pick]
         if not screened:
-            np.minimum(d2, _column_sqdist(columns, centers[j]), out=d2)
+            np.minimum(d2, _sqdist(columns, centers[j]), out=d2)
             continue
         _estimates(low_x, low_x[pick], out=est)
         rows = np.flatnonzero(~(est > kept + tol))
-        near = _column_sqdist(x[rows].T, centers[j])
+        near = _sqdist(x[rows].T, centers[j])
         closer = rows[near < d2[rows]]
         d2[rows] = np.minimum(d2[rows], near)
         kept[closer] = est[closer]
@@ -388,9 +380,10 @@ def kmeans_fit(
     assigns every sample again with _nearest and then reseeds each empty
     cluster, so the centres are those of a full cdist pass each iteration.
     Every distance read (k-means++ weights, distortion, reseed) is
-    _column_sqdist's, bit for bit as cdist's. Samples must be finite, and
-    their squared distances to the first centre must sum to a finite
-    float64 (ConfigError otherwise).
+    _sqdist's, bit for bit as cdist's. Samples must be finite, their
+    squared distances to the first centre must sum to a finite float64, and
+    each cluster's coordinate sums must stay finite (ConfigError otherwise:
+    samples near the float64 maximum would give inf centres).
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -407,7 +400,7 @@ def kmeans_fit(
     columns = np.ascontiguousarray(x.T)
     centers = _kmeans_pp(x, columns, k, np.random.default_rng(seed))
     assign = _nearest(x, centers)
-    dist = _column_sqdist(columns, (c.take(assign) for c in centers.T))
+    dist = _sqdist(columns, (c.take(assign) for c in centers.T))
     history = [float(dist.mean())]
     for _ in range(iters):
         prev_assign = assign
@@ -416,16 +409,18 @@ def kmeans_fit(
         # (for D >= 2; numpy sums a single column pairwise instead).
         counts = np.bincount(assign, minlength=k)
         sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
+        if not np.isfinite(sums).all():
+            raise ConfigError("cluster sums of the samples overflow float64")
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         assign = _nearest(x, centers)
-        dist = _column_sqdist(columns, (c.take(assign) for c in centers.T))
+        dist = _sqdist(columns, (c.take(assign) for c in centers.T))
 
         present = np.bincount(assign, minlength=k) > 0
         for j in np.flatnonzero(~present):
             far = int(np.argmax(dist))
             centers[j] = x[far]
-            newd = _column_sqdist(columns, centers[j])
+            newd = _sqdist(columns, centers[j])
             take = newd < dist
             assign = np.where(take, j, assign)
             dist = np.minimum(dist, newd)

@@ -20,9 +20,12 @@ what makes the decoder-side-information rate claims checkable.
 
 Smoothing is a 5x5 box blur applied twice with wrap-around boundaries, then
 rescaled to exact unit per-cell variance; wrap keeps the field statistics
-identical at every cell. All randomness is drawn from streams keyed by
-hashing (seed, stream tag, indices), so adding agents or frames never
-perturbs existing ones and generation is reproducible under any scheduling.
+identical at every cell. The blur is a numpy replica of scipy's
+``uniform_filter(..., mode="wrap")``: the same running sums in the same
+float order, so every field is bit for bit scipy's without importing it.
+All randomness is drawn from streams keyed by hashing (seed, stream tag,
+indices), so adding agents or frames never perturbs existing ones and
+generation is reproducible under any scheduling.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .errors import (
     ConfigError,
@@ -76,11 +78,72 @@ def _rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
+def _box_blur(field: np.ndarray) -> np.ndarray:
+    """Blur a (C, H, W) float64 field in place, bit for bit as scipy.
+
+    The result is scipy.ndimage.uniform_filter(field, (1, size, size),
+    mode="wrap") applied twice, with size = _BLUR_SIZE. scipy filters along
+    H and then along W, each with uniform_filter1d: every line is extended
+    by wrap-around (any length >= 1); a running sum starts at 0.0 + e_0 +
+    ... + e_{size-1}, added left to right, then adds (e_{j+size-1} -
+    e_{j-1}) at each later step, one subtract and then one add; every output
+    is the running sum divided by the size. (A running mean updated by
+    increments divided by the size is not the same.)
+
+    All four passes work in one allocation: the H running sums, and in
+    turn each pass's extended lines (a pass has read its own before the
+    next writes there). Each pass divides its sums straight into the next
+    pass's extended lines. Fresh arrays per pass cost more in page faults
+    than the filtering itself, and three blocks freed together were handed
+    back to the OS and faulted in again on every call.
+    """
+    c, h, w = field.shape
+    left, span = _BLUR_SIZE // 2, _BLUR_SIZE - 1
+    cells = c * h * w
+    buf = np.empty(cells + c * max((h + span) * w, h * (w + span)))
+    run_h = buf[:cells].reshape(h, c, w)
+    # H lines with H first, so each running-sum step is one add of a
+    # contiguous (C, W) slab: several times faster than np.cumsum along H.
+    ext_h = buf[cells : cells + (h + span) * c * w].reshape(h + span, c, w)
+    # W lines are contiguous, and np.cumsum adds along each in order.
+    ext_w = buf[cells : cells + c * h * (w + span)].reshape(c, h, w + span)
+    lines_w = np.moveaxis(ext_w, 2, 0)
+    ext_h[left : left + h] = field.transpose(1, 0, 2)
+    for rep in range(2):
+        _wrap_ends(ext_h)
+        _box_steps(ext_h, run_h)
+        for j in range(1, h):
+            run_h[j] += run_h[j - 1]
+        np.divide(run_h.transpose(1, 0, 2), _BLUR_SIZE, out=ext_w[..., left : left + w])
+        _wrap_ends(lines_w)
+        _box_steps(lines_w, np.moveaxis(field, 2, 0))
+        np.cumsum(field, axis=2, out=field)
+        if rep == 0:
+            np.divide(field.transpose(1, 0, 2), _BLUR_SIZE, out=ext_h[left : left + h])
+    field /= _BLUR_SIZE
+    return field
+
+
+def _wrap_ends(lines: np.ndarray) -> None:
+    """Fill the wrap-around ends of lines extended along axis 0 from their middle."""
+    left = _BLUR_SIZE // 2
+    n = lines.shape[0] - (_BLUR_SIZE - 1)
+    lines[:left] = lines[left + np.arange(-left, 0) % n]
+    lines[left + n :] = lines[left + np.arange(n, n + _BLUR_SIZE - 1 - left) % n]
+
+
+def _box_steps(ext: np.ndarray, run: np.ndarray) -> None:
+    """The running sum's terms along axis 0 of the extended lines ext."""
+    np.add(0.0, ext[0], out=run[0])
+    for term in ext[1:_BLUR_SIZE]:
+        run[0] += term
+    np.subtract(ext[_BLUR_SIZE:], ext[: run.shape[0] - 1], out=run[1:])
+
+
 def _unit_field(rng: np.random.Generator, channels: int, height: int, width: int) -> np.ndarray:
-    white = rng.standard_normal((channels, height, width))
-    size = (1, _BLUR_SIZE, _BLUR_SIZE)
-    smooth = uniform_filter(uniform_filter(white, size=size, mode="wrap"), size=size, mode="wrap")
-    return smooth / _FIELD_STD
+    field = _box_blur(rng.standard_normal((channels, height, width)))
+    field /= _FIELD_STD
+    return field
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dsc_codec
 from dsc_codec import load_feature_map, load_scenario
 from dsc_codec import cli
 from dsc_codec.cli import cli_dispatch
@@ -310,3 +316,21 @@ def test_malformed_list_flag_is_usage_error_before_any_work(
     assert "usage" in err.lower()
     assert "expected comma-separated" in err
     assert not out.exists()
+
+
+def test_cli_import_loads_numpy_but_no_scipy():
+    # The runtime needs numpy only; scipy is the tests' reference.
+    src = str(Path(dsc_codec.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import sys, dsc_codec.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+        "print(sys.modules['dsc_codec'].__file__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded, where = proc.stdout.splitlines()
+    assert loaded == "['numpy']"
+    assert Path(where).resolve() == Path(dsc_codec.__file__).resolve()

@@ -345,6 +345,32 @@ def test_kmeans_sample_is_a_c_order_array_of_its_own(monkeypatch, small_cfg):
     assert sample.flags.c_contiguous and sample.flags.owndata
 
 
+def test_kmeans_sample_is_every_step_th_pooled_latent(monkeypatch):
+    # At half overlap three agents keep 170, 171 and 171 of 256 cells, so
+    # with step 4 the maps' first sampled rows sit at offsets 0, 2, 3, 0,
+    # 2, 3: the map-by-map draw must equal striding the pooled latents.
+    cfg = ScenarioConfig(
+        num_agents=3, channels=4, height=16, width=16, visibility_overlap=0.5, seed=5
+    )
+    monkeypatch.setattr(pipeline, "_KMEANS_SAMPLE_LIMIT", 300)
+    samples = _count_calls(monkeypatch, pipeline, "train_codebook")
+    fitted = fit_codec(cfg, codebook_size=4, embed_dim=3, train_scenes=2)
+    [(sample, *_)] = samples
+    blocks = []
+    for s in range(2):
+        cfg_s = scene_config(cfg, s, stream="train")
+        scene = generate_scene(cfg_s, 0)
+        for a in range(cfg.num_agents):
+            f = observe(scene, a, cfg_s)
+            kept = mask_from_scores(score_map(f), 0.0).bits.ravel()
+            blocks.append(codec.project_cells(f.cell_vectors()[kept], fitted.params))
+    assert [len(b) for b in blocks] == [170, 171, 171] * 2
+    pooled = np.concatenate(blocks)
+    step = -(-len(pooled) // 300)
+    assert step == 4
+    assert np.array_equal(sample, pooled[::step])
+
+
 def test_fit_codec_rejects_training_scenes_with_no_kept_cell(monkeypatch):
     # All-zero observations score 0 everywhere, so pruning keeps no cell.
     cfg = ScenarioConfig(channels=8, height=16, width=16, seed=3)

@@ -20,7 +20,7 @@ from dsc_codec import (
     train_codebook,
 )
 from dsc_codec import quantizer
-from dsc_codec.quantizer import _column_sqdist, _nearest
+from dsc_codec.quantizer import _nearest, _sqdist
 
 
 def codebook(rows) -> Codebook:
@@ -144,6 +144,14 @@ def test_kmeans_rejects_non_finite_samples(fit, bad):
         fit(samples, 4, 5, 0)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_kmeans_rejects_cluster_sums_past_float64_range(k):
+    # Every distance is 0 between these equal samples, but a cluster's
+    # coordinate sum overflows: its centre would be inf.
+    with pytest.raises(ConfigError, match="cluster sums"):
+        kmeans_fit(np.full((10, 2), 1.7e308), k, 3, 0)
+
+
 def test_kmeans_handles_duplicate_points():
     samples = np.zeros((10, 2))
     samples[5:] = 1.0
@@ -155,7 +163,7 @@ def _reference_kmeans_fit(samples, k, iters, seed):
     """kmeans_fit with the per-cluster centroid loop; also counts reseeds.
 
     Indices and distances come from plain cdist (_reference_nearest and
-    _reference_sqdist), not from _nearest or _column_sqdist. The vectorised update matches it bit
+    _reference_sqdist), not from _nearest or _sqdist. The vectorised update matches it bit
     for bit when D >= 2 (numpy sums a single column pairwise in mean, so
     D = 1 is not compared).
     """
@@ -325,11 +333,10 @@ def assignment_cases(draw):
     1 ulp from a neighbour; and duplicated codewords. Scales reach into subnormal products (1e-160,
     1e-300) and near overflow of the squared norms (1e150), and around the
     float32 screen's limits: estimates past float32 range (1e19, 2e19) and
-    float32 subnormal products or inputs (1e-20, 1e-40). K is drawn on both
-    sides of the screen's crossover.
+    float32 subnormal products or inputs (1e-20, 1e-40). K is drawn from 1
+    up, so the screen is checked on the smallest codebooks too.
     """
-    cross = quantizer._SCREEN_MIN_K
-    edges = st.sampled_from([1, 2, 3, cross - 1, cross, cross + 1, 3 * cross])
+    edges = st.sampled_from([1, 2, 3, 4, 5, 12])
     k = draw(edges | st.integers(1, 100))
     d = draw(st.integers(1, 20))
     n = draw(st.integers(1, 40))
@@ -368,10 +375,10 @@ def test_assignment_matches_cdist_reference_bit_for_bit(case):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e150, 1e19, 2e19, 1e-20, 1e-40])
 def test_screen_near_ties_match_cdist_at_every_scale(scale):
-    # Samples halfway between two codewords, nudged by 1e-12 to 1, on both
-    # sides of the crossover: the screen must hand every near-tie to cdist.
+    # Samples halfway between two codewords, nudged by 1e-12 to 1, at small
+    # and large K: the screen must hand every near-tie to cdist.
     r = np.random.default_rng(29)
-    for k in (quantizer._SCREEN_MIN_K - 1, quantizer._SCREEN_MIN_K, 128):
+    for k in (2, 3, 4, 128):
         codewords = r.normal(size=(k, 16)) * scale
         pick = r.integers(0, k, size=(2, 3000))
         halfway = (codewords[pick[0]] + codewords[pick[1]]) / 2
@@ -408,24 +415,33 @@ def test_screen_matches_cdist_next_to_ulp_twin_codewords():
     # Each sample sits near one codeword, which often has a twin 1 ulp away:
     # the screen must hand those rows to cdist rather than pick a twin.
     r = np.random.default_rng(31)
-    k = 2 * quantizer._SCREEN_MIN_K
+    k = 8
     codewords = _twins(r.normal(size=(k, 16)), r)
     vectors = codewords[r.integers(0, k, size=4000)] + r.normal(size=(4000, 16)) * 0.05
     _assert_matches_reference(vectors, codewords)
 
 
-def _count_cdist_rows(monkeypatch) -> list[int]:
+def _count_sqdist_rows(monkeypatch, ndim) -> list[int]:
+    # Rows per _sqdist call whose columns have ndim dimensions: 3 for the
+    # rows _nearest measures against every codeword, 2 for the samples
+    # kmeans_fit measures against one centre each.
     rows = []
+    kernel = quantizer._sqdist
 
-    def counting(vectors, codewords, metric):
-        rows.append(vectors.shape[0])
-        return cdist(vectors, codewords, metric=metric)
+    def counting(columns, targets, shape=None):
+        if columns.ndim == ndim:
+            rows.append(columns.shape[1])
+        return kernel(columns, targets, shape)
 
-    monkeypatch.setattr(quantizer, "cdist", counting)
+    monkeypatch.setattr(quantizer, "_sqdist", counting)
     return rows
 
 
-def test_screen_settles_almost_every_row_above_the_crossover(monkeypatch):
+def _count_cdist_rows(monkeypatch) -> list[int]:
+    return _count_sqdist_rows(monkeypatch, 3)
+
+
+def test_screen_settles_almost_every_row_at_256_codewords(monkeypatch):
     r = np.random.default_rng(4096)
     x = r.normal(size=(4096, 16))
     codewords = r.normal(size=(256, 16))
@@ -435,24 +451,19 @@ def test_screen_settles_almost_every_row_above_the_crossover(monkeypatch):
     assert sum(rows) < 0.01 * 2 * x.shape[0]
 
 
-def test_every_row_goes_to_cdist_below_the_crossover(monkeypatch):
+def test_screen_settles_every_finite_row_at_one_codeword(monkeypatch):
+    # With one codeword the lone estimate always settles a row whose
+    # bound holds; only the non-finite row is measured exactly.
     r = np.random.default_rng(4095)
     x = r.normal(size=(500, 16))
+    x[7, 3] = np.inf
     rows = _count_cdist_rows(monkeypatch)
-    _nearest(x, r.normal(size=(quantizer._SCREEN_MIN_K - 1, 16)))
-    assert sum(rows) == x.shape[0]
+    assert not _nearest(x, r.normal(size=(1, 16))).any()
+    assert rows == [1]
 
 
 def _count_kernel_rows(monkeypatch) -> list[int]:
-    rows = []
-    kernel = quantizer._column_sqdist
-
-    def counting(columns, targets):
-        rows.append(columns.shape[1])
-        return kernel(columns, targets)
-
-    monkeypatch.setattr(quantizer, "_column_sqdist", counting)
-    return rows
+    return _count_sqdist_rows(monkeypatch, 2)
 
 
 def test_screened_init_measures_few_rows_per_centre(monkeypatch):
@@ -484,11 +495,11 @@ def init_cases(draw):
     nudged off the midpoints of pairs of base points, nearly equidistant
     from two centres. Scales go from a tiny 1e-300 (distances that
     underflow) through 1e-160 and 1e-20 (float32 subnormal estimates) to
-    1e19 (estimates past float32 range). K is drawn on both sides of both
-    crossovers.
+    1e19 (estimates past float32 range). K is drawn from 1 up and on both
+    sides of the init's crossover.
     """
-    low, high = quantizer._SCREEN_MIN_K, quantizer._INIT_SCREEN_MIN_K
-    edges = st.sampled_from([1, 2, low - 1, low, high - 1, high, high + 1, 2 * high])
+    high = quantizer._INIT_SCREEN_MIN_K
+    edges = st.sampled_from([1, 2, 3, 4, high - 1, high, high + 1, 2 * high])
     k = draw(edges | st.integers(1, 150))
     n = draw(st.integers(k, k + 120))
     d = draw(st.integers(2, 12))
@@ -546,10 +557,31 @@ def test_column_kernel_equals_cdist_bit_for_bit(d, n, scale, seed):
     centers = r.normal(size=(7, d)) * (10.0 * scale)
     columns = np.ascontiguousarray(x.T)
     full = cdist(x, centers, metric="sqeuclidean")
-    assert np.array_equal(_column_sqdist(columns, centers[2]), full[:, 2])
+    assert np.array_equal(_sqdist(columns, centers[2]), full[:, 2])
     assign = r.integers(0, 7, size=n)
-    own = _column_sqdist(columns, centers.T.take(assign, axis=1))
+    own = _sqdist(columns, centers.T.take(assign, axis=1))
     assert np.array_equal(own, full[np.arange(n), assign])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.sampled_from([1.0, 1e-160, 1e-300, 1e150, 1e155, 1e200]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_kernel_equals_cdist_bit_for_bit(d, n, k, scale, seed):
+    # _nearest's exact rows: (rows, 1) columns against every codeword. At
+    # 1e155 and 1e200 squared differences pass float64 range and are inf,
+    # as in cdist.
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, d)) * r.uniform(0.001, 1000.0, size=d) * scale
+    codewords = r.normal(size=(k, d)) * (10.0 * scale)
+    got = _sqdist(x.T[:, :, None], codewords.T, (n, k))
+    assert np.array_equal(got, cdist(x, codewords, metric="sqeuclidean"))
+    if scale == 1e200:
+        assert np.isinf(got).all()
 
 
 # train_codebook hashes on a fixed sample, recorded with a full cdist

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from dsc_codec import (
     ConfigError,
@@ -19,7 +20,10 @@ from dsc_codec import (
     translate,
 )
 from dsc_codec.simulate import (
+    _BLUR_SIZE,
+    _FIELD_STD,
     STREAM_SCENE,
+    _box_blur,
     _rng,
     _unit_field,
     covisible_mask,
@@ -32,6 +36,33 @@ def cfg_with(**kw) -> ScenarioConfig:
     base = dict(num_agents=2, channels=16, height=64, width=64, rho=0.9, seed=11)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+# Lines shorter than the 5-cell window wrap onto themselves more than once.
+_BLUR_SHAPES = [(2, h, w) for h in (1, 2, 3, 4, 9) for w in (1, 2, 3, 4, 7) if min(h, w) <= 4]
+
+
+def _scipy_blur(x):
+    size = (1, _BLUR_SIZE, _BLUR_SIZE)
+    return uniform_filter(uniform_filter(x, size=size, mode="wrap"), size=size, mode="wrap")
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+@pytest.mark.parametrize("shape", _BLUR_SHAPES)
+def test_box_blur_equals_scipy_uniform_filter_bit_for_bit(shape, scale):
+    x = np.random.default_rng(sum(shape)).normal(size=shape) * scale
+    want = _scipy_blur(x)
+    got = _box_blur(x)
+    assert got is x
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 2), (2, 33, 17), (4, 64, 64)])
+def test_unit_field_equals_the_scipy_blur_bit_for_bit(shape):
+    want = _scipy_blur(_rng(9, STREAM_SCENE, 0).standard_normal(shape)) / _FIELD_STD
+    got = _unit_field(_rng(9, STREAM_SCENE, 0), *shape)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 def test_config_accepts_numpy_integer_sizes():
