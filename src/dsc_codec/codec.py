@@ -1,10 +1,12 @@
 """The conditional codec: linear encoder, discrete bottleneck, context decoder.
 
 Sender side: per-cell channel vectors are mean-centered, projected to a
-D-dimensional latent (PCA fit offline), vector-quantized against a shared
-codebook, and entropy-coded into a self-describing message. Encoding never
-sees any receiver-side data; a message is a pure function of the pruned
-feature, the mask, the codec parameters and the codebook.
+D-dimensional latent (PCA fit offline, from a mean and covariance summed map
+by map, so the fit holds one map's float64 cells on top of its inputs),
+vector-quantized against a shared codebook, and entropy-coded into a
+self-describing message. Encoding never sees any receiver-side data; a
+message is a pure function of the pruned feature, the mask, the codec
+parameters and the codebook.
 
 Receiver side: the local feature is turned into a per-cell context vector
 (the channel-space box mean of the receiver's own feature over a small
@@ -16,7 +18,7 @@ baseline: decode_message without a local feature. Because it is nested
 inside the conditional model, its training objective can never beat the
 conditional one. fit_conditional_decoder fits the decoders of several
 codecs in one pass over the training pairs, building each pair's context
-once per distinct radius.
+once per distinct radius and freeing the pair's rows before the next pair.
 
 Decoding has two stages. decode_latents checks the header against the codec
 and codebook, rANS-decodes the symbols and dequantizes them; it does not
@@ -124,13 +126,15 @@ def fit_encoder_projection(
 ) -> tuple[np.ndarray, np.ndarray]:
     """PCA over pooled per-cell channel vectors -> (D x C matrix, C mean).
 
-    The cells of every map are copied once into one column-major (N, C)
-    float64 matrix, which is then centred in place, so the fit holds a
-    single copy of the training cells. Column-major is the layout the mean
-    and covariance have always been computed in, and it fixes their bits. Principal directions are ordered by decreasing variance
-    with a fixed sign convention (the largest-magnitude component of each
-    direction is made positive). Directions beyond the data rank, and rows beyond C when
-    D > C, are zero-padded.
+    The statistics are accumulated map by map in two passes, so the fit holds
+    one map's float64 cells at a time. The mean is the float64 sum of each
+    map's cells over the pixels, added in map order and divided by the cell
+    count; the covariance is each map's centred C x C product, added in map
+    order and divided by the same count. That order fixes their bits.
+    Principal directions are ordered by decreasing variance with a fixed sign
+    convention (the largest-magnitude component of each direction is made
+    positive). Directions beyond the data rank, and rows beyond C when D > C,
+    are zero-padded.
     """
     require_int("embed_dim", embed_dim, 1)
     if not training_features:
@@ -143,15 +147,16 @@ def fit_encoder_projection(
         raise InsufficientDataError(
             f"need at least {embed_dim} pooled cells to fit the projection, got {n}"
         )
-    x = np.empty((n, c), order="F")
-    pos = 0
+    total = np.zeros(c)
     for f in training_features:
-        cells = f.height * f.width
-        x[pos : pos + cells] = f.values.reshape(c, cells).T
-        pos += cells
-    mean = x.mean(axis=0)
-    x -= mean
-    cov = x.T @ x / n
+        total += f.values.reshape(c, -1).sum(axis=1, dtype=np.float64)
+    mean = total / n
+    cov = np.zeros((c, c))
+    for f in training_features:
+        x = f.values.reshape(c, -1) - mean[:, None]
+        cov += x @ x.T
+        del x
+    cov /= n
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
@@ -380,7 +385,7 @@ def fit_conditional_decoder(
         contexts = {}
         for (params, cb), (gram, xty) in zip(codecs, normal):
             # Quantize first, in a one-codec pass's allocation order: building
-            # the context first left a later fit's peak RSS 25 MB higher.
+            # the context first left a later 4-size fit's peak RSS 4 MB higher.
             deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
             if params.context_radius not in contexts:
                 contexts[params.context_radius] = si_context(receiver, params, mask)
@@ -389,6 +394,8 @@ def fit_conditional_decoder(
             xty += x.T @ y
         yty += float(np.sum(y * y))
         m += len(y)
+        # Nothing of this pair is read again; free it before the next one.
+        del y, deq, contexts, x
     return [
         _solve_decoder(params, gram, xty, yty, m)
         for (params, _), (gram, xty) in zip(codecs, normal)

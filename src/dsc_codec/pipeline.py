@@ -24,12 +24,16 @@ single link (run_link) is the routine on a one-point grid; each sweep runs
 it once per scene over its whole grid.
 
 A codec fit has a K-independent part - training scenes, their observations,
-the PCA projection, the pruning masks and the k-means sample, drawn map by
-map so that only one map's latents are held at a time - and a per-K part:
-the k-means codebook and the ridge decoders. One fit does the first
-part once and fits the decoders of every size in one pass over the training
-pairs; fit_codec is its one-size case, and the rate-distortion sweep makes
-one fit for all its sizes and one scene walk per evaluation scene.
+the PCA projection, the pruning masks and the k-means sample - and a per-K
+part: the k-means codebook and the ridge decoders. Beyond the observations
+and the k-means sample, the fit holds one map's or one pair's float64 cells
+at a time: the PCA statistics, the sample and the decoder rows are built map
+by map or pair by pair, and the sample is freed once the codebooks are
+trained. A scene walk frees its simulated frames once they are observed.
+One fit does the first part once and fits the decoders of every size in one
+pass over the training pairs; fit_codec is its one-size case, and the
+rate-distortion sweep makes one fit for all its sizes and one scene walk per
+evaluation scene.
 
 Sweeps aggregate links over independently seeded scenes through one
 evaluation body: it runs the per-scene routine once per evaluation scene at
@@ -207,6 +211,7 @@ def _fit_codecs(
     del pieces
     seed = derive_seed(cfg.seed, STREAM_KMEANS)
     codebooks = [train_codebook(sample, k, _KMEANS_ITERS, seed) for k in codebook_sizes]
+    del sample
     codecs = [(replace(encoder, codebook_hash=cb.version_hash), cb) for cb in codebooks]
     fits = fit_conditional_decoder(pairs, codecs)
     return [
@@ -292,6 +297,8 @@ def _scene_links(
         t_send = max(0, t - delay)
         if t_send not in stale:
             stale[t_send] = observe(frames[t_send], sender, cfg)
+    # The latents are not needed past their observations.
+    del frames
     pose_seed = derive_seed(cfg.seed, STREAM_POSE, sender, t)
     contexts = {}
     if any(decoders):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,19 +108,49 @@ def test_pca_pads_rank_deficient_directions(rng):
     assert np.allclose(proj3[1:], 0.0)
 
 
-def test_pca_mean_and_covariance_match_pooled_reference_bits(rng, monkeypatch):
+def test_pca_mean_and_covariance_match_map_order_reference_bits(rng, monkeypatch):
     # Magnitudes spread over 2^-20..2^10, so float64 sums of the float32
     # cells round and the summation order shows in the bits.
     shapes = ((8, 32, 40), (8, 2, 3), (8, 48, 16))
     maps = [FeatureMap(rng.normal(size=s) * np.exp2(rng.uniform(-20, 10, s))) for s in shapes]
-    x = np.concatenate([f.cell_vectors() for f in maps], axis=0)
-    centered = x - x.mean(axis=0)
+    n = sum(f.height * f.width for f in maps)
+    cols = [f.values.reshape(8, -1).astype(np.float64) for f in maps]
+    sums = [col.sum(axis=1) for col in cols]
+    ref_mean = (sums[0] + sums[1] + sums[2]) / n
+    centred = [col - ref_mean[:, None] for col in cols]
+    prods = [d @ d.T for d in centred]
+    ref_cov = (prods[0] + prods[1] + prods[2]) / n
     covs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: covs.append(a.copy()) or eigh(a))
     _, mean = fit_encoder_projection(maps, 3)
-    assert np.array_equal(mean, x.mean(axis=0))
-    assert np.array_equal(covs[0], centered.T @ centered / len(x))
+    assert np.array_equal(mean, ref_mean)
+    assert np.array_equal(covs[0], ref_cov)
+    # The pooled (N, C) statistics agree up to the summation order.
+    x = np.concatenate([f.cell_vectors() for f in maps], axis=0)
+    centered = x - x.mean(axis=0)
+    assert np.allclose(mean, x.mean(axis=0), rtol=1e-12)
+    assert np.allclose(covs[0], centered.T @ centered / n, rtol=1e-12)
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes while fn runs, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_pca_fit_holds_one_map_of_float64_cells_at_a_time(rng):
+    # numpy reports its buffers to tracemalloc, so the peaks are exact.
+    maps = [FeatureMap(rng.normal(size=(8, 32, 32))) for _ in range(8)]
+    one_map = 8 * 32 * 32 * 8
+    peak_8 = _traced_peak(lambda: fit_encoder_projection(maps, 4))
+    peak_2 = _traced_peak(lambda: fit_encoder_projection(maps[:2], 4))
+    assert peak_8 - peak_2 < one_map
 
 
 def test_pca_insufficient_samples():
@@ -810,6 +841,35 @@ def test_one_pass_fit_builds_a_pair_context_once_per_distinct_radius(rng, monkey
     fit_conditional_decoder(pairs, codecs)
     kept = [receiver for _, mask, receiver in pairs if mask.count()]
     assert sorted(calls) == sorted((id(r), radius) for r in kept for radius in (0, 1, 2))
+
+
+def test_decoder_fit_holds_nothing_of_a_pair_past_it(rng, monkeypatch):
+    c, d, h, w = 8, 4, 32, 32
+    cb = Codebook(rng.normal(size=(16, d)))
+    params = make_params(np.linalg.qr(rng.normal(size=(c, c)))[0][:d], np.zeros(c), cb=cb)
+    pairs = []
+    for _ in range(6):
+        sender = FeatureMap(rng.normal(size=(c, h, w)))
+        receiver = FeatureMap(sender.values + 0.5 * rng.normal(size=(c, h, w)))
+        pairs.append((sender, Mask.ones(h, w), receiver))
+    design_rows = h * w * (d + c + 1) * 8
+    peak_6 = _traced_peak(lambda: fit_conditional_decoder(pairs, [(params, cb)]))
+    peak_2 = _traced_peak(lambda: fit_conditional_decoder(pairs[:2], [(params, cb)]))
+    assert peak_6 - peak_2 < design_rows
+    # The peak stays flat even when each pair outlives its successor's start,
+    # so also read what is traced as each pair's quantization begins: under
+    # one float64 value per cell more than at the first pair.
+    held = []
+    quantize = codec_module.quantize_map
+
+    def tracing(latent, codebook):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return quantize(latent, codebook)
+
+    monkeypatch.setattr(codec_module, "quantize_map", tracing)
+    _traced_peak(lambda: fit_conditional_decoder(pairs, [(params, cb)]))
+    assert len(held) == len(pairs)
+    assert max(held) - held[0] < h * w * 8
 
 
 def test_fit_rejects_an_empty_codec_list(rng):
