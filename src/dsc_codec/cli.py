@@ -30,6 +30,7 @@ from .codec import (
 from .errors import CodecError, require_int
 from .features import apply_mask, load_feature_map, save_feature_map
 from .pipeline import (
+    _check_grid,
     fit_codec,
     rd_sweep,
     read_csv,
@@ -162,6 +163,7 @@ def _cmd_sweep_rd(args) -> int:
 
 def _cmd_sweep_robust(args) -> int:
     cfg = _load_config(args)
+    _check_grid((args.tau,), args.sigmas, args.delays, None, args.scenes)
     fitted = fit_codec(
         cfg,
         codebook_size=args.codebook_size,

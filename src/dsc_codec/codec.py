@@ -294,8 +294,7 @@ def encode_message(
     _require_matching_codebook(params, cb)
 
     flat = mask.bits.ravel()
-    n = int(flat.sum())
-    if n > 0:
+    if flat.any():
         latents = project_cells(_kept_cells(f_pruned, flat), params)
         idx = quantize_map(latents, cb)
         table = build_freq_table(idx, cb.size, precision)
@@ -306,14 +305,10 @@ def encode_message(
         freqs = np.zeros(cb.size, dtype=np.int64)
     return Message(
         channels=f_pruned.channels,
-        height=f_pruned.height,
-        width=f_pruned.width,
         embed_dim=params.embed_dim,
-        codebook_size=cb.size,
         precision=precision,
         codebook_hash=cb.version_hash,
         mask=mask,
-        num_symbols=n,
         freqs=freqs,
         payload=payload,
         final_state=state,

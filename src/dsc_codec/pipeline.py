@@ -159,9 +159,20 @@ class FittedCodec:
     decoder_fit: DecoderFit
 
 
-def _check_taus(taus: Sequence[float]) -> None:
+def _check_grid(taus, sigmas, delays, budget: int | None, scenes: int = 1) -> None:
+    """Raise ConfigError unless a sweep can run this grid; run before any fit."""
+    if not (len(taus) and len(sigmas) and len(delays)):
+        raise ConfigError("sweep grids must be non-empty")
+    require_int("scenes", scenes, 1)
     for tau in taus:
         require_unit_interval("tau", tau)
+    for sigma in sigmas:
+        require_nonnegative("sigma_pose", sigma)
+    for delay in delays:
+        if not (delay >= 0 and (isinstance(delay, numbers.Integral) or float(delay).is_integer())):
+            raise ConfigError(f"delay must be a whole number >= 0, got {delay}")
+    if budget is not None:
+        require_int("budget", budget, 0)
 
 
 def _fit_codecs(
@@ -280,15 +291,8 @@ def _scene_links(
     require_int("receiver", receiver, 0, cfg.num_agents - 1)
     if sender == receiver:
         raise ConfigError("sender and receiver must differ")
-    _check_taus(taus)
-    for sigma in sigmas:
-        require_nonnegative("sigma_pose", sigma)
-    for delay in delays:
-        if not (delay >= 0 and (isinstance(delay, numbers.Integral) or float(delay).is_integer())):
-            raise ConfigError(f"delay must be a whole number >= 0, got {delay}")
+    _check_grid(taus, sigmas, delays, budget)
     delays = [int(delay) for delay in delays]
-    if budget is not None:
-        require_int("budget", budget, 0)
 
     frames = generate_frames(cfg, t)
     f_local = observe(frames[t], receiver, cfg)
@@ -401,7 +405,7 @@ def _sweep(
     not an integer >= 1 raises ConfigError; the grid is validated before any
     simulation.
     """
-    require_int("scenes", scenes, 1)
+    _check_grid(taus, sigmas, delays, budget, scenes)
     per_scene = [
         _scene_links(
             scene_config(cfg, s, stream="eval"), DEFAULT_EVAL_T, 1, 0,
@@ -469,12 +473,10 @@ def rd_sweep(
     size, embed_dim and train_scenes (fit_codec's train_scenes defaults to 8,
     rd_sweep's to 6).
     """
-    if not taus or not codebook_sizes:
+    if not len(codebook_sizes):
         raise ConfigError("sweep grids must be non-empty")
-    _check_taus(taus)
     require_int("scenes_per_point", scenes_per_point, 1)
-    if budget is not None:
-        require_int("budget", budget, 0)
+    _check_grid(taus, (0.0,), (0,), budget)
     # _fit_codecs checks its own arguments before it simulates anything.
     fits = _fit_codecs(cfg, codebook_sizes, embed_dim, train_scenes)
     codecs = [(f.params, f.codebook) for f in fits]
@@ -498,8 +500,6 @@ def robustness_sweep(
     simulated once for the whole grid; a row is the scene-order mean of the
     same links run_link evaluates, so it equals evaluate_point at its knobs.
     """
-    if not sigmas or not delays:
-        raise ConfigError("sigma and delay lists must be non-empty")
     return _sweep(cfg, [(params, cb)], (tau,), sigmas, delays, (True, False), scenes, None)
 
 

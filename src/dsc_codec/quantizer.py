@@ -25,10 +25,10 @@ assignment that the bound has not proved, so the result is cdist's on every
 platform.
 Every distance Lloyd's loop reads comes from the same kernel, one known
 centre per sample with the samples read column by column: the k-means++
-weights, the distortion after each assignment and the reseed pass. From
-K = 64 up, the k-means++ init screens each new centre with the same float32
-estimate and bound, and measures exactly only the samples the bound cannot
-prove farther from the new centre than from their nearest centre so far.
+weights, the distortion after each assignment and the reseed pass. The
+k-means++ init screens each new centre with the same float32 estimate and
+bound, and measures exactly only the samples the bound cannot prove farther
+from the new centre than from their nearest centre so far.
 """
 
 from __future__ import annotations
@@ -54,15 +54,6 @@ _CDBK_HEADER = struct.Struct("<4sHHQ")
 # Distances per block: 2^18 exact float64 distances (2 MB), or float32
 # estimates (1 MB), stay cache-sized.
 _BLOCK_DISTANCES = 1 << 18
-# From this many centres up, the k-means++ init screens each new centre
-# with the same estimate and bound as _nearest (see _kmeans_pp). At D = 16
-# on 65536 Lloyd-trained samples (one OpenBLAS thread on a 2-core AVX-512
-# Xeon, best of 7) a screened init takes 64 ms, as full passes do, at
-# K = 48, 76 against 96 at K = 64 and 227 against 361 at K = 256. A new
-# centre is nearer than the kept one for about 1/j of the samples, so the
-# first centres leave many samples to measure, and the screen's fixed costs
-# only pay off from a few dozen centres.
-_INIT_SCREEN_MIN_K = 64
 # The float32 screen's unit roundoff, and its bound on the absolute error
 # of one rounding into the subnormal range or to zero (see _nearest).
 _F32_ROUNDOFF = 2.0**-24
@@ -303,15 +294,14 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
     pick is rng.integers(n). Every pick and the stream state after it are
     those of rng.choice.
 
-    From _INIT_SCREEN_MIN_K up, each new centre c costs one float32 GEMV
-    (_estimates): _nearest's estimate est(x, c), set against the estimate
-    kept for the sample's nearest centre so far. A sample whose new
-    estimate exceeds the float32 sum of the kept one and its _screen_tol
-    (with max_norm the largest sample norm, which bounds every centre's) is
-    proved by _nearest's bound to be strictly farther from c, so its d2
-    stays. Only the other samples get a _sqdist distance and an
-    np.minimum, so d2 is bit for bit that of a full pass per centre. Below
-    _INIT_SCREEN_MIN_K every centre gets a full pass.
+    Each new centre c costs one float32 GEMV (_estimates): _nearest's
+    estimate est(x, c), set against the estimate kept for the sample's
+    nearest centre so far. A sample whose new estimate exceeds the float32
+    sum of the kept one and its _screen_tol (with max_norm the largest
+    sample norm, which bounds every centre's) is proved by _nearest's bound
+    to be strictly farther from c, so its d2 stays. Only the other samples
+    get a _sqdist distance and an np.minimum, so d2 is bit for bit that of
+    a full pass per centre, at every k.
     """
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -323,13 +313,11 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
     # One buffer for every draw: a fresh N-array per draw cost 3x as much
     # (page faults) at N = 65536.
     cdf = np.empty(n)
-    screened = k >= _INIT_SCREEN_MIN_K
-    if screened:
-        low_x = x.astype(np.float32)
-        sq_norms = np.einsum("nd,nd->n", x, x)
-        tol = _screen_tol(sq_norms, np.sqrt(sq_norms.max()), x.shape[1])
-        kept = _estimates(low_x, low_x[pick])
-        est = np.empty_like(kept)
+    low_x = x.astype(np.float32)
+    sq_norms = np.einsum("nd,nd->n", x, x)
+    tol = _screen_tol(sq_norms, np.sqrt(sq_norms.max()), x.shape[1])
+    kept = _estimates(low_x, low_x[pick])
+    est = np.empty_like(kept)
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -340,9 +328,6 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
         else:
             pick = int(rng.integers(n))
         centers[j] = x[pick]
-        if not screened:
-            np.minimum(d2, _sqdist(columns, centers[j]), out=d2)
-            continue
         _estimates(low_x, low_x[pick], out=est)
         rows = np.flatnonzero(~(est > kept + tol))
         near = _sqdist(x[rows].T, centers[j])

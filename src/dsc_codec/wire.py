@@ -14,17 +14,19 @@ every frequency, up to 2^p for a single-symbol map, fits its u16 field (the
 coder itself admits p = 16). K is at least 1. A zero-symbol message
 (N = 0) carries an all-zero table, an empty payload, and the initial coder
 state. The version byte is MESSAGE_VERSION and the flags byte is 0: no flag
-is defined yet. Parsing is strict: any trailing or missing bytes, a bad
-magic, version or flags byte, or an inconsistent table raises
+is defined yet. A Message stores no H, W, K or N: they are its mask's
+shape, its table's length and its mask's population. Parsing is strict:
+any trailing or missing bytes, a bad magic, version or flags byte, an N
+other than the parsed mask's population, or an inconsistent table raises
 MessageParseError rather than returning garbage. Constructing a Message
-checks that every header and length field is an integer that fits its
-field, so to_bytes never fails on a constructed message.
+checks that every header and length field fits its field, so to_bytes
+never fails on a constructed message.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,52 +66,53 @@ class Message:
     """A complete per-link bitstream: header, mask, table, payload, state."""
 
     channels: int
-    height: int
-    width: int
     embed_dim: int
-    codebook_size: int
     precision: int
     codebook_hash: int
     mask: Mask
-    num_symbols: int
     freqs: np.ndarray
     payload: bytes
     final_state: int
+    num_symbols: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("channels", "height", "width", "embed_dim", "codebook_size"):
+        for name in ("channels", "height", "width", "embed_dim"):
             require_int(name, getattr(self, name), 0, _U16_MAX)
-        if self.codebook_size < 1:
-            raise ConfigError(f"codebook size must be >= 1, got {self.codebook_size}")
         require_int("precision", self.precision, MIN_PRECISION, MAX_MESSAGE_PRECISION)
         require_int("codebook_hash", self.codebook_hash, 0, 2**64 - 1)
-        require_int("num_symbols", self.num_symbols, 0, _U32_MAX)
         require_int("payload length", len(self.payload), 0, _U32_MAX)
         require_int("final_state", self.final_state, 0, _U32_MAX)
         arr = np.array(self.freqs, dtype=np.int64, order="C")
-        if arr.ndim != 1 or arr.size != self.codebook_size:
-            raise ConfigError(
-                f"frequency table must have exactly K={self.codebook_size} entries"
-            )
+        if arr.ndim != 1 or not 1 <= arr.size <= _U16_MAX:
+            raise ConfigError(f"codebook size must be >= 1 and <= {_U16_MAX}, got {arr.shape}")
         if arr.min() < 0 or arr.max() > _U16_MAX:
             raise ConfigError("serialized frequencies must fit unsigned 16-bit fields")
+        # At most 0xFFFF^2 < 2^32 cells, so N always fits its u32 field.
+        n = self.mask.count()
         total = int(arr.sum())
-        if self.num_symbols > 0 and total != 1 << self.precision:
+        if n > 0 and total != 1 << self.precision:
             raise ConfigError(f"frequencies must sum to 2^{self.precision}, got {total}")
-        if self.num_symbols == 0 and total != 0:
+        if n == 0 and total != 0:
             raise ConfigError("zero-symbol messages must carry an all-zero table")
-        if (self.mask.height, self.mask.width) != (self.height, self.width):
-            raise ConfigError("mask dimensions must match the message header")
-        if self.num_symbols != self.mask.count():
-            raise ConfigError(
-                f"symbol count {self.num_symbols} != mask population {self.mask.count()}"
-            )
-        if self.num_symbols == 0 and self.final_state != RANS_L:
+        if n == 0 and self.final_state != RANS_L:
             raise ConfigError("zero-symbol messages must carry the initial coder state")
-        if self.num_symbols == 0 and self.payload:
+        if n == 0 and self.payload:
             raise ConfigError("zero-symbol messages must carry an empty payload")
         arr.flags.writeable = False
         object.__setattr__(self, "freqs", arr)
+        object.__setattr__(self, "num_symbols", n)
+
+    @property
+    def height(self) -> int:
+        return self.mask.height
+
+    @property
+    def width(self) -> int:
+        return self.mask.width
+
+    @property
+    def codebook_size(self) -> int:
+        return self.freqs.size
 
     def to_bytes(self) -> bytes:
         mask_bytes = pack_mask(self.mask)
@@ -161,6 +164,8 @@ class Message:
         (mask_len,) = _U32.unpack(take(4, "mask length"))
         mask = unpack_mask(bytes(take(mask_len, "mask")), h, w)
         (n,) = _U32.unpack(take(4, "symbol count"))
+        if n != mask.count():
+            raise MessageParseError(f"symbol count {n} != mask population {mask.count()}")
         freqs = np.frombuffer(take(2 * k, "frequency table"), dtype="<u2").astype(np.int64)
         (payload_len,) = _U32.unpack(take(4, "payload length"))
         payload = bytes(take(payload_len, "payload"))
@@ -170,14 +175,10 @@ class Message:
         try:
             return cls(
                 channels=c,
-                height=h,
-                width=w,
                 embed_dim=d,
-                codebook_size=k,
                 precision=p,
                 codebook_hash=cb_hash,
                 mask=mask,
-                num_symbols=n,
                 freqs=freqs,
                 payload=payload,
                 final_state=state,

@@ -258,6 +258,30 @@ def test_sweep_robust_rejects_negative_sigma(tmp_path, scenario_file, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, detail",
+    [
+        ("--sigmas=0,-1", "sigma_pose must be finite and >= 0"),
+        ("--tau=1.5", "tau must be in [0,1]"),
+        ("--scenes=0", "scenes must be >= 1"),
+    ],
+)
+def test_sweep_robust_rejects_a_bad_grid_before_fitting(
+    tmp_path, scenario_file, monkeypatch, capsys, flag, detail
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the codec was fitted before the grid was checked")
+
+    monkeypatch.setattr(cli, "fit_codec", no_fit)
+    out = tmp_path / "robust.csv"
+    status = cli_dispatch(
+        ["sweep-robust", "--scenario", str(scenario_file), flag, "--out", str(out)]
+    )
+    assert status == 1
+    assert detail in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rd_rejects_out_of_range_tau(tmp_path, scenario_file, capsys):
     out = tmp_path / "rd.csv"
     status = cli_dispatch(

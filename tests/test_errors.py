@@ -28,7 +28,7 @@ from dsc_codec import (
     train_codebook,
     translate,
 )
-from dsc_codec import quantizer, simulate
+from dsc_codec import simulate
 from dsc_codec.errors import frozen_array
 from dsc_codec.simulate import Scene, derive_seed, scene_config, visibility_mask
 from tests.test_pipeline import _count_calls
@@ -195,7 +195,7 @@ def test_integer_argument_rejects_non_integers_and_out_of_range_before_simulatin
 
 # ------------------------------------------------------------ k-means input
 
-@pytest.mark.parametrize("k", [1, 2, quantizer._INIT_SCREEN_MIN_K])
+@pytest.mark.parametrize("k", [1, 2, 64])
 @pytest.mark.parametrize("fit", [kmeans_fit, train_codebook])
 def test_kmeans_rejects_samples_whose_squared_distances_overflow(fit, k):
     # Finite samples of about 1e160: their squared distances pass float64's

@@ -430,6 +430,19 @@ def test_robustness_rows_equal_scene_mean_of_run_link(small_cfg, small_fitted):
         )
 
 
+def test_sweeps_take_numpy_grids(small_cfg, small_fitted):
+    # A numpy grid has no truth value; the sweeps used to raise a bare
+    # ValueError from their non-empty check.
+    params, cb = small_fitted.params, small_fitted.codebook
+    rows = robustness_sweep(small_cfg, [0.0, 1.0], [0, 2], params, cb, scenes=1)
+    sigmas, delays = np.array([0.0, 1.0]), np.array([0, 2])
+    assert robustness_sweep(small_cfg, sigmas, delays, params, cb, scenes=1) == rows
+    args = dict(embed_dim=4, scenes_per_point=1, train_scenes=1)
+    assert rd_sweep(small_cfg, np.array([0.0, 0.5]), np.array([4]), **args) == rd_sweep(
+        small_cfg, [0.0, 0.5], [4], **args
+    )
+
+
 def test_robustness_sweep_simulates_each_scene_once(monkeypatch, small_cfg, small_fitted):
     # small_cfg has sigma_obs = 0, so observe draws exactly one unit field.
     fields = _count_calls(monkeypatch, simulate, "_unit_field")

@@ -478,12 +478,15 @@ def test_screened_init_measures_few_rows_per_centre(monkeypatch):
     assert sum(rows[1:-1]) < 0.1 * (k - 1) * x.shape[0]
 
 
-def test_init_measures_every_row_below_the_crossover(monkeypatch):
-    x = np.random.default_rng(4098).normal(size=(500, 16))
-    k = quantizer._INIT_SCREEN_MIN_K - 1
+@pytest.mark.parametrize("k", [4, 16])
+def test_init_screens_every_centre_at_few_codewords(monkeypatch, k):
+    # Even the first few centres are screened: each later centre measures
+    # only the samples its estimate cannot prove farther away.
+    x = np.random.default_rng(4098).normal(size=(4096, 16))
     rows = _count_kernel_rows(monkeypatch)
     kmeans_fit(x, k, 0, 0)
-    assert rows == [x.shape[0]] * (k + 1)
+    assert len(rows) == k + 1 and rows[0] == rows[-1] == x.shape[0]
+    assert all(count < x.shape[0] for count in rows[1:-1])
 
 
 @st.composite
@@ -495,10 +498,10 @@ def init_cases(draw):
     nudged off the midpoints of pairs of base points, nearly equidistant
     from two centres. Scales go from a tiny 1e-300 (distances that
     underflow) through 1e-160 and 1e-20 (float32 subnormal estimates) to
-    1e19 (estimates past float32 range). K is drawn from 1 up and on both
-    sides of the init's crossover.
+    1e19 (estimates past float32 range). K is drawn from 1 up, around 64 and
+    past it.
     """
-    high = quantizer._INIT_SCREEN_MIN_K
+    high = 64
     edges = st.sampled_from([1, 2, 3, 4, high - 1, high, high + 1, 2 * high])
     k = draw(edges | st.integers(1, 150))
     n = draw(st.integers(k, k + 120))

@@ -21,14 +21,10 @@ def make_message(n_height=4, n_width=6, k=8, with_payload=True) -> Message:
         freqs[:] = (1 << 12) // k
     return Message(
         channels=3,
-        height=n_height,
-        width=n_width,
         embed_dim=5,
-        codebook_size=k,
         precision=12,
         codebook_hash=0x0123456789ABCDEF,
         mask=mask,
-        num_symbols=n,
         freqs=freqs,
         payload=b"\xde\xad\xbe\xef" if n > 0 else b"",
         final_state=RANS_L + 17 if n > 0 else RANS_L,
@@ -202,43 +198,37 @@ def test_parse_rejects_inconsistent_table():
         Message.from_bytes(bytes(data))
 
 
-def test_message_constructor_validation():
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_parse_rejects_symbol_count_other_than_mask_population(delta):
     msg = make_message()
-    with pytest.raises(ConfigError):
-        Message(
-            channels=msg.channels,
-            height=msg.height,
-            width=msg.width,
-            embed_dim=msg.embed_dim,
-            codebook_size=msg.codebook_size,
-            precision=msg.precision,
-            codebook_hash=msg.codebook_hash,
-            mask=msg.mask,
-            num_symbols=msg.num_symbols + 1,  # contradicts the mask population
-            freqs=msg.freqs,
-            payload=msg.payload,
-            final_state=msg.final_state,
-        )
+    data = bytearray(msg.to_bytes())
+    # N sits right after header(25) + mask_len(4) + mask.
+    offset = 25 + 4 + len(pack_mask(msg.mask))
+    data[offset : offset + 4] = struct.pack("<I", msg.mask.count() + delta)
+    with pytest.raises(MessageParseError, match="mask population"):
+        Message.from_bytes(bytes(data))
 
 
-# One value past each end of every integer header/length field, plus a float.
+# One value past each end of every integer header/length field, plus a float,
+# as (field, value, name in the error). H, W and K are the mask's and the
+# table's sizes, so only their upper ends can be expressed.
 _OUT_OF_RANGE = [
-    *[(name, value) for name in ("channels", "height", "width", "embed_dim", "codebook_size")
-      for value in (-1, 0x10000, 2.5)],
-    ("precision", 12.0),
-    ("codebook_hash", -1),
-    ("codebook_hash", 2**64),
-    ("num_symbols", -1),
-    ("num_symbols", 2**32),
-    ("final_state", -1),
-    ("final_state", 2**32),
+    *[(name, value, name) for name in ("channels", "embed_dim") for value in (-1, 0x10000, 2.5)],
+    ("mask", Mask.zeros(0x10000, 1), "height"),
+    ("mask", Mask.zeros(1, 0x10000), "width"),
+    ("freqs", np.zeros(0x10000, dtype=np.int64), "codebook size"),
+    ("precision", 12.0, "precision"),
+    ("codebook_hash", -1, "codebook_hash"),
+    ("codebook_hash", 2**64, "codebook_hash"),
+    ("final_state", -1, "final_state"),
+    ("final_state", 2**32, "final_state"),
 ]
 
 
-@pytest.mark.parametrize("name, value", _OUT_OF_RANGE)
-def test_message_rejects_header_values_that_do_not_fit_their_field(name, value):
+@pytest.mark.parametrize("name, value, error", _OUT_OF_RANGE)
+def test_message_rejects_header_values_that_do_not_fit_their_field(name, value, error):
     msg = make_message()
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ConfigError, match=error):
         dataclasses.replace(msg, **{name: value})
 
 
