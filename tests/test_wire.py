@@ -161,6 +161,15 @@ def test_parse_rejects_header_with_empty_codebook():
         Message.from_bytes(_zero_symbol_bytes(k=0, flags=0))
 
 
+@pytest.mark.parametrize("offset", [8, 10])
+def test_parse_rejects_header_with_an_empty_mask_dimension(offset):
+    # H and W are the u16 fields at bytes 8 and 10 of the fixed header.
+    data = bytearray(_zero_symbol_bytes(k=2, flags=0))
+    data[offset : offset + 2] = struct.pack("<H", 0)
+    with pytest.raises(MessageParseError, match="mask dimensions must be >= 1"):
+        Message.from_bytes(bytes(data))
+
+
 def test_parse_rejects_undefined_flags():
     data = _zero_symbol_bytes(k=2, flags=0)
     assert Message.from_bytes(data).to_bytes() == data
@@ -210,12 +219,14 @@ def test_parse_rejects_symbol_count_other_than_mask_population(delta):
 
 
 # One value past each end of every integer header/length field, plus a float,
-# as (field, value, name in the error). H, W and K are the mask's and the
-# table's sizes, so only their upper ends can be expressed.
+# as (field, value, name in the error). H and W are the mask's shape, so
+# only their upper ends can be expressed; K is the table's length, so its
+# ends are an empty and a 0x10000-entry table.
 _OUT_OF_RANGE = [
     *[(name, value, name) for name in ("channels", "embed_dim") for value in (-1, 0x10000, 2.5)],
     ("mask", Mask.zeros(0x10000, 1), "height"),
     ("mask", Mask.zeros(1, 0x10000), "width"),
+    ("freqs", np.zeros(0, dtype=np.int64), "codebook size"),
     ("freqs", np.zeros(0x10000, dtype=np.int64), "codebook size"),
     ("precision", 12.0, "precision"),
     ("codebook_hash", -1, "codebook_hash"),
