@@ -3,10 +3,10 @@
 Sender side: per-cell channel vectors are mean-centered, projected to a
 D-dimensional latent (PCA fit offline, from a mean and covariance summed map
 by map, so the fit holds one map's float64 cells on top of its inputs),
-vector-quantized against a shared codebook, and entropy-coded into a
+vector-quantized against a shared codebook, and rANS-coded into a
 self-describing message. Encoding never sees any receiver-side data; a
 message is a pure function of the pruned feature, the mask, the codec
-parameters and the codebook.
+parameters and the codebook, and so is its table precision.
 
 Receiver side: the local feature is turned into a per-cell context vector
 (the channel-space box mean of the receiver's own feature over a small
@@ -21,12 +21,13 @@ codecs in one pass over the training pairs, building each pair's context
 once per distinct radius and freeing the pair's rows before the next pair.
 
 Decoding has two stages. decode_latents checks the header against the codec
-and codebook, rANS-decodes the symbols and dequantizes them; it does not
-depend on the decoder or the receiver. reconstruct maps those latents (and
-context rows, for the conditional decoder) to channel space and scatters
-them onto the coded cells. decode_message, the one bytes-to-feature entry
-point, is their composition; a receiver that feeds one message to several
-decoders runs the first stage once.
+and codebook, rANS-decodes the symbols with the message's own table and
+dequantizes them; it does not depend on the decoder or the receiver.
+reconstruct maps those latents (and context rows, for the conditional
+decoder) to channel space and scatters them onto the coded cells.
+decode_message, the one bytes-to-feature entry point, is their composition;
+a receiver that feeds one message to several decoders runs the first stage
+once.
 
 An optional gradient fine-tune step updates the projection and decoder with
 the quantizer treated as identity in the backward pass, and refreshes the
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .features import FeatureMap, Mask, _frozen_map, require_same_shape, require_spatial_match
 from .quantizer import Codebook, dequantize, quantize_map
-from .rans import MIN_PRECISION, RANS_L, FrequencyTable, build_freq_table, rans_decode, rans_encode
+from .rans import RANS_L, build_freq_table, rans_decode, rans_encode
 from .wire import MAX_MESSAGE_PRECISION, Message
 
 DEFAULT_PRECISION = 12
@@ -274,29 +275,29 @@ def _require_matching_codebook(params: CodecParams, cb: Codebook) -> None:
         )
 
 
-def encode_message(
-    f_pruned: FeatureMap,
-    mask: Mask,
-    params: CodecParams,
-    cb: Codebook,
-    precision: int = DEFAULT_PRECISION,
-) -> Message:
+def encode_message(f_pruned: FeatureMap, mask: Mask, params: CodecParams, cb: Codebook) -> Message:
     """Quantize and entropy-code the unpruned cells into a wire message.
 
     Encoding takes no receiver-side input whatsoever: the message is a pure
-    function of (f_pruned, mask, params, cb, precision). precision must lie
-    in [MIN_PRECISION, MAX_MESSAGE_PRECISION] = [8, 15], the range whose
-    frequencies (up to 2^p for a single-symbol map) fit the wire's u16 table.
+    function of (f_pruned, mask, params, cb). The table precision is
+    DEFAULT_PRECISION = 12, or the smallest larger p whose 2^p slots hold
+    every distinct codeword. The wire carries p <= MAX_MESSAGE_PRECISION =
+    15, so more than 2^15 distinct codewords raise ConfigError.
     """
-    require_int("precision", precision, MIN_PRECISION, MAX_MESSAGE_PRECISION)
     require_spatial_match(f_pruned, mask)
     _require_channels(f_pruned, params)
     _require_matching_codebook(params, cb)
 
+    precision = DEFAULT_PRECISION
     flat = mask.bits.ravel()
     if flat.any():
         latents = project_cells(_kept_cells(f_pruned, flat), params)
         idx = quantize_map(latents, cb)
+        distinct = int(np.count_nonzero(np.bincount(idx)))
+        precision = max(precision, (distinct - 1).bit_length())
+        if precision > MAX_MESSAGE_PRECISION:
+            limit = f"2^{MAX_MESSAGE_PRECISION}"
+            raise ConfigError(f"{distinct} distinct codewords exceed the wire's {limit} slots")
         table = build_freq_table(idx, cb.size, precision)
         payload, state = rans_encode(idx, table)
         freqs = table.freqs
@@ -435,18 +436,6 @@ def _solve_decoder(
     )
 
 
-def _check_decode_inputs(msg: Message, params: CodecParams, cb: Codebook) -> None:
-    if msg.codebook_hash != cb.version_hash:
-        raise CodebookMismatchError(
-            f"message was coded against codebook {msg.codebook_hash:#x}, "
-            f"got {cb.version_hash:#x}"
-        )
-    _require_matching_codebook(params, cb)
-    if msg.codebook_size != cb.size or msg.embed_dim != cb.dim:
-        raise CodebookMismatchError("message header disagrees with the codebook geometry")
-    _require_message_channels(msg, params)
-
-
 def _require_message_channels(msg: Message, params: CodecParams) -> None:
     if msg.channels != params.channels:
         raise HeaderMismatchError(
@@ -471,11 +460,18 @@ def decode_latents(msg: Message, params: CodecParams, cb: Codebook) -> np.ndarra
     looks up their codewords. Returns (msg.num_symbols, D) float64 rows in
     row-major cell order. Every failure is a DecodeError subclass.
     """
-    _check_decode_inputs(msg, params, cb)
+    if msg.codebook_hash != cb.version_hash:
+        raise CodebookMismatchError(
+            f"message was coded against codebook {msg.codebook_hash:#x}, "
+            f"got {cb.version_hash:#x}"
+        )
+    _require_matching_codebook(params, cb)
+    if msg.codebook_size != cb.size or msg.embed_dim != cb.dim:
+        raise CodebookMismatchError("message header disagrees with the codebook geometry")
+    _require_message_channels(msg, params)
     if msg.num_symbols == 0:
         return np.zeros((0, params.embed_dim))
-    table = FrequencyTable(msg.freqs, msg.precision)
-    idx = rans_decode(msg.payload, table, msg.num_symbols, msg.final_state)
+    idx = rans_decode(msg.payload, msg.table, msg.num_symbols, msg.final_state)
     return dequantize(idx, cb)
 
 
@@ -522,11 +518,10 @@ def decode_message(
     With the receiver's local feature the conditional decoder maps
     [latent | context | 1] to channels; without it the unconditional decoder
     maps [latent | 1] (the ablation baseline). Pruned cells come back as
-    exact zeros. Every argument is checked before any symbol is decoded;
-    then the two stages run: decode_latents, and reconstruct with the
-    context rows si_context(f_local, params, msg.mask).
+    exact zeros. Every argument is checked once before any symbol is
+    decoded (the header by decode_latents); then the two stages run:
+    decode_latents, and reconstruct with si_context(f_local, params, msg.mask).
     """
-    _check_decode_inputs(msg, params, cb)
     _decoder_weights(params, f_local is not None)
     if f_local is not None and f_local.shape != (msg.channels, msg.height, msg.width):
         raise HeaderMismatchError(

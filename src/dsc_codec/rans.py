@@ -7,7 +7,10 @@ Construction (fixed, so streams are bit-exact across implementations):
   * symbols are consumed in reverse order while encoding, so decoding walks
     the sequence forward; the emitted bytes are stored reversed, so the
     decoder also reads the payload forward,
-  * frequencies are integers summing to exactly 2^p with p in [8, 16].
+  * frequencies are integers summing to exactly 2^p with p in [8, 16];
+    FrequencyTable alone checks this, and derives the lists the coders read
+    (cumulative starts, the encoder's renormalisation limits, the decoder's
+    2^p-entry slot -> symbol list) once per table, on first use.
 
 A symbol s with frequency f[s] and cumulative start c[s] updates the state
 
@@ -23,6 +26,7 @@ is never allowed to turn into silent garbage symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,19 +57,29 @@ class FrequencyTable:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "freqs", arr)
-        cum = np.zeros(arr.size + 1, dtype=np.int64)
-        np.cumsum(arr, out=cum[1:])
-        cum.flags.writeable = False
-        object.__setattr__(self, "_cum", cum)
 
     @property
     def num_symbols(self) -> int:
         return self.freqs.size
 
-    @property
+    @cached_property
     def cumulative(self) -> np.ndarray:
         """K+1 cumulative starts: cum[k+1] = cum[k] + freq[k]."""
-        return self._cum
+        cum = np.concatenate(([0], np.cumsum(self.freqs)))
+        cum.flags.writeable = False
+        return cum
+
+    @cached_property
+    def encoder_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """Per symbol: frequency, cumulative start and renormalisation limit."""
+        bound = (RANS_L >> self.precision) << 8
+        return self.freqs.tolist(), self.cumulative.tolist(), (bound * self.freqs).tolist()
+
+    @cached_property
+    def decoder_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """Per symbol: frequency and cumulative start; per slot of 2^p: its symbol."""
+        slots = np.repeat(np.arange(self.num_symbols), self.freqs).tolist()
+        return self.freqs.tolist(), self.cumulative.tolist(), slots
 
 
 def build_freq_table(idx, num_symbols: int, precision: int = 12) -> FrequencyTable:
@@ -121,11 +135,7 @@ def rans_encode(idx, ft: FrequencyTable) -> tuple[bytes, int]:
             raise FrequencyTableError(f"symbol {bad} has zero frequency")
 
     p = ft.precision
-    freqs = ft.freqs.tolist()
-    cum = ft.cumulative.tolist()
-    bound = (RANS_L >> p) << 8
-    limits = [bound * f for f in freqs]
-
+    freqs, cum, limits = ft.encoder_lists
     state = RANS_L
     out = bytearray()
     emit = out.append
@@ -147,16 +157,13 @@ def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.nd
         raise DecodeError(f"initial coder state {state:#x} outside the valid interval")
     p = ft.precision
     mask = (1 << p) - 1
-    freqs = ft.freqs.tolist()
-    cum = ft.cumulative.tolist()
-    # Slot cf of the 2^p cumulative range belongs to symbol lookup[cf].
-    lookup = np.repeat(np.arange(ft.num_symbols, dtype=np.int64), ft.freqs).tolist()
+    freqs, cum, slots = ft.decoder_lists
     out = np.empty(n, dtype=np.int32)
     pos = 0
     size = len(payload)
     for i in range(n):
         cf = state & mask
-        s = lookup[cf]
+        s = slots[cf]
         state = freqs[s] * (state >> p) + cf - cum[s]
         while state < RANS_L:
             if pos >= size:

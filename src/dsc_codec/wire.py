@@ -11,13 +11,16 @@ Layout, all little-endian, nothing uncounted:
 The reported rate of a message is the total serialized length in bytes.
 Frequencies are the quantized counts summing to 2^p with p in [8, 15], so
 every frequency, up to 2^p for a single-symbol map, fits its u16 field (the
-coder itself admits p = 16). K is at least 1. A zero-symbol message
+coder itself admits p = 16); the encoder writes p = 12, or the smallest p
+that holds every distinct codeword. K is at least 1. A zero-symbol message
 (N = 0) carries an all-zero table, an empty payload, and the initial coder
 state. The version byte is MESSAGE_VERSION and the flags byte is 0: no flag
 is defined yet. A Message stores no H, W, K or N: they are its mask's
-shape, its table's length and its mask's population. Parsing is strict:
-any trailing or missing bytes, a bad magic, version or flags byte, an N
-other than the parsed mask's population, or an inconsistent table raises
+shape, its table's length and its mask's population. A message with
+symbols checks its table by building the rans.FrequencyTable that decodes
+it, and keeps that as `table` (None when N = 0). Parsing is strict: any
+trailing or missing bytes, a bad magic, version or flags byte, an N other
+than the parsed mask's population, or an inconsistent table raises
 MessageParseError rather than returning garbage. Constructing a Message
 checks that every header and length field fits its field, so to_bytes
 never fails on a constructed message.
@@ -30,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MessageParseError, require_int
+from .errors import ConfigError, FrequencyTableError, MessageParseError, require_int
 from .features import Mask
-from .rans import MIN_PRECISION, RANS_L
+from .rans import MIN_PRECISION, RANS_L, FrequencyTable
 
 MESSAGE_MAGIC = b"DSC1"
 MESSAGE_VERSION = 1
@@ -74,6 +77,7 @@ class Message:
     payload: bytes
     final_state: int
     num_symbols: int = field(init=False)
+    table: FrequencyTable | None = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("channels", "height", "width", "embed_dim"):
@@ -85,22 +89,16 @@ class Message:
         arr = np.array(self.freqs, dtype=np.int64, order="C")
         if arr.ndim != 1 or not 1 <= arr.size <= _U16_MAX:
             raise ConfigError(f"codebook size must be >= 1 and <= {_U16_MAX}, got {arr.shape}")
-        if arr.min() < 0 or arr.max() > _U16_MAX:
-            raise ConfigError("serialized frequencies must fit unsigned 16-bit fields")
         # At most 0xFFFF^2 < 2^32 cells, so N always fits its u32 field.
         n = self.mask.count()
-        total = int(arr.sum())
-        if n > 0 and total != 1 << self.precision:
-            raise ConfigError(f"frequencies must sum to 2^{self.precision}, got {total}")
-        if n == 0 and total != 0:
-            raise ConfigError("zero-symbol messages must carry an all-zero table")
-        if n == 0 and self.final_state != RANS_L:
-            raise ConfigError("zero-symbol messages must carry the initial coder state")
-        if n == 0 and self.payload:
-            raise ConfigError("zero-symbol messages must carry an empty payload")
+        # Non-negative and summing to 2^p <= 2^15, so each entry fits its u16 field.
+        table = FrequencyTable(arr, self.precision) if n > 0 else None
+        if n == 0 and (arr.any() or self.payload or self.final_state != RANS_L):
+            raise ConfigError("N = 0 needs a zero table, an empty payload and the initial state")
         arr.flags.writeable = False
         object.__setattr__(self, "freqs", arr)
         object.__setattr__(self, "num_symbols", n)
+        object.__setattr__(self, "table", table)
 
     @property
     def height(self) -> int:
@@ -183,5 +181,5 @@ class Message:
                 payload=payload,
                 final_state=state,
             )
-        except ConfigError as exc:
+        except (ConfigError, FrequencyTableError) as exc:
             raise MessageParseError(str(exc)) from exc

@@ -24,6 +24,7 @@ from dsc_codec import (
     Mask,
     MessageParseError,
     StepRejectedError,
+    build_freq_table,
     decode_latents,
     decode_message,
     encode_message,
@@ -33,6 +34,7 @@ from dsc_codec import (
     load_codec_params,
     mse,
     rans_decode,
+    rans_encode,
     reconstruct,
     save_codec_params,
     si_context,
@@ -615,21 +617,107 @@ def test_header_disagreements_raise_decode_errors(coded_link, small_fitted):
 
 def test_single_symbol_map_codes_at_every_wire_precision(small_cfg, small_fitted):
     # A constant map quantizes every cell to one codeword, whose frequency
-    # is the whole 2^p; the wire's u16 table carries it up to p = 15.
+    # is the whole 2^p. The encoder writes p = 12; the wire's u16 table
+    # carries that table at every p in [8, 15] and rejects a p outside it.
     params, cb = small_fitted.params, small_fitted.codebook
     f = FeatureMap(np.ones((small_cfg.channels, small_cfg.height, small_cfg.width)))
-    mask = Mask.ones(f.height, f.width)
+    msg = encode_message(f, Mask.ones(f.height, f.width), params, cb)
+    assert msg.precision == 12
+    reference = decode_message(msg, params, cb)
+    idx = rans_decode(msg.payload, msg.table, msg.num_symbols, msg.final_state)
     for p in (8, 12, MAX_MESSAGE_PRECISION):
-        msg = encode_message(f, mask, params, cb, precision=p)
-        assert np.count_nonzero(msg.freqs) == 1 and msg.freqs.max() == 1 << p
-        parsed = Message.from_bytes(msg.to_bytes())
-        assert parsed.to_bytes() == msg.to_bytes()
-        a = decode_message(parsed, params, cb)
-        b = decode_message(msg, params, cb)
-        assert np.array_equal(a.values, b.values)
+        table = build_freq_table(idx, cb.size, p)
+        payload, state = rans_encode(idx, table)
+        coded = dataclasses.replace(
+            msg, precision=p, freqs=table.freqs, payload=payload, final_state=state
+        )
+        assert np.count_nonzero(coded.freqs) == 1 and coded.freqs.max() == 1 << p
+        parsed = Message.from_bytes(coded.to_bytes())
+        assert parsed.to_bytes() == coded.to_bytes()
+        assert np.array_equal(decode_message(parsed, params, cb).values, reference.values)
     for p in (7, MAX_MESSAGE_PRECISION + 1):
         with pytest.raises(ConfigError):
-            encode_message(f, mask, params, cb, precision=p)
+            dataclasses.replace(msg, precision=p)
+
+
+def _identity_codec(rng, c, k):
+    """A K-codeword codebook on C-dim cells, coded and decoded as they are."""
+    cb = Codebook(rng.normal(size=(k, c)))
+    w_uncond = np.vstack([np.eye(c), np.zeros((1, c))])
+    return make_params(np.eye(c), np.zeros(c), cb=cb, w_uncond=w_uncond), cb
+
+
+def test_encode_widens_the_table_to_hold_every_distinct_codeword(rng):
+    # 128x128 cells against 8192 codewords quantize to more than 2^12
+    # distinct codewords, so the table takes p = 13.
+    params, cb = _identity_codec(rng, 4, 8192)
+    f = FeatureMap(rng.normal(size=(4, 128, 128)))
+    msg = encode_message(f, Mask.ones(128, 128), params, cb)
+    assert np.count_nonzero(msg.freqs) > 1 << 12
+    assert msg.precision == 13
+    data = msg.to_bytes()
+    parsed = Message.from_bytes(data)
+    assert parsed.to_bytes() == data
+    recon = decode_message(parsed, params, cb)
+    assert np.array_equal(recon.values, decode_message(msg, params, cb).values)
+    expected = cb.codewords[quantize_map(project_cells(f.cell_vectors(), params), cb)]
+    assert np.array_equal(recon.cell_vectors(), expected)
+
+
+@pytest.mark.parametrize("distinct", [1 << 15, (1 << 15) + 1])
+def test_encode_codes_up_to_the_wire_table_limit_and_rejects_more(monkeypatch, rng, distinct):
+    # 256x256 cells quantized (by a stub: a real 40000-codeword search is
+    # too slow here) to `distinct` codewords. 2^15 codes at p = 15, the
+    # wire's largest; one more is a ConfigError before any rANS work.
+    params, cb = _identity_codec(rng, 2, 40000)
+    f = FeatureMap(rng.normal(size=(2, 256, 256)))
+    idx = np.arange(256 * 256) % distinct
+    monkeypatch.setattr(codec_module, "quantize_map", lambda latents, cb: idx)
+    if distinct == 1 << 15:
+        msg = encode_message(f, Mask.ones(256, 256), params, cb)
+        assert msg.precision == 15
+        parsed = Message.from_bytes(msg.to_bytes())
+        decoded = rans_decode(parsed.payload, parsed.table, parsed.num_symbols, parsed.final_state)
+        assert np.array_equal(decoded, idx)
+        return
+
+    def no_rans(*args):
+        raise AssertionError("rANS work started")
+
+    for name in ("build_freq_table", "rans_encode"):
+        monkeypatch.setattr(codec_module, name, no_rans)
+    with pytest.raises(ConfigError, match=r"32769 distinct codewords exceed the wire's 2\^15"):
+        encode_message(f, Mask.ones(256, 256), params, cb)
+
+
+def test_messages_keep_the_table_they_checked_and_decoding_builds_none(
+    monkeypatch, small_cfg, small_fitted, rng
+):
+    params, cb = small_fitted.params, small_fitted.codebook
+    f = FeatureMap(rng.normal(size=(small_cfg.channels, small_cfg.height, small_cfg.width)))
+    local = FeatureMap(rng.normal(size=f.shape))
+    built = []
+    check = FrequencyTable.__post_init__
+
+    def counted(table):
+        check(table)
+        built.append(table)
+
+    monkeypatch.setattr(FrequencyTable, "__post_init__", counted)
+    msg = encode_message(f, Mask.ones(f.height, f.width), params, cb)
+    # The encoder's table, then the one the message checks.
+    assert len(built) == 2 and msg.table is built[-1]
+    # Neither derived the decoder's slot list: encoding never reads it.
+    assert not any("decoder_lists" in vars(table) for table in built)
+    parsed = Message.from_bytes(msg.to_bytes())
+    assert len(built) == 3 and parsed.table is built[-1]
+    for m in (msg, parsed):
+        assert np.array_equal(m.table.freqs, m.freqs) and m.table.precision == m.precision
+    built.clear()
+    decode_latents(parsed, params, cb)
+    decode_message(parsed, params, cb, f_local=local)
+    decode_message(msg, params, cb)
+    assert built == []
 
 
 def test_encode_rejects_mismatched_codebook(small_cfg, small_fitted, rng):

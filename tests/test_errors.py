@@ -9,9 +9,7 @@ from dsc_codec import (
     CodecParams,
     ConfigError,
     FrequencyTable,
-    Mask,
     build_freq_table,
-    encode_message,
     evaluate_point,
     fit_codec,
     fit_encoder_projection,
@@ -147,8 +145,6 @@ _INTEGER_ARGUMENTS = [
      lambda s, v: observe(s.scene, v, s.cfg), 0, 1),
     ("fit_encoder_projection embed_dim", "embed_dim",
      lambda s, v: fit_encoder_projection([s.feature], v), 1, None),
-    ("encode_message precision", "precision",
-     lambda s, v: encode_message(s.feature, s.mask, s.params, s.cb, precision=v), 8, 15),
     ("CodecParams context_radius", "context_radius",
      lambda s, v: CodecParams(np.eye(2, 8), np.zeros(8), 0, context_radius=v), 0, 255),
     ("CodecParams codebook_hash", "codebook_hash",
@@ -180,7 +176,6 @@ def test_integer_argument_rejects_non_integers_and_out_of_range_before_simulatin
         cb=small_fitted.codebook,
         scene=scene,
         feature=feature,
-        mask=Mask.ones(feature.height, feature.width),
         samples=np.random.default_rng(0).normal(size=(20, 3)),
     )
     fields = _count_calls(monkeypatch, simulate, "_unit_field")
