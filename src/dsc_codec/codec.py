@@ -11,14 +11,14 @@ parameters and the codebook, and so is its table precision.
 Receiver side: the local feature is turned into a per-cell context vector
 (the channel-space box mean of the receiver's own feature over a small
 neighborhood, computed only at the coded cells; it uses none of the encoder's
-projection), and a ridge-fit linear decoder maps
-[dequantized latent | context | 1] back to channel space. The unconditional
-decoder, fit on the same data without the context block, is the ablation
-baseline: decode_message without a local feature. Because it is nested
-inside the conditional model, its training objective can never beat the
-conditional one. fit_conditional_decoder fits the decoders of several
-codecs in one pass over the training pairs, building each pair's context
-once per distinct radius and freeing the pair's rows before the next pair.
+projection). Ridge-fit linear decoders map each coded cell's row back to
+channel space. _row describes that row, [dequantized latent | context | 1],
+and _DECODERS the two decoders that read it: the conditional one reads all
+of it, and the unconditional ablation baseline (decode_message without a
+local feature) the nested [latent | 1], so its training objective can never
+beat the conditional one. fit_conditional_decoder fits the decoders of
+several codecs in one pass over the training pairs, building each pair's
+context once per distinct radius and freeing its rows before the next pair.
 
 Decoding has two stages. decode_latents checks the header against the codec
 and codebook, rANS-decodes the symbols with the message's own table and
@@ -64,8 +64,13 @@ DEFAULT_PRECISION = 12
 _DCCP_MAGIC = b"DCCP"
 _DCCP_VERSION = 3
 _DCCP_HEADER = struct.Struct("<4sBBHHBdQ")
-_FLAG_HAS_COND = 1
-_FLAG_HAS_UNCOND = 2
+# The decoders in DCCP block order: (CodecParams field, DCCP flag bit, the _row
+# blocks it reads, one weight row per column). The conditional decoder reads
+# the whole row; the unconditional ablation nests in it.
+_DECODERS = (
+    ("w_cond", 1, ("latents", "context", "intercept")),
+    ("w_uncond", 2, ("latents", "intercept")),
+)
 # Weight of the old codeword in finetune_step's moving-average refresh.
 _EMA_DECAY = 0.99
 # Weight of finetune_step's commitment term, which pulls latents toward their codewords.
@@ -76,11 +81,10 @@ _COMMITMENT_BETA = 0.25
 class CodecParams:
     """All learnable state of one codec except the codebook itself.
 
-    projection/mean define the encoder only; w_cond maps
-    [latent | context | 1] to channels, where the context is the C-dim
-    channel-space row of si_context, and w_uncond maps [latent | 1]. The
-    codebook is referenced by version hash so a mismatch between encoder and
-    decoder is detected instead of silently corrupting. C, D, the context
+    projection/mean define the encoder only; w_cond and w_uncond are the
+    decoders of _DECODERS, with one row per column of _row that each reads.
+    The codebook is referenced by version hash so a mismatch between encoder
+    and decoder is detected instead of silently corrupting. C, D, the context
     radius and the codebook hash are checked against the DCCP header fields
     that store them, so a constructed instance always saves.
     """
@@ -103,12 +107,10 @@ class CodecParams:
         require_int("context_radius", self.context_radius, 0, 0xFF)
         require_int("codebook_hash", self.codebook_hash, 0, 2**64 - 1)
         require_nonnegative("ridge_lambda", self.ridge_lambda)
-        if self.w_cond is not None:
-            w_cond = frozen_array("w_cond", self.w_cond, np.float64, (d + c + 1, c))
-            object.__setattr__(self, "w_cond", w_cond)
-        if self.w_uncond is not None:
-            w_uncond = frozen_array("w_uncond", self.w_uncond, np.float64, (d + 1, c))
-            object.__setattr__(self, "w_uncond", w_uncond)
+        for field, _, blocks in _DECODERS:
+            if (w := getattr(self, field)) is not None:
+                shape = (len(_row_columns(d, c, blocks)), c)
+                object.__setattr__(self, field, frozen_array(field, w, np.float64, shape))
 
     @property
     def embed_dim(self) -> int:
@@ -318,12 +320,12 @@ def encode_message(f_pruned: FeatureMap, mask: Mask, params: CodecParams, cb: Co
 
 @dataclass(frozen=True, eq=False)
 class DecoderFit:
-    """Ridge solutions for the conditional decoder and its nested baseline.
+    """Ridge solutions for the two decoders of _DECODERS.
 
-    Both objectives (residual + ridge penalty, sum form) are evaluated in the
-    common conditional design space - the unconditional weights are embedded
-    with zero context coefficients - so cond_objective <= uncond_objective
-    holds exactly, not just in exact arithmetic.
+    Both objectives (residual + ridge penalty, sum form) are evaluated over
+    the whole row (_row) - the unconditional weights are embedded with zeros
+    at the context columns they do not read - so cond_objective <=
+    uncond_objective holds exactly, not just in exact arithmetic.
     """
 
     w_cond: np.ndarray
@@ -331,6 +333,21 @@ class DecoderFit:
     cond_objective: float
     uncond_objective: float
     num_cells: int
+
+
+def _row(d: int, c: int) -> tuple[tuple[str, int], ...]:
+    """The decoder row [latent | context | 1] as (block, width) pairs in column order.
+
+    A coded cell's row holds its D dequantized latent entries, its C-dim
+    si_context row and a constant 1.
+    """
+    return (("latents", d), ("context", c), ("intercept", 1))
+
+
+def _row_columns(d: int, c: int, blocks: Sequence[str]) -> np.ndarray:
+    """The indices of the row's columns that lie in the named blocks."""
+    names, widths = zip(*_row(d, c))
+    return np.flatnonzero(np.isin(np.repeat(names, widths), blocks))
 
 
 def _design(latents: np.ndarray, ctx: np.ndarray | None) -> np.ndarray:
@@ -353,8 +370,8 @@ def fit_conditional_decoder(
     are gathered once and its context built once per distinct radius; each
     codec adds its rows into its own normal equations (X^T X, X^T Y; the sum
     of Y^2 is shared) in pair order and drops them, so each fit equals its
-    one-codec fit bit for bit. The unconditional decoder solves the latent +
-    intercept sub-block of the same equations. If the solved conditional
+    one-codec fit bit for bit. The unconditional decoder solves the sub-block
+    of the columns it reads (_DECODERS). If the solved conditional
     objective numerically exceeds the embedded unconditional one (possible
     when the context carries nothing), the embedded solution is installed
     instead, preserving the nested-model guarantee exactly. Each codec's
@@ -365,7 +382,7 @@ def fit_conditional_decoder(
     normal = []
     for params, cb in codecs:
         _require_matching_codebook(params, cb)
-        cols = params.embed_dim + params.channels + 1
+        cols = sum(width for _, width in _row(params.embed_dim, params.channels))
         normal.append((np.zeros((cols, cols)), np.zeros((cols, params.channels))))
     yty = 0.0
     m = 0
@@ -403,7 +420,7 @@ def _solve_decoder(
 ) -> DecoderFit:
     """Both ridge decoders of one codec from its summed normal equations."""
     lam = params.ridge_lambda
-    d, cols = params.embed_dim, len(gram)
+    d, c, cols = params.embed_dim, params.channels, len(gram)
     if m < cols:
         raise InsufficientDataError(f"need at least {cols} unpruned training cells, got {m}")
 
@@ -418,11 +435,10 @@ def _solve_decoder(
     def objective(w: np.ndarray) -> float:
         return float(np.sum(w * (gram @ w - 2.0 * xty)) + yty + lam * np.sum(w * w))
 
-    latent_and_intercept = np.r_[0:d, cols - 1]
-    w_cond = solve(np.arange(cols))
-    w_uncond = solve(latent_and_intercept)
+    whole, nested = (_row_columns(d, c, blocks) for _, _, blocks in _DECODERS)
+    w_cond, w_uncond = solve(whole), solve(nested)
     w_embedded = np.zeros_like(w_cond)
-    w_embedded[latent_and_intercept] = w_uncond
+    w_embedded[nested] = w_uncond
     uncond_objective = objective(w_embedded)
     cond_objective = objective(w_cond)
     if cond_objective > uncond_objective:
@@ -444,12 +460,10 @@ def _require_message_channels(msg: Message, params: CodecParams) -> None:
 
 
 def _decoder_weights(params: CodecParams, conditional: bool) -> np.ndarray:
-    if conditional:
-        w, name = params.w_cond, "conditional decoder (w_cond)"
-    else:
-        w, name = params.w_uncond, "unconditional decoder (w_uncond)"
-    if w is None:
-        raise ConfigError(f"{name} is not fitted")
+    field = _DECODERS[0 if conditional else 1][0]
+    if (w := getattr(params, field)) is None:
+        kind = "conditional" if conditional else "unconditional"
+        raise ConfigError(f"{kind} decoder ({field}) is not fitted")
     return w
 
 
@@ -491,7 +505,7 @@ def reconstruct(
     w = _decoder_weights(params, context is not None)
     _require_message_channels(msg, params)
     c, n = params.channels, msg.num_symbols
-    for name, rows, width in (("latents", latents, params.embed_dim), ("context", context, c)):
+    for (name, width), rows in zip(_row(params.embed_dim, c), (latents, context)):
         if rows is not None and rows.shape != (n, width):
             raise ShapeMismatchError(f"{name} must have shape ({n}, {width}), got {rows.shape}")
     # Overflow to inf/nan is exactly what the row check reports, so numpy
@@ -515,10 +529,9 @@ def decode_message(
 ) -> FeatureMap:
     """Reconstruct the sender feature, conditioned on f_local when given.
 
-    With the receiver's local feature the conditional decoder maps
-    [latent | context | 1] to channels; without it the unconditional decoder
-    maps [latent | 1] (the ablation baseline). Pruned cells come back as
-    exact zeros. Every argument is checked once before any symbol is
+    The conditional decoder reads f_local's context; without f_local the
+    unconditional one (the ablation baseline) decodes. Pruned cells come back
+    as exact zeros. Every argument is checked once before any symbol is
     decoded (the header by decode_latents); then the two stages run:
     decode_latents, and reconstruct with si_context(f_local, params, msg.mask).
     """
@@ -564,8 +577,7 @@ def finetune_step(
     require_nonnegative("lr", lr)
     if not batch:
         raise ConfigError("finetune batch must be non-empty")
-    if params.w_cond is None:
-        raise ConfigError("conditional decoder weights are not fitted")
+    w_cond = _decoder_weights(params, conditional=True)
     _require_matching_codebook(params, cb)
 
     sender_cells, ctx_rows = [], []
@@ -600,7 +612,7 @@ def finetune_step(
     with np.errstate(over="ignore", invalid="ignore"):
         codewords = dequantize(assign, cb)
         x = _design(codewords, ctx)
-        resid = x @ params.w_cond - v
+        resid = x @ w_cond - v
 
         gap = z - codewords
         l_rec = float(np.mean(resid * resid))
@@ -609,7 +621,8 @@ def finetune_step(
 
         g_resid = (2.0 / (m * c)) * resid
         g_w = x.T @ g_resid
-        g_z = g_resid @ params.w_cond[:d].T + (2.0 * _COMMITMENT_BETA / m) * gap
+        w_latents = w_cond[_row_columns(d, c, ("latents",))]
+        g_z = g_resid @ w_latents.T + (2.0 * _COMMITMENT_BETA / m) * gap
         g_proj = g_z.T @ (v - params.mean)
         g_mean = -params.projection.T @ g_z.sum(axis=0)
 
@@ -622,7 +635,7 @@ def finetune_step(
         params,
         projection=params.projection - lr * g_proj,
         mean=params.mean - lr * g_mean,
-        w_cond=params.w_cond - lr * g_w,
+        w_cond=w_cond - lr * g_w,
     )
     new_cb = cb
     if update_codebook:
@@ -636,11 +649,8 @@ def finetune_step(
 
 def save_codec_params(params: CodecParams, path) -> None:
     """Write the version-3 DCCP container (header + f64 LE weight blocks)."""
-    flags = 0
-    if params.w_cond is not None:
-        flags |= _FLAG_HAS_COND
-    if params.w_uncond is not None:
-        flags |= _FLAG_HAS_UNCOND
+    flags = sum(bit for field, bit, _ in _DECODERS if getattr(params, field) is not None)
+    weights = [w for field, _, _ in _DECODERS if (w := getattr(params, field)) is not None]
     with open(path, "wb") as fh:
         fh.write(
             _DCCP_HEADER.pack(
@@ -654,12 +664,8 @@ def save_codec_params(params: CodecParams, path) -> None:
                 params.codebook_hash,
             )
         )
-        fh.write(params.projection.astype("<f8").tobytes())
-        fh.write(params.mean.astype("<f8").tobytes())
-        if params.w_cond is not None:
-            fh.write(params.w_cond.astype("<f8").tobytes())
-        if params.w_uncond is not None:
-            fh.write(params.w_uncond.astype("<f8").tobytes())
+        for block in (params.projection, params.mean, *weights):
+            fh.write(block.astype("<f8").tobytes())
 
 
 def load_codec_params(path) -> CodecParams:
@@ -672,7 +678,7 @@ def load_codec_params(path) -> CodecParams:
         raise FormatError(f"bad codec params magic {magic!r}")
     if version != _DCCP_VERSION:
         raise FormatError(f"unsupported codec params version {version}")
-    if flags & ~(_FLAG_HAS_COND | _FLAG_HAS_UNCOND):
+    if flags & ~sum(bit for _, bit, _ in _DECODERS):
         raise FormatError(f"undefined codec params flag bits {flags:#04x}")
     pos = _DCCP_HEADER.size
 
@@ -687,16 +693,10 @@ def load_codec_params(path) -> CodecParams:
 
     projection = block(d, c, "projection")
     mean = block(1, c, "mean")[0]
-    w_cond = block(d + c + 1, c, "w_cond") if flags & _FLAG_HAS_COND else None
-    w_uncond = block(d + 1, c, "w_uncond") if flags & _FLAG_HAS_UNCOND else None
+    weights = {
+        field: block(len(_row_columns(d, c, blocks)), c, field) if flags & bit else None
+        for field, bit, blocks in _DECODERS
+    }
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes in codec params file")
-    return CodecParams(
-        projection=projection,
-        mean=mean,
-        codebook_hash=cb_hash,
-        context_radius=radius,
-        ridge_lambda=lam,
-        w_cond=w_cond,
-        w_uncond=w_uncond,
-    )
+    return CodecParams(projection, mean, cb_hash, radius, lam, **weights)
