@@ -65,8 +65,8 @@ _DCCP_MAGIC = b"DCCP"
 _DCCP_VERSION = 3
 _DCCP_HEADER = struct.Struct("<4sBBHHBdQ")
 # The decoders in DCCP block order: (CodecParams field, DCCP flag bit, the _row
-# blocks it reads, one weight row per column). The conditional decoder reads
-# the whole row; the unconditional ablation nests in it.
+# blocks it reads, one weight row per column). The first, conditional, reads
+# the whole row; the second, the unconditional ablation, nests in it.
 _DECODERS = (
     ("w_cond", 1, ("latents", "context", "intercept")),
     ("w_uncond", 2, ("latents", "intercept")),
@@ -669,6 +669,7 @@ def save_codec_params(params: CodecParams, path) -> None:
 
 
 def load_codec_params(path) -> CodecParams:
+    """Read a DCCP container; a malformed file raises FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _DCCP_HEADER.size:
@@ -699,4 +700,7 @@ def load_codec_params(path) -> CodecParams:
     }
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes in codec params file")
-    return CodecParams(projection, mean, cb_hash, radius, lam, **weights)
+    try:
+        return CodecParams(projection, mean, cb_hash, radius, lam, **weights)
+    except ConfigError as exc:
+        raise FormatError(f"codec params file holds invalid parameters: {exc}") from exc

@@ -48,7 +48,7 @@ class FrequencyTableError(CodecError, ValueError):
 
 
 class FormatError(CodecError, ValueError):
-    """A container file (feature map, codebook, codec params) is malformed."""
+    """A container file (feature map, codebook, codec params) or scenario file is malformed."""
 
 
 class DecodeError(CodecError, RuntimeError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatchError, frozen_array, require_int
+from .errors import ConfigError, FormatError, ShapeMismatchError, frozen_array, require_int
 
 _FMAP_MAGIC = b"FMAP"
 _FMAP_HEADER = struct.Struct("<4sHHH")
@@ -162,6 +162,7 @@ def save_feature_map(f: FeatureMap, path) -> None:
 
 
 def load_feature_map(path) -> FeatureMap:
+    """Read an FMAP container; a malformed file raises FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _FMAP_HEADER.size:
@@ -176,4 +177,7 @@ def load_feature_map(path) -> FeatureMap:
             f"{c}x{h}x{w}"
         )
     values = np.frombuffer(data, dtype="<f4", offset=_FMAP_HEADER.size)
-    return FeatureMap(values.reshape(c, h, w))
+    try:
+        return FeatureMap(values.reshape(c, h, w))
+    except ConfigError as exc:
+        raise FormatError(f"feature map file holds an invalid map: {exc}") from exc

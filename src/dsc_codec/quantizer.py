@@ -433,6 +433,7 @@ def save_codebook(cb: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
+    """Read a CDBK container; a malformed file raises FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _CDBK_HEADER.size:
@@ -444,7 +445,10 @@ def load_codebook(path) -> Codebook:
     if len(data) != expected:
         raise FormatError(f"codebook file length {len(data)} != expected {expected}")
     codewords = np.frombuffer(data, dtype="<f4", offset=_CDBK_HEADER.size).reshape(k, d)
-    cb = Codebook(codewords)
+    try:
+        cb = Codebook(codewords)
+    except ConfigError as exc:
+        raise FormatError(f"codebook file holds an invalid codebook: {exc}") from exc
     if cb.version_hash != stored_hash:
         raise FormatError("codebook version hash does not match file contents")
     return cb

@@ -330,19 +330,32 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
+    """Parse a 'key = value' scenario file ('#' starts a comment).
+
+    A line that is not ASCII, not 'key = value', with an unknown key or a value
+    that does not parse raises FormatError naming the line. A parsed value out
+    of its documented range raises ConfigError.
+    """
     values: dict[str, object] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _SCENARIO_FIELDS:
-                raise FormatError(f"{path}:{lineno}: unknown scenario key {key!r}")
-            try:
-                values[key] = _SCENARIO_FIELDS[key](value)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+            ) from None
+        line = text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _SCENARIO_FIELDS:
+            raise FormatError(f"{path}:{lineno}: unknown scenario key {key!r}")
+        try:
+            values[key] = _SCENARIO_FIELDS[key](value)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return ScenarioConfig(**values)

@@ -234,6 +234,16 @@ def test_missing_file_reports_diagnostic(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_ascii_scenario_file_exits_1(tmp_path, capsys):
+    scenario = tmp_path / "latin1.cfg"
+    scenario.write_bytes(b"rho = 0.5 \xe9\n")
+    status = cli_dispatch(["gen", "--scenario", str(scenario), "--out", str(tmp_path / "x")])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "latin1.cfg:1: non-ASCII byte 0xe9" in err
+
+
 def test_bad_env_seed_reports_diagnostic(tmp_path, scenario_file, monkeypatch, capsys):
     monkeypatch.setenv("DSC_SEED", "not-an-int")
     status = cli_dispatch(["gen", "--scenario", str(scenario_file), "--out", str(tmp_path / "x")])

@@ -17,6 +17,7 @@ from dsc_codec import (
     ConfigError,
     DecodeError,
     FeatureMap,
+    FormatError,
     FrequencyTable,
     HeaderMismatchError,
     InsufficientDataError,
@@ -31,12 +32,16 @@ from dsc_codec import (
     finetune_step,
     fit_conditional_decoder,
     fit_encoder_projection,
+    load_codebook,
     load_codec_params,
+    load_feature_map,
     mse,
     rans_decode,
     rans_encode,
     reconstruct,
+    save_codebook,
     save_codec_params,
+    save_feature_map,
     si_context,
     translate,
 )
@@ -539,7 +544,15 @@ def test_frozen_containers_compare_and_hash_by_identity(small_cfg, small_fitted,
 
 # Fixed header: magic, version, flags, C, H, W, D, K, p, codebook hash.
 _HEADER = struct.Struct("<4sBBHHHHHBQ")
-_HEADER_FIELD_BITS = (32, 8, 8, 16, 16, 16, 16, 16, 8, 64)
+# The container headers, written out independently of the package. DCCP:
+# magic, version, flags (bit 0: w_cond saved, bit 1: w_uncond saved), C, D,
+# context radius, ridge lambda and codebook hash.
+_DCCP_HEADER = struct.Struct("<4sBBHHBdQ")
+_CONTAINER_HEADERS = {
+    "fmap": struct.Struct("<4sHHH"),  # magic, C, H, W
+    "cdbk": struct.Struct("<4sHHQ"),  # magic, K, D, codebook hash
+    "dccp": _DCCP_HEADER,
+}
 
 
 @pytest.fixture(scope="module")
@@ -560,7 +573,9 @@ def _receive(data, f_local, fitted, conditional):
     )
 
 
-def _corrupt(draw, data: bytes) -> bytes:
+def _corrupt(draw, data: bytes, header: struct.Struct) -> bytes:
+    """data with one to three bits flipped, cut short, or with one header field
+    after the magic set to any value of its type (a float field may be NaN)."""
     kind = draw(st.sampled_from(["flip", "truncate", "header"]))
     if kind == "flip":
         out = bytearray(data)
@@ -569,10 +584,12 @@ def _corrupt(draw, data: bytes) -> bytes:
         return bytes(out)
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
-    fields = list(_HEADER.unpack_from(data))
+    fields = list(header.unpack_from(data))
     i = draw(st.integers(1, len(fields) - 1))
-    fields[i] = draw(st.integers(0, (1 << _HEADER_FIELD_BITS[i]) - 1))
-    return _HEADER.pack(*fields) + data[_HEADER.size :]
+    code = re.findall(r"\d*[a-zA-Z]", header.format)[i]  # "B", "H", "Q", "d", ...
+    bits = 8 * struct.calcsize("<" + code)
+    fields[i] = draw(st.floats() if code == "d" else st.integers(0, (1 << bits) - 1))
+    return header.pack(*fields) + data[header.size :]
 
 
 @given(st.data())
@@ -581,13 +598,44 @@ def test_corrupted_message_decodes_or_raises_decode_error(coded_link, small_fitt
     # The receiver contract: whatever bytes arrive, parse + decode either
     # returns a reconstruction or raises a DecodeError subclass.
     clean, local = coded_link
-    corrupted = _corrupt(data.draw, clean)
+    corrupted = _corrupt(data.draw, clean, _HEADER)
     conditional = data.draw(st.booleans())
     try:
         recon = _receive(corrupted, local, small_fitted, conditional)
     except DecodeError:
         return
     assert isinstance(recon, FeatureMap)
+
+
+@pytest.fixture(scope="module")
+def container_files(tmp_path_factory, small_cfg, small_fitted):
+    """Per container: a path to write to, a valid file's bytes and the loader."""
+    root = tmp_path_factory.mktemp("containers")
+    local = observe(generate_scene(small_cfg, 0), 0, small_cfg)
+    files = {}
+    for ext, save, load, value in (
+        ("fmap", save_feature_map, load_feature_map, local),
+        ("cdbk", save_codebook, load_codebook, small_fitted.codebook),
+        ("dccp", save_codec_params, load_codec_params, small_fitted.params),
+    ):
+        path = root / f"file.{ext}"
+        save(value, path)
+        files[ext] = (path, path.read_bytes(), load)
+    return files
+
+
+@pytest.mark.parametrize("ext", ["fmap", "cdbk", "dccp"])
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_corrupted_container_loads_or_raises_format_error(container_files, ext, data):
+    # The loaders' contract: whatever bytes a container file holds, loading it
+    # returns a value or raises FormatError, and no other exception type.
+    path, clean, load = container_files[ext]
+    path.write_bytes(_corrupt(data.draw, clean, _CONTAINER_HEADERS[ext]))
+    try:
+        load(path)
+    except FormatError:
+        pass
 
 
 def test_header_disagreements_raise_decode_errors(coded_link, small_fitted):
@@ -1217,8 +1265,6 @@ def test_codec_params_file_roundtrip_at_the_largest_header_values(tmp_path):
 
 
 def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
-    from dsc_codec import FormatError
-
     path = tmp_path / "codec.dccp"
     save_codec_params(small_fitted.params, path)
     data = bytearray(path.read_bytes())
@@ -1231,8 +1277,6 @@ def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
 
 @pytest.mark.parametrize("bit", [0x04, 0x80])
 def test_codec_params_file_with_undefined_flag_bits_is_rejected(tmp_path, small_fitted, bit):
-    from dsc_codec import FormatError
-
     path = tmp_path / "codec.dccp"
     save_codec_params(small_fitted.params, path)
     data = bytearray(path.read_bytes())
@@ -1254,13 +1298,57 @@ def test_codec_params_file_with_nan_lambda_is_rejected(tmp_path, small_fitted):
     assert struct.unpack_from("<d", data, lam_offset)[0] == small_fitted.params.ridge_lambda
     struct.pack_into("<d", data, lam_offset, float("nan"))
     path.write_bytes(bytes(data))
-    with pytest.raises(ConfigError, match="ridge_lambda must be finite"):
+    with pytest.raises(FormatError, match="ridge_lambda must be finite"):
         load_codec_params(path)
 
 
-def test_codec_params_file_truncation(tmp_path, small_fitted):
-    from dsc_codec import FormatError
 
+@pytest.mark.parametrize(
+    "d, lam, match",
+    [
+        (0, 1e-3, "projection must have shape"),
+        (2, -1.0, "ridge_lambda must be finite and >= 0"),
+        (2, float("inf"), "ridge_lambda must be finite and >= 0"),
+    ],
+)
+def test_codec_params_file_with_invalid_parameters_raises_format_error(tmp_path, d, lam, match):
+    c = 3
+    path = tmp_path / "codec.dccp"
+    header = _DCCP_HEADER.pack(b"DCCP", 3, 0, c, d, 1, lam, 0)
+    path.write_bytes(header + np.zeros(d * c + c).astype("<f8").tobytes())
+    with pytest.raises(FormatError, match=match) as info:
+        load_codec_params(path)
+    assert isinstance(info.value.__cause__, ConfigError)
+
+
+@pytest.mark.parametrize("cond, uncond", [(False, False), (True, False), (False, True), (True, True)])
+def test_codec_params_file_layout_matches_an_independent_packer(tmp_path, cond, uncond):
+    # Hand-built D=2, C=3 parameters, so no fit runs and the bytes depend on
+    # no BLAS kernel. After the header come f64 LE row-major blocks: the
+    # projection (D x C), the mean (C), then w_cond ((D+C+1) x C = 6 x 3) and
+    # w_uncond ((D+1) x C = 3 x 3), each only if its flag bit is set.
+    values = np.arange(1.0, 37.0) / 8
+    projection, mean = values[:6].reshape(2, 3), values[6:9]
+    w_cond = values[9:27].reshape(6, 3) if cond else None
+    w_uncond = -values[27:36].reshape(3, 3) if uncond else None
+    params = CodecParams(projection, mean, 0x0123456789ABCDEF, 2, 0.5, w_cond, w_uncond)
+    blocks = [projection, mean] + [w for w in (w_cond, w_uncond) if w is not None]
+    body = np.concatenate([block.ravel() for block in blocks])
+    flags = cond | 2 * uncond
+    expected = _DCCP_HEADER.pack(b"DCCP", 3, flags, 3, 2, 2, 0.5, 0x0123456789ABCDEF)
+    expected += struct.pack(f"<{len(body)}d", *body)
+    path = tmp_path / "codec.dccp"
+    save_codec_params(params, path)
+    assert path.read_bytes() == expected
+    loaded = load_codec_params(path)
+    assert (loaded.context_radius, loaded.ridge_lambda) == (2, 0.5)
+    assert loaded.codebook_hash == 0x0123456789ABCDEF
+    for field in ("projection", "mean", "w_cond", "w_uncond"):
+        want, got = getattr(params, field), getattr(loaded, field)
+        assert got is None if want is None else np.array_equal(got, want)
+
+
+def test_codec_params_file_truncation(tmp_path, small_fitted):
     path = tmp_path / "codec.dccp"
     save_codec_params(small_fitted.params, path)
     path.write_bytes(path.read_bytes()[:-4])

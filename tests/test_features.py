@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +176,21 @@ def test_feature_map_file_errors(tmp_path):
     good.write_bytes(good.read_bytes()[:-1])
     with pytest.raises(FormatError):
         load_feature_map(good)
+
+
+@pytest.mark.parametrize(
+    "shape, body, match",
+    [
+        ((1, 1, 2), [1.0, float("nan")], "non-finite"),
+        ((1, 2, 1), [float("inf"), 1.0], "non-finite"),
+        ((0, 3, 3), [], "shape"),
+    ],
+)
+def test_feature_map_file_with_an_invalid_map_raises_format_error(tmp_path, shape, body, match):
+    # 'FMAP' | u16 C | u16 H | u16 W | C*H*W f32 LE: the container parses, but
+    # the map it holds is not a valid FeatureMap.
+    path = tmp_path / "bad.fmap"
+    path.write_bytes(struct.pack("<4sHHH", b"FMAP", *shape) + struct.pack(f"<{len(body)}f", *body))
+    with pytest.raises(FormatError, match=match) as info:
+        load_feature_map(path)
+    assert isinstance(info.value.__cause__, ConfigError)

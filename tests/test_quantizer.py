@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -250,6 +251,24 @@ def test_codebook_file_roundtrip_and_corruption(tmp_path, rng):
     bad.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         load_codebook(bad)
+
+
+@pytest.mark.parametrize(
+    "k, d, body, match",
+    [
+        (1, 2, [1.0, float("nan")], "non-finite"),
+        (2, 1, [float("-inf"), 1.0], "non-finite"),
+        (0, 4, [], "shape"),
+    ],
+)
+def test_codebook_file_with_an_invalid_codebook_raises_format_error(tmp_path, k, d, body, match):
+    # 'CDBK' | u16 K | u16 D | u64 hash | K*D f32 LE: the container parses, but
+    # the codewords it holds are not a valid Codebook.
+    path = tmp_path / "bad.cdbk"
+    path.write_bytes(struct.pack("<4sHHQ", b"CDBK", k, d, 0) + struct.pack(f"<{len(body)}f", *body))
+    with pytest.raises(FormatError, match=match) as info:
+        load_codebook(path)
+    assert isinstance(info.value.__cause__, ConfigError)
 
 
 @st.composite

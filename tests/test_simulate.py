@@ -346,3 +346,12 @@ def test_scenario_file_rejects_unknown_keys(tmp_path):
 
     with pytest.raises(FormatError):
         load_scenario(path)
+
+
+def test_scenario_file_rejects_a_non_ascii_byte_naming_its_line(tmp_path):
+    from dsc_codec import FormatError
+
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"seed = 7\nrho = 0.5 \xe9\n")
+    with pytest.raises(FormatError, match=r"latin1.cfg:2: non-ASCII byte 0xe9 at column 11"):
+        load_scenario(path)
