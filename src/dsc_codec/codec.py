@@ -18,7 +18,7 @@ of it, and the unconditional ablation baseline (decode_message without a
 local feature) the nested [latent | 1], so its training objective can never
 beat the conditional one. fit_conditional_decoder fits the decoders of
 several codecs in one pass over the training pairs, building each pair's
-context once per distinct radius and freeing its rows before the next pair.
+context once and freeing its rows before the next pair.
 
 Decoding has two stages. decode_latents checks the header against the codec
 and codebook, rANS-decodes the symbols with the message's own table and
@@ -62,8 +62,8 @@ from .wire import MAX_MESSAGE_PRECISION, Message
 DEFAULT_PRECISION = 12
 
 _DCCP_MAGIC = b"DCCP"
-_DCCP_VERSION = 3
-_DCCP_HEADER = struct.Struct("<4sBBHHBdQ")
+_DCCP_VERSION = 4
+_DCCP_HEADER = struct.Struct("<4sBBHHQ")
 # The decoders in DCCP block order: (CodecParams field, DCCP flag bit, the _row
 # blocks it reads, one weight row per column). The first, conditional, reads
 # the whole row; the second, the unconditional ablation, nests in it.
@@ -71,6 +71,9 @@ _DECODERS = (
     ("w_cond", 1, ("latents", "context", "intercept")),
     ("w_uncond", 2, ("latents", "intercept")),
 )
+# si_context's box radius and both decoders' ridge penalty; the DCCP version pins them.
+_CONTEXT_RADIUS = 1
+_RIDGE_LAMBDA = 1e-3
 # Weight of the old codeword in finetune_step's moving-average refresh.
 _EMA_DECAY = 0.99
 # Weight of finetune_step's commitment term, which pulls latents toward their codewords.
@@ -84,16 +87,14 @@ class CodecParams:
     projection/mean define the encoder only; w_cond and w_uncond are the
     decoders of _DECODERS, with one row per column of _row that each reads.
     The codebook is referenced by version hash so a mismatch between encoder
-    and decoder is detected instead of silently corrupting. C, D, the context
-    radius and the codebook hash are checked against the DCCP header fields
-    that store them, so a constructed instance always saves.
+    and decoder is detected instead of silently corrupting. C, D and the
+    codebook hash are checked against the DCCP header fields that store
+    them, so a constructed instance always saves.
     """
 
     projection: np.ndarray
     mean: np.ndarray
     codebook_hash: int
-    context_radius: int = 1
-    ridge_lambda: float = 1e-3
     w_cond: np.ndarray | None = None
     w_uncond: np.ndarray | None = None
 
@@ -104,9 +105,7 @@ class CodecParams:
             raise ConfigError("projection dimensions must fit unsigned 16-bit fields")
         object.__setattr__(self, "projection", proj)
         object.__setattr__(self, "mean", frozen_array("mean", self.mean, np.float64, (c,)))
-        require_int("context_radius", self.context_radius, 0, 0xFF)
         require_int("codebook_hash", self.codebook_hash, 0, 2**64 - 1)
-        require_nonnegative("ridge_lambda", self.ridge_lambda)
         for field, _, blocks in _DECODERS:
             if (w := getattr(self, field)) is not None:
                 shape = (len(_row_columns(d, c, blocks)), c)
@@ -225,12 +224,13 @@ def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarr
     channel-space mean of f_local over the window around each kept cell.
     Only cells inside the window of a kept cell are read. Padding is zero
     and the divisor fixed, so border cells (whose windows hang over the
-    padding) genuinely differ from interior ones.
+    padding) genuinely differ from interior ones. r = _CONTEXT_RADIUS is fixed:
+    r=0 decodes worse at every pose noise >= 1, and r=2 and r=3 worse overall.
     """
     _require_channels(f_local, params)
     require_spatial_match(f_local, mask)
     c, h, w = f_local.shape
-    r = params.context_radius
+    r = _CONTEXT_RADIUS
     k = 2 * r + 1
     hp, wp = h + 2 * r, w + 2 * r
     bits = mask.bits
@@ -367,15 +367,14 @@ def fit_conditional_decoder(
     codec, in order (an empty codecs raises ConfigError). Each unpruned cell
     gives one design row [dequantized latent | context | 1] with its sender
     channel vector as target. One pass serves every codec: a pair's targets
-    are gathered once and its context built once per distinct radius; each
-    codec adds its rows into its own normal equations (X^T X, X^T Y; the sum
-    of Y^2 is shared) in pair order and drops them, so each fit equals its
-    one-codec fit bit for bit. The unconditional decoder solves the sub-block
-    of the columns it reads (_DECODERS). If the solved conditional
-    objective numerically exceeds the embedded unconditional one (possible
-    when the context carries nothing), the embedded solution is installed
-    instead, preserving the nested-model guarantee exactly. Each codec's
-    ridge_lambda is its penalty.
+    and its context are built once; each codec adds its rows into its own
+    normal equations (X^T X, X^T Y; the sum of Y^2 is shared) in pair order
+    and drops them, so each fit equals its one-codec fit bit for bit. The
+    unconditional decoder solves the sub-block of the columns it reads
+    (_DECODERS). If the solved conditional objective numerically exceeds the
+    embedded unconditional one (possible when the context carries nothing),
+    the embedded solution is installed instead, preserving the nested-model
+    guarantee exactly. Both fits use the ridge penalty _RIDGE_LAMBDA.
     """
     if not codecs:
         raise ConfigError("no codec to fit a decoder for")
@@ -395,20 +394,20 @@ def fit_conditional_decoder(
         if not flat.any():
             continue
         y = _kept_cells(sender_pruned, flat)
-        contexts = {}
+        context = None
         for (params, cb), (gram, xty) in zip(codecs, normal):
             # Quantize first, in a one-codec pass's allocation order: building
             # the context first left a later 4-size fit's peak RSS 4 MB higher.
             deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
-            if params.context_radius not in contexts:
-                contexts[params.context_radius] = si_context(receiver, params, mask)
-            x = _design(deq, contexts[params.context_radius])
+            if context is None:
+                context = si_context(receiver, params, mask)
+            x = _design(deq, context)
             gram += x.T @ x
             xty += x.T @ y
         yty += float(np.sum(y * y))
         m += len(y)
         # Nothing of this pair is read again; free it before the next one.
-        del y, deq, contexts, x
+        del y, deq, context, x
     return [
         _solve_decoder(params, gram, xty, yty, m)
         for (params, _), (gram, xty) in zip(codecs, normal)
@@ -419,7 +418,7 @@ def _solve_decoder(
     params: CodecParams, gram: np.ndarray, xty: np.ndarray, yty: float, m: int
 ) -> DecoderFit:
     """Both ridge decoders of one codec from its summed normal equations."""
-    lam = params.ridge_lambda
+    lam = _RIDGE_LAMBDA
     d, c, cols = params.embed_dim, params.channels, len(gram)
     if m < cols:
         raise InsufficientDataError(f"need at least {cols} unpruned training cells, got {m}")
@@ -428,9 +427,7 @@ def _solve_decoder(
         try:
             return np.linalg.solve(gram[np.ix_(keep, keep)] + lam * np.eye(len(keep)), xty[keep])
         except np.linalg.LinAlgError as exc:
-            raise InsufficientDataError(
-                "singular normal equations; increase ridge_lambda"
-            ) from exc
+            raise InsufficientDataError("singular normal equations") from exc
 
     def objective(w: np.ndarray) -> float:
         return float(np.sum(w * (gram @ w - 2.0 * xty)) + yty + lam * np.sum(w * w))
@@ -648,7 +645,7 @@ def finetune_step(
 
 
 def save_codec_params(params: CodecParams, path) -> None:
-    """Write the version-3 DCCP container (header + f64 LE weight blocks)."""
+    """Write the version-4 DCCP container (header + f64 LE weight blocks)."""
     flags = sum(bit for field, bit, _ in _DECODERS if getattr(params, field) is not None)
     weights = [w for field, _, _ in _DECODERS if (w := getattr(params, field)) is not None]
     with open(path, "wb") as fh:
@@ -659,8 +656,6 @@ def save_codec_params(params: CodecParams, path) -> None:
                 flags,
                 params.channels,
                 params.embed_dim,
-                params.context_radius,
-                params.ridge_lambda,
                 params.codebook_hash,
             )
         )
@@ -674,7 +669,7 @@ def load_codec_params(path) -> CodecParams:
         data = fh.read()
     if len(data) < _DCCP_HEADER.size:
         raise FormatError("codec params file too short for header")
-    magic, version, flags, c, d, radius, lam, cb_hash = _DCCP_HEADER.unpack_from(data, 0)
+    magic, version, flags, c, d, cb_hash = _DCCP_HEADER.unpack_from(data, 0)
     if magic != _DCCP_MAGIC:
         raise FormatError(f"bad codec params magic {magic!r}")
     if version != _DCCP_VERSION:
@@ -701,6 +696,6 @@ def load_codec_params(path) -> CodecParams:
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes in codec params file")
     try:
-        return CodecParams(projection, mean, cb_hash, radius, lam, **weights)
+        return CodecParams(projection, mean, cb_hash, **weights)
     except ConfigError as exc:
         raise FormatError(f"codec params file holds invalid parameters: {exc}") from exc

@@ -5,16 +5,16 @@ receiver can tell a malformed byte stream from a codebook disagreement from
 a corrupted symbol, and react accordingly (typically: drop the link and fall
 back to local features).
 
-Four checks shared by every module raise ConfigError with one wording:
+Five checks shared by every module raise ConfigError with one wording:
 
-  * require_nonnegative: finite and >= 0;
-  * require_unit_interval: in [0,1];
+  * require_real: a real number; require_nonnegative (finite and >= 0) and
+    require_unit_interval (in [0,1]) run it first;
   * require_int: an integer, numpy integers included, within bounds; every
     public count, index and size goes through it;
   * frozen_array: the read-only, C-order, finite array of a given dtype and
     shape that every immutable container stores.
 
-NaN fails all four.
+NaN fails every check but require_real.
 """
 
 import math
@@ -48,7 +48,7 @@ class FrequencyTableError(CodecError, ValueError):
 
 
 class FormatError(CodecError, ValueError):
-    """A container file (feature map, codebook, codec params) or scenario file is malformed."""
+    """A container (feature map, codebook, codec params), scenario or sweep CSV is malformed."""
 
 
 class DecodeError(CodecError, RuntimeError):
@@ -75,14 +75,22 @@ class StepRejectedError(CodecError, RuntimeError):
     """A fine-tune step produced a non-finite loss; parameters were not touched."""
 
 
+def require_real(name: str, value) -> None:
+    """Raise ConfigError unless value is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 def require_nonnegative(name: str, value: float) -> None:
     """Raise ConfigError unless value is finite and >= 0."""
+    require_real(name, value)
     if not 0.0 <= value < math.inf:
         raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def require_unit_interval(name: str, value: float) -> None:
     """Raise ConfigError unless value lies in [0, 1]."""
+    require_real(name, value)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be in [0,1], got {value}")
 

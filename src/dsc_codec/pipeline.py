@@ -18,10 +18,9 @@ frame, scores each (pose noise, delay) sender view once, and prunes and
 encodes each (codec, tau, pose noise, delay) message once. The receiver side
 does the same: each message's symbols are rANS-decoded and dequantized once
 and feed every requested decoder, conditional and unconditional, and the
-receiver's context is built once per scene over the whole map (once per
-distinct context radius) and gathered at each message's coded cells. A
-single link (run_link) is the routine on a one-point grid; each sweep runs
-it once per scene over its whole grid.
+receiver's context is built once per scene over the whole map and gathered
+at each message's coded cells. A single link (run_link) is the routine on a
+one-point grid; each sweep runs it once per scene over its whole grid.
 
 A codec fit has a K-independent part - training scenes, their observations,
 the PCA projection, the pruning masks and the k-means sample - and a per-K
@@ -68,8 +67,8 @@ from .codec import (
     reconstruct,
     si_context,
 )
-from .errors import ConfigError, DecodeError, InsufficientDataError
-from .errors import require_int, require_nonnegative, require_unit_interval
+from .errors import ConfigError, DecodeError, FormatError, InsufficientDataError
+from .errors import require_int, require_nonnegative, require_real, require_unit_interval
 from .features import FeatureMap, Mask, apply_mask, elementwise_max, mse
 from .pruning import mask_from_scores, score_map
 from .quantizer import Codebook, train_codebook
@@ -169,6 +168,7 @@ def _check_grid(taus, sigmas, delays, budget: int | None, scenes: int = 1) -> No
     for sigma in sigmas:
         require_nonnegative("sigma_pose", sigma)
     for delay in delays:
+        require_real("delay", delay)
         if not (delay >= 0 and (isinstance(delay, numbers.Integral) or float(delay).is_integer())):
             raise ConfigError(f"delay must be a whole number >= 0, got {delay}")
     if budget is not None:
@@ -282,9 +282,9 @@ def _scene_links(
     (codec, tau, sigma, delay) message is encoded once, its latents are
     decoded once and reconstructed by every decoder in decoders. When a
     conditional decoder is requested, the receiver's context is built once
-    per distinct context radius at every cell; a link takes the rows at its
-    coded cells, which equal si_context at its mask bit for bit. A message
-    whose latents fail to decode fails every decoder's link.
+    at every cell for all codecs; a link takes the rows at its coded cells,
+    which equal si_context at its mask bit for bit. A message whose latents
+    fail to decode fails every decoder's link.
     """
     require_int("t", t, 0)
     require_int("sender", sender, 0, cfg.num_agents - 1)
@@ -304,12 +304,8 @@ def _scene_links(
     # The latents are not needed past their observations.
     del frames
     pose_seed = derive_seed(cfg.seed, STREAM_POSE, sender, t)
-    contexts = {}
-    if any(decoders):
-        everywhere = Mask.ones(f_local.height, f_local.width)
-        for params, _ in codecs:
-            if params.context_radius not in contexts:
-                contexts[params.context_radius] = si_context(f_local, params, everywhere)
+    everywhere = Mask.ones(f_local.height, f_local.width)
+    context = si_context(f_local, codecs[0][0], everywhere) if any(decoders) else None
 
     links = {}
     for si, sigma in enumerate(sigmas):
@@ -332,9 +328,7 @@ def _scene_links(
                         except DecodeError:
                             failed = True
                         else:
-                            rows = None
-                            if contexts:
-                                rows = contexts[params.context_radius][mask.bits.ravel()]
+                            rows = None if context is None else context[mask.bits.ravel()]
                             recons = {
                                 conditional: reconstruct(
                                     msg, latents, params, rows if conditional else None
@@ -517,8 +511,8 @@ def write_csv(rows: Sequence[SweepRow], path_or_handle) -> None:
 def read_csv(path) -> list[SweepRow]:
     """Parse a sweep CSV in the documented schema.
 
-    A line that is not ASCII, has the wrong number of fields or holds a field
-    that does not parse raises ConfigError naming the line.
+    A non-ASCII line, a wrong header or field count, or a field that does not
+    parse raises FormatError naming path:line.
     """
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
@@ -527,25 +521,25 @@ def read_csv(path) -> list[SweepRow]:
         try:
             line = raw.decode("ascii").strip()
         except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"line {lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+            raise FormatError(
+                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
             ) from None
         if lineno == 1:
             if line != CSV_HEADER:
-                raise ConfigError(f"unexpected CSV header: {line!r}")
+                raise FormatError(f"{path}:{lineno}: unexpected CSV header: {line!r}")
             continue
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != len(_COLUMN_TYPES):
-            raise ConfigError(
-                f"line {lineno}: expected {len(_COLUMN_TYPES)} CSV fields, "
+            raise FormatError(
+                f"{path}:{lineno}: expected {len(_COLUMN_TYPES)} CSV fields, "
                 f"got {len(parts)}: {line!r}"
             )
         try:
             rows.append(SweepRow(*(parse(part) for parse, part in zip(_COLUMN_TYPES, parts))))
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

@@ -44,6 +44,7 @@ from .errors import (
     frozen_array,
     require_int,
     require_nonnegative,
+    require_real,
     require_unit_interval,
 )
 from .features import FeatureMap, Mask, _frozen_map, require_same_shape, require_spatial_match
@@ -169,6 +170,7 @@ class ScenarioConfig:
         require_unit_interval("rho", self.rho)
         require_nonnegative("sigma_obs", self.sigma_obs)
         require_unit_interval("visibility_overlap", self.visibility_overlap)
+        require_real("alpha", self.alpha)
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha must be in [0,1), got {self.alpha}")
         require_int("seed", self.seed, 0, 2**64 - 1)

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -323,7 +324,7 @@ def test_report_rejects_malformed_csv_line(tmp_path, capsys, row, detail):
     _write_report_csv(csv_path, row)
     assert cli_dispatch(["report", "--input", str(csv_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 3: ")
+    assert err.startswith(f"error: {csv_path}:3: ")
     assert detail in err
 
 
@@ -368,3 +369,22 @@ def test_cli_import_loads_numpy_but_no_scipy():
     loaded, where = proc.stdout.splitlines()
     assert loaded == "['numpy']"
     assert Path(where).resolve() == Path(dsc_codec.__file__).resolve()
+
+
+def _readme_walkthrough() -> list[list[str]]:
+    """The commands of the sh block under "CLI walkthrough" in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch):
+    commands = _readme_walkthrough()
+    assert {"gen", "fit", "encode", "decode"} <= {argv[1] for argv in commands}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DSC_SEED", raising=False)
+    for argv in commands:
+        assert argv[0] == "dsc-codec"
+        assert cli_dispatch(argv[1:]) == 0, shlex.join(argv)

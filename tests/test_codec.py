@@ -66,14 +66,6 @@ def make_params(projection, mean, cb=None, **kw):
     )
 
 
-@pytest.mark.parametrize("field", ["ridge_lambda"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-def test_codec_params_rejects_negative_or_non_finite_hyperparameters(field, value):
-    with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
-        make_params(np.eye(3), np.zeros(3), **{field: value})
-    assert getattr(make_params(np.eye(3), np.zeros(3), **{field: 0.0}), field) == 0.0
-
-
 # ---------------------------------------------------------------- projection
 
 
@@ -200,21 +192,22 @@ def test_si_context_delta_support_is_box_neighborhood():
     assert np.array_equal(nonzero, expected)
 
 
-def _reference_context(f, params, mask):
+def _reference_context(f, mask):
     # The channel-space definition: zero-padded uniform_filter box mean of the
     # whole map, keeping the masked rows.
     values = f.values.astype(np.float64)
-    r = params.context_radius
+    r = codec_module._CONTEXT_RADIUS
     if r > 0:
         values = uniform_filter(values, size=(1, 2 * r + 1, 2 * r + 1), mode="constant", cval=0.0)
     return values.reshape(f.channels, -1).T[mask.bits.ravel()]
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
-def test_si_context_matches_channel_space_box_mean(radius):
+def test_si_context_matches_channel_space_box_mean(radius, monkeypatch):
+    monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", radius)
     rng = np.random.default_rng(100 + radius)
     c, h, w = 5, 11, 13
-    params = make_params(rng.normal(size=(4, c)), rng.normal(size=c), context_radius=radius)
+    params = make_params(rng.normal(size=(4, c)), rng.normal(size=c))
     f = FeatureMap(rng.normal(size=(c, h, w)))
     single = np.zeros((h, w), dtype=bool)
     single[5, 6] = True
@@ -232,7 +225,7 @@ def test_si_context_matches_channel_space_box_mean(radius):
         ctx = si_context(f, params, mask)
         assert ctx.dtype == np.float64
         assert ctx.shape == (mask.count(), c)
-        np.testing.assert_allclose(ctx, _reference_context(f, params, mask), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ctx, _reference_context(f, mask), rtol=1e-12, atol=0.0)
 
 
 def test_si_context_rejects_mask_of_other_shape():
@@ -247,9 +240,10 @@ def test_si_context_gather_and_slices_are_bit_identical(radius, monkeypatch):
     # si_context gathers rows, at or above it it adds whole-map slices. On
     # the same inputs each strategy, forced either way, must give the bits
     # of the unforced call and of the whole-map context gathered at the mask.
+    monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", radius)
     rng = np.random.default_rng(7 + radius)
     c, h, w = 3, 16, 20
-    params = make_params(rng.normal(size=(2, c)), rng.normal(size=c), context_radius=radius)
+    params = make_params(rng.normal(size=(2, c)), rng.normal(size=c))
     # Values over 2^-40..2^40 make float64 window sums round, so a change
     # in the order of the adds changes their bits.
     f = FeatureMap(rng.normal(size=(c, h, w)) * np.exp2(rng.integers(-40, 41, size=(c, h, w))))
@@ -265,11 +259,11 @@ def test_si_context_gather_and_slices_are_bit_identical(radius, monkeypatch):
     everywhere = si_context(f, params, Mask.ones(h, w))
     for mask in (below, above):
         chosen = si_context(f, params, mask)
-        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
-        gathered = si_context(f, params, mask)
-        monkeypatch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
-        sliced = si_context(f, params, mask)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
+            gathered = si_context(f, params, mask)
+            patch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
+            sliced = si_context(f, params, mask)
         assert chosen.dtype == gathered.dtype == sliced.dtype == np.float64
         assert np.array_equal(gathered, sliced)
         assert np.array_equal(chosen, sliced)
@@ -277,13 +271,14 @@ def test_si_context_gather_and_slices_are_bit_identical(radius, monkeypatch):
 
 
 @pytest.mark.parametrize("radius", [1, 2])
-def test_whole_map_context_gathered_at_a_mask_equals_si_context(radius):
+def test_whole_map_context_gathered_at_a_mask_equals_si_context(radius, monkeypatch):
     # A receiver builds its context once at every cell and gathers each
     # link's rows from it. Masks just below and just above the gather/slice
     # switch hold border cells and cells that a pose shift zero-filled.
+    monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", radius)
     rng = np.random.default_rng(40 + radius)
     c, h, w = 4, 16, 20
-    params = make_params(rng.normal(size=(3, c)), rng.normal(size=c), context_radius=radius)
+    params = make_params(rng.normal(size=(3, c)), rng.normal(size=c))
     # Rows 0-2 and columns w-2, w-1 are zero after the shift. Values over
     # 2^-40..2^40 make float64 window sums round, so the gather and slice
     # branches must add in the same order to agree.
@@ -545,9 +540,9 @@ def test_frozen_containers_compare_and_hash_by_identity(small_cfg, small_fitted,
 # Fixed header: magic, version, flags, C, H, W, D, K, p, codebook hash.
 _HEADER = struct.Struct("<4sBBHHHHHBQ")
 # The container headers, written out independently of the package. DCCP:
-# magic, version, flags (bit 0: w_cond saved, bit 1: w_uncond saved), C, D,
-# context radius, ridge lambda and codebook hash.
-_DCCP_HEADER = struct.Struct("<4sBBHHBdQ")
+# magic, version, flags (bit 0: w_cond saved, bit 1: w_uncond saved), C, D
+# and codebook hash.
+_DCCP_HEADER = struct.Struct("<4sBBHHQ")
 _CONTAINER_HEADERS = {
     "fmap": struct.Struct("<4sHHH"),  # magic, C, H, W
     "cdbk": struct.Struct("<4sHHQ"),  # magic, K, D, codebook hash
@@ -809,17 +804,19 @@ def synthetic_pair(rng, c=6, h=12, w=12):
     return sender, Mask.ones(h, w), receiver
 
 
-def identity_codec(c, cb, **kw):
-    return make_params(np.eye(c), np.zeros(c), cb=cb, **kw)
+def identity_codec(c, cb):
+    return make_params(np.eye(c), np.zeros(c), cb=cb)
 
 
-def test_perfect_side_information_drives_training_mse_to_zero(rng):
+def test_perfect_side_information_drives_training_mse_to_zero(rng, monkeypatch):
     # Receiver equals sender and the context radius is zero, so the context
     # carries the exact target; with a vanishing ridge the fit is exact.
+    monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", 0)
+    monkeypatch.setattr(codec_module, "_RIDGE_LAMBDA", 1e-10)
     c, h, w = 4, 16, 16
     sender = FeatureMap(rng.normal(size=(c, h, w)))
     cb = Codebook(rng.normal(size=(8, c)))
-    params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0, ridge_lambda=1e-10)
+    params = make_params(np.eye(c), np.zeros(c), cb=cb)
     fit = fit_conditional_decoder([(sender, Mask.ones(h, w), sender)], [(params, cb)])[0]
     cells = sender.cell_vectors()
     idx = quantize_map(project_cells(cells, params), cb)
@@ -838,7 +835,7 @@ def test_independent_context_gets_near_zero_weights(rng):
     # O(1/sqrt(M))) and both decoders perform alike.
     c = 5
     cb = Codebook(rng.normal(size=(16, c)))
-    params = identity_codec(c, cb, ridge_lambda=1e-3)
+    params = identity_codec(c, cb)
     pairs = [synthetic_pair(rng, c=c, h=24, w=24) for _ in range(16)]
     fit = fit_conditional_decoder(pairs, [(params, cb)])[0]
     d = params.embed_dim
@@ -849,13 +846,13 @@ def test_independent_context_gets_near_zero_weights(rng):
     assert fit.cond_objective == pytest.approx(fit.uncond_objective, rel=0.02)
 
 
-def test_nested_model_dominance_holds_for_arbitrary_data(rng):
+def test_nested_model_dominance_holds_for_arbitrary_data(rng, monkeypatch):
     c = 3
     for trial in range(25):
         cb = Codebook(rng.normal(size=(4, c)))
         params = identity_codec(c, cb)
         pairs = [synthetic_pair(rng, c=c, h=6, w=6)]
-        params = dataclasses.replace(params, ridge_lambda=10.0 ** rng.integers(-8, 2))
+        monkeypatch.setattr(codec_module, "_RIDGE_LAMBDA", 10.0 ** rng.integers(-8, 2))
         fit = fit_conditional_decoder(pairs, [(params, cb)])[0]
         assert fit.cond_objective <= fit.uncond_objective
 
@@ -883,14 +880,15 @@ def _stacked_ridge_reference(pairs, params, cb, lam):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_summed_normal_equations_match_stacked_rows(seed):
+def test_summed_normal_equations_match_stacked_rows(seed, monkeypatch):
     # D < C, so the C-dim context block is wider than the latent block; the
     # receivers are noisy copies of the senders, so the context matters.
+    monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", seed % 2)
     rng = np.random.default_rng(seed)
     c, d, h, w = 6, 3, 9, 11
     cb = Codebook(rng.normal(size=(8, d)))
     proj = np.linalg.qr(rng.normal(size=(c, c)))[0][:d]
-    params = make_params(proj, rng.normal(size=c) * 0.1, cb=cb, context_radius=int(seed % 2))
+    params = make_params(proj, rng.normal(size=c) * 0.1, cb=cb)
     pairs = []
     for share in (1.0, 0.5, 0.0, 0.2):
         sender = FeatureMap(rng.normal(size=(c, h, w)))
@@ -898,9 +896,8 @@ def test_summed_normal_equations_match_stacked_rows(seed):
         mask = Mask(rng.random((h, w)) < share)
         pairs.append((apply_mask(sender, mask), mask, receiver))
     lam = 10.0 ** rng.uniform(-4, 0)
-    fit = fit_conditional_decoder(
-        pairs, [(dataclasses.replace(params, ridge_lambda=lam), cb)]
-    )[0]
+    monkeypatch.setattr(codec_module, "_RIDGE_LAMBDA", lam)
+    fit = fit_conditional_decoder(pairs, [(params, cb)])[0]
     w_cond, w_uncond, objective = _stacked_ridge_reference(pairs, params, cb, lam)
     assert fit.w_cond.shape == (d + c + 1, c) and fit.w_uncond.shape == (d + 1, c)
     assert fit.num_cells == sum(mask.count() for _, mask, _ in pairs)
@@ -928,16 +925,15 @@ def test_fit_rejects_pairs_whose_channels_differ_from_the_codec(rng):
 
 
 def _mixed_codecs_and_pairs(rng):
-    # Codecs mix K, context radius and ridge lambda, and the first is
-    # repeated; the second pair keeps no cell.
-    c, d, h, w = 5, 3, 9, 11
-    proj = np.linalg.qr(rng.normal(size=(c, c)))[0][:d]
+    # Codecs mix K and D, and the first is repeated; the second pair keeps
+    # no cell.
+    c, h, w = 5, 9, 11
+    basis = np.linalg.qr(rng.normal(size=(c, c)))[0]
     mean = rng.normal(size=c) * 0.1
     codecs = []
-    for k, radius, lam in ((4, 1, 1e-3), (16, 0, 1e-1), (8, 2, 1e-6), (4, 1, 1.0), (16, 2, 1e-3)):
+    for k, d in ((4, 3), (16, 3), (8, 2), (4, 3), (16, 5)):
         cb = Codebook(rng.normal(size=(k, d)))
-        params = make_params(proj, mean, cb=cb, context_radius=radius, ridge_lambda=lam)
-        codecs.append((params, cb))
+        codecs.append((make_params(basis[:d], mean, cb=cb), cb))
     codecs.append(codecs[0])
     pairs = []
     for share in (1.0, 0.0, 0.4, 0.2):
@@ -964,19 +960,18 @@ def test_one_pass_fit_of_many_codecs_equals_each_one_codec_fit(rng):
     assert not np.array_equal(fits[0].w_cond, fits[3].w_cond)
 
 
-def test_one_pass_fit_builds_a_pair_context_once_per_distinct_radius(rng, monkeypatch):
+def test_one_pass_fit_builds_a_pair_context_once_per_pair(rng, monkeypatch):
     codecs, pairs = _mixed_codecs_and_pairs(rng)
     calls = []
     original = codec_module.si_context
 
     def counting(f_local, params, mask):
-        calls.append((id(f_local), params.context_radius))
+        calls.append(id(f_local))
         return original(f_local, params, mask)
 
     monkeypatch.setattr(codec_module, "si_context", counting)
     fit_conditional_decoder(pairs, codecs)
-    kept = [receiver for _, mask, receiver in pairs if mask.count()]
-    assert sorted(calls) == sorted((id(r), radius) for r in kept for radius in (0, 1, 2))
+    assert calls == [id(receiver) for _, mask, receiver in pairs if mask.count()]
 
 
 def test_decoder_fit_holds_nothing_of_a_pair_past_it(rng, monkeypatch):
@@ -1064,14 +1059,16 @@ def test_per_cell_reconstruction_error_is_finite_and_bounded(small_cfg, small_fi
     print(f"max per-cell error {per_cell.max():.4f} within envelope {envelope:.4f}")
 
 
-def test_codec_transparency_with_fine_codebook(rng):
+def test_codec_transparency_with_fine_codebook(rng, monkeypatch):
     # D = C identity projection and one codeword per distinct cell make the
     # codec lossless up to float32 rounding and decoder conditioning.
+    monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", 0)
+    monkeypatch.setattr(codec_module, "_RIDGE_LAMBDA", 1e-10)
     c, h, w = 3, 8, 8
     f = FeatureMap(rng.normal(size=(c, h, w)))
     cells = f.cell_vectors()
     cb = Codebook(cells)  # every cell is its own codeword
-    params = make_params(np.eye(c), np.zeros(c), cb=cb, context_radius=0, ridge_lambda=1e-10)
+    params = make_params(np.eye(c), np.zeros(c), cb=cb)
     fit = fit_conditional_decoder([(f, Mask.ones(h, w), f)], [(params, cb)])[0]
     params = params.with_decoder_fit(fit)
     msg = encode_message(f, Mask.ones(h, w), params, cb)
@@ -1249,29 +1246,28 @@ def test_codec_params_file_roundtrip(tmp_path, small_fitted):
     assert np.array_equal(loaded.w_cond, params.w_cond)
     assert np.array_equal(loaded.w_uncond, params.w_uncond)
     assert loaded.codebook_hash == params.codebook_hash
-    assert loaded.ridge_lambda == params.ridge_lambda
-    assert loaded.context_radius == params.context_radius
 
 
 def test_codec_params_file_roundtrip_at_the_largest_header_values(tmp_path):
-    params = CodecParams(np.eye(2, 3), np.zeros(3), 2**64 - 1, context_radius=255)
+    params = CodecParams(np.eye(2, 3), np.zeros(3), 2**64 - 1)
     path = tmp_path / "codec.dccp"
     save_codec_params(params, path)
     loaded = load_codec_params(path)
-    assert (loaded.context_radius, loaded.codebook_hash) == (255, 2**64 - 1)
+    assert loaded.codebook_hash == 2**64 - 1
     assert np.array_equal(loaded.projection, params.projection)
     with pytest.raises(ConfigError, match="16-bit"):
         CodecParams(np.zeros((1, 0x10000)), np.zeros(0x10000), 0)
 
 
-def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted):
+@pytest.mark.parametrize("version", [2, 3])
+def test_codec_params_file_of_other_version_is_rejected(tmp_path, small_fitted, version):
     path = tmp_path / "codec.dccp"
     save_codec_params(small_fitted.params, path)
     data = bytearray(path.read_bytes())
-    assert data[4] == 3
-    data[4] = 2
+    assert data[4] == 4
+    data[4] = version
     path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="version 2"):
+    with pytest.raises(FormatError, match=f"version {version}"):
         load_codec_params(path)
 
 
@@ -1288,34 +1284,21 @@ def test_codec_params_file_with_undefined_flag_bits_is_rejected(tmp_path, small_
         load_codec_params(path)
 
 
-def test_codec_params_file_with_nan_lambda_is_rejected(tmp_path, small_fitted):
-    path = tmp_path / "codec.dccp"
-    save_codec_params(small_fitted.params, path)
-    data = bytearray(path.read_bytes())
-    # ridge_lambda is the first f64 of the header, after magic, version,
-    # flags, C, D and the context radius.
-    lam_offset = struct.calcsize("<4sBBHHB")
-    assert struct.unpack_from("<d", data, lam_offset)[0] == small_fitted.params.ridge_lambda
-    struct.pack_into("<d", data, lam_offset, float("nan"))
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="ridge_lambda must be finite"):
-        load_codec_params(path)
-
-
-
 @pytest.mark.parametrize(
-    "d, lam, match",
+    "d, nan_at, match",
     [
-        (0, 1e-3, "projection must have shape"),
-        (2, -1.0, "ridge_lambda must be finite and >= 0"),
-        (2, float("inf"), "ridge_lambda must be finite and >= 0"),
+        (0, None, "projection must have shape"),
+        (2, 4, "projection contains non-finite values"),
     ],
 )
-def test_codec_params_file_with_invalid_parameters_raises_format_error(tmp_path, d, lam, match):
+def test_codec_params_file_with_invalid_parameters_raises_format_error(tmp_path, d, nan_at, match):
     c = 3
     path = tmp_path / "codec.dccp"
-    header = _DCCP_HEADER.pack(b"DCCP", 3, 0, c, d, 1, lam, 0)
-    path.write_bytes(header + np.zeros(d * c + c).astype("<f8").tobytes())
+    body = np.zeros(d * c + c)
+    if nan_at is not None:
+        body[nan_at] = np.nan
+    header = _DCCP_HEADER.pack(b"DCCP", 4, 0, c, d, 0)
+    path.write_bytes(header + body.astype("<f8").tobytes())
     with pytest.raises(FormatError, match=match) as info:
         load_codec_params(path)
     assert isinstance(info.value.__cause__, ConfigError)
@@ -1331,17 +1314,16 @@ def test_codec_params_file_layout_matches_an_independent_packer(tmp_path, cond, 
     projection, mean = values[:6].reshape(2, 3), values[6:9]
     w_cond = values[9:27].reshape(6, 3) if cond else None
     w_uncond = -values[27:36].reshape(3, 3) if uncond else None
-    params = CodecParams(projection, mean, 0x0123456789ABCDEF, 2, 0.5, w_cond, w_uncond)
+    params = CodecParams(projection, mean, 0x0123456789ABCDEF, w_cond, w_uncond)
     blocks = [projection, mean] + [w for w in (w_cond, w_uncond) if w is not None]
     body = np.concatenate([block.ravel() for block in blocks])
     flags = cond | 2 * uncond
-    expected = _DCCP_HEADER.pack(b"DCCP", 3, flags, 3, 2, 2, 0.5, 0x0123456789ABCDEF)
+    expected = _DCCP_HEADER.pack(b"DCCP", 4, flags, 3, 2, 0x0123456789ABCDEF)
     expected += struct.pack(f"<{len(body)}d", *body)
     path = tmp_path / "codec.dccp"
     save_codec_params(params, path)
     assert path.read_bytes() == expected
     loaded = load_codec_params(path)
-    assert (loaded.context_radius, loaded.ridge_lambda) == (2, 0.5)
     assert loaded.codebook_hash == 0x0123456789ABCDEF
     for field in ("projection", "mean", "w_cond", "w_uncond"):
         want, got = getattr(params, field), getattr(loaded, field)

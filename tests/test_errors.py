@@ -11,11 +11,13 @@ from dsc_codec import (
     FrequencyTable,
     build_freq_table,
     evaluate_point,
+    finetune_step,
     fit_codec,
     fit_encoder_projection,
     generate_frames,
     generate_scene,
     kmeans_fit,
+    mask_from_scores,
     observe,
     perturb_pose,
     rans_decode,
@@ -23,6 +25,7 @@ from dsc_codec import (
     rd_sweep,
     robustness_sweep,
     run_link,
+    score_map,
     train_codebook,
     translate,
 )
@@ -145,8 +148,6 @@ _INTEGER_ARGUMENTS = [
      lambda s, v: observe(s.scene, v, s.cfg), 0, 1),
     ("fit_encoder_projection embed_dim", "embed_dim",
      lambda s, v: fit_encoder_projection([s.feature], v), 1, None),
-    ("CodecParams context_radius", "context_radius",
-     lambda s, v: CodecParams(np.eye(2, 8), np.zeros(8), 0, context_radius=v), 0, 255),
     ("CodecParams codebook_hash", "codebook_hash",
      lambda s, v: CodecParams(np.eye(2, 8), np.zeros(8), v), 0, 2**64 - 1),
     ("raw_payload_bytes channels", "channels",
@@ -186,6 +187,61 @@ def test_integer_argument_rejects_non_integers_and_out_of_range_before_simulatin
             call(setup, value)
     assert fields == []
 
+
+# ------------------------------------------------------------ real arguments
+
+# (argument, call with the value). Every call's other arguments are valid, so
+# a ConfigError naming the argument can come only from the argument's own check.
+_REAL_ARGUMENTS = [
+    ("ScenarioConfig rho", "rho",
+     lambda s, v: dataclasses.replace(s.cfg, rho=v)),
+    ("ScenarioConfig sigma_obs", "sigma_obs",
+     lambda s, v: dataclasses.replace(s.cfg, sigma_obs=v)),
+    ("ScenarioConfig visibility_overlap", "visibility_overlap",
+     lambda s, v: dataclasses.replace(s.cfg, visibility_overlap=v)),
+    ("ScenarioConfig alpha", "alpha",
+     lambda s, v: dataclasses.replace(s.cfg, alpha=v)),
+    ("run_link tau", "tau",
+     lambda s, v: run_link(s.cfg, 4, 1, 0, s.params, s.cb, tau=v)),
+    ("run_link sigma_pose", "sigma_pose",
+     lambda s, v: run_link(s.cfg, 4, 1, 0, s.params, s.cb, sigma_pose=v)),
+    ("run_link delay", "delay",
+     lambda s, v: run_link(s.cfg, 4, 1, 0, s.params, s.cb, delay=v)),
+    ("rd_sweep taus", "tau",
+     lambda s, v: rd_sweep(s.cfg, [0.0, v], [4], 4, 1, 1)),
+    ("robustness_sweep sigmas", "sigma_pose",
+     lambda s, v: robustness_sweep(s.cfg, [0.0, v], [0], s.params, s.cb, scenes=1)),
+    ("robustness_sweep delays", "delay",
+     lambda s, v: robustness_sweep(s.cfg, [0.0], [0, v], s.params, s.cb, scenes=1)),
+    ("perturb_pose sigma_pose", "sigma_pose",
+     lambda s, v: perturb_pose(s.feature, v, 0)),
+    ("mask_from_scores tau", "tau",
+     lambda s, v: mask_from_scores(score_map(s.feature), v)),
+    ("finetune_step lr", "lr",
+     lambda s, v: finetune_step(s.params, s.cb, [(s.feature, s.feature)], v)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [case[1:] for case in _REAL_ARGUMENTS],
+    ids=[case[0] for case in _REAL_ARGUMENTS],
+)
+def test_real_argument_rejects_non_numbers_before_simulating(
+    monkeypatch, small_cfg, small_fitted, name, call
+):
+    scene = generate_scene(small_cfg, 0)
+    setup = SimpleNamespace(
+        cfg=small_cfg,
+        params=small_fitted.params,
+        cb=small_fitted.codebook,
+        feature=observe(scene, 1, small_cfg),
+    )
+    fields = _count_calls(monkeypatch, simulate, "_unit_field")
+    for value in ["0.5", "1", None, 1j, [0.5]]:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be a real number, got "):
+            call(setup, value)
+    assert fields == []
 
 
 # ------------------------------------------------------------ k-means input

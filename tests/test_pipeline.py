@@ -8,6 +8,7 @@ import pytest
 from dsc_codec import (
     ConfigError,
     FeatureMap,
+    FormatError,
     InsufficientDataError,
     ScenarioConfig,
     SymbolOutOfRangeError,
@@ -484,22 +485,22 @@ def test_robustness_sweep_decodes_each_message_once_and_builds_one_context(
     assert decoder_contexts == []
 
 
-def test_scene_builds_one_context_per_distinct_radius(monkeypatch, small_cfg, small_fitted):
+def test_scene_builds_one_context_for_every_codec(monkeypatch, small_cfg, small_fitted):
     params, cb = small_fitted.params, small_fitted.codebook
-    wider = dataclasses.replace(params, context_radius=2)
-    codecs = [(params, cb), (wider, cb), (params, cb)]
+    halved = dataclasses.replace(params, w_cond=params.w_cond / 2)
+    codecs = [(params, cb), (halved, cb), (params, cb)]
     contexts = _count_calls(monkeypatch, pipeline, "si_context")
     links = pipeline._scene_links(
         small_cfg, DEFAULT_EVAL_T, 1, 0, codecs, (0.0, 0.8), (0.0,), (0,), None, (True,)
     )
-    assert sorted(args[1].context_radius for args in contexts) == [1, 2]
+    assert len(contexts) == 1 and contexts[0][2].bits.all()
     assert links[(0, 1, 0, 0, True)] == links[(2, 1, 0, 0, True)]
     assert links[(0, 1, 0, 0, True)] != links[(1, 1, 0, 0, True)]
     # No conditional decoder, no context.
     pipeline._scene_links(
         small_cfg, DEFAULT_EVAL_T, 1, 0, codecs, (0.0,), (0.0,), (0,), None, (False,)
     )
-    assert len(contexts) == 2
+    assert len(contexts) == 1
 
 
 def test_failed_symbol_decode_fails_every_decoder_and_falls_back_to_local(
@@ -606,6 +607,34 @@ def test_csv_columns_follow_header_names(tmp_path):
         value = getattr(row, attribute.get(name, name))
         assert type(value)(text) == value, name
     assert read_csv(path) == [row]
+
+
+_CSV_HEADER_LINE = CSV_HEADER.encode("ascii")
+_CSV_ROW = b"0.5,8,8,0.9,0,0,100.0,0.25,0.125,1,7,1"
+
+
+@pytest.mark.parametrize(
+    "header, row, lineno, detail",
+    [
+        (_CSV_HEADER_LINE, _CSV_ROW + b"\xe9", 2, "non-ASCII byte 0xe9 at column 39"),
+        (_CSV_HEADER_LINE[:-1], _CSV_ROW, 1, "unexpected CSV header"),
+        (_CSV_HEADER_LINE, _CSV_ROW + b",2", 2, "expected 12 CSV fields, got 13"),
+        (_CSV_HEADER_LINE, _CSV_ROW.replace(b",8,8,", b",8,8.5,"), 2,
+         "invalid literal for int() with base 10: '8.5'"),
+    ],
+    ids=["non-ascii", "header", "field-count", "unparseable"],
+)
+def test_read_csv_rejects_a_malformed_line_naming_path_and_line(
+    tmp_path, header, row, lineno, detail
+):
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(_CSV_HEADER_LINE + b"\n" + _CSV_ROW + b"\n")
+    assert len(read_csv(path)) == 1
+    path.write_bytes(header + b"\n" + row + b"\n")
+    with pytest.raises(FormatError) as info:
+        read_csv(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: ")
+    assert detail in str(info.value)
 
 
 def test_write_csv_is_byte_deterministic(tmp_path, small_cfg):
