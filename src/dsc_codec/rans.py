@@ -9,18 +9,26 @@ Construction (fixed, so streams are bit-exact across implementations):
     decoder also reads the payload forward,
   * frequencies are integers summing to exactly 2^p with p in [8, 16];
     FrequencyTable alone checks this, and derives the lists the coders read
-    (cumulative starts, the encoder's renormalisation limits, the decoder's
-    2^p-entry slot -> symbol list) once per table, on first use.
+    once per table, on first use: per symbol, the encoder's frequency,
+    cumulative start and renormalisation limit; per slot of 2^p, the
+    decoder's symbol, that symbol's frequency and the slot's offset from
+    the symbol's start.
 
 A symbol s with frequency f[s] and cumulative start c[s] updates the state
 
     x -> ((x // f[s]) << p) + (x % f[s]) + c[s]
 
 after renormalizing x below ((L >> p) << 8) * f[s]. Decoding inverts every
-step exactly; after the last symbol the state must land back on the initial
-L, which doubles as a cheap integrity check. Truncated payloads, leftover
-bytes, and a bad final state all raise explicit decode errors - corruption
-is never allowed to turn into silent garbage symbols.
+step exactly: the slot cf = x mod 2^p names s, and
+
+    x -> f[s] * (x >> p) + (cf - c[s])
+
+is followed by byte-wise refills up to L. Both terms are read per slot, so
+the decode loop never looks up s; it records the slots, and the symbols are
+one gather at the end. After the last symbol the state must land back on
+the initial L, which doubles as a cheap integrity check. Truncated payloads,
+leftover bytes, and a bad final state all raise explicit decode errors -
+corruption is never allowed to turn into silent garbage symbols.
 """
 
 from __future__ import annotations
@@ -76,10 +84,17 @@ class FrequencyTable:
         return self.freqs.tolist(), self.cumulative.tolist(), (bound * self.freqs).tolist()
 
     @cached_property
-    def decoder_lists(self) -> tuple[list[int], list[int], list[int]]:
-        """Per symbol: frequency and cumulative start; per slot of 2^p: its symbol."""
-        slots = np.repeat(np.arange(self.num_symbols), self.freqs).tolist()
-        return self.freqs.tolist(), self.cumulative.tolist(), slots
+    def decoder_lists(self) -> tuple[np.ndarray, list[int], list[int]]:
+        """Per slot of 2^p: its symbol, its symbol's frequency and slot - start.
+
+        The symbols are a read-only int32 array, gathered once per decode;
+        the other two are lists, read once per decoded symbol.
+        """
+        symbols = np.repeat(np.arange(self.num_symbols, dtype=np.int32), self.freqs)
+        symbols.flags.writeable = False
+        freq = np.repeat(self.freqs, self.freqs)
+        starts = np.repeat(self.cumulative[:-1], self.freqs)
+        return symbols, freq.tolist(), (np.arange(starts.size) - starts).tolist()
 
 
 def build_freq_table(idx, num_symbols: int, precision: int = 12) -> FrequencyTable:
@@ -151,28 +166,33 @@ def rans_encode(idx, ft: FrequencyTable) -> tuple[bytes, int]:
 
 
 def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.ndarray:
-    """Decode exactly n symbols; raises DecodeError on any inconsistency."""
+    """Decode exactly n symbols; raises DecodeError on any inconsistency.
+
+    The loop carries only the state and records each step's slot; the int32
+    symbols are one gather of the table's slot symbols at the end.
+    """
     require_int("symbol count", n, 0)
     if not RANS_L <= state < (RANS_L << 8):
         raise DecodeError(f"initial coder state {state:#x} outside the valid interval")
     p = ft.precision
     mask = (1 << p) - 1
-    freqs, cum, slots = ft.decoder_lists
-    out = np.empty(n, dtype=np.int32)
+    lower = RANS_L
+    symbols, freq, bias = ft.decoder_lists
+    slots = []
+    record = slots.append
     pos = 0
     size = len(payload)
     for i in range(n):
         cf = state & mask
-        s = slots[cf]
-        state = freqs[s] * (state >> p) + cf - cum[s]
-        while state < RANS_L:
+        record(cf)
+        state = freq[cf] * (state >> p) + bias[cf]
+        while state < lower:
             if pos >= size:
                 raise DecodeError(f"payload truncated at symbol {i} of {n}")
             state = (state << 8) | payload[pos]
             pos += 1
-        out[i] = s
     if pos != size:
         raise DecodeError(f"{size - pos} unconsumed payload bytes after {n} symbols")
     if state != RANS_L:
         raise DecodeError("coder state did not return to the initial value; stream corrupt")
-    return out
+    return symbols[np.fromiter(slots, dtype=np.intp, count=n)]

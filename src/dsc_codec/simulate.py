@@ -173,6 +173,10 @@ class ScenarioConfig:
         require_real("alpha", self.alpha)
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha must be in [0,1), got {self.alpha}")
+        # Real fields are stored as Python floats, so a bool or numpy scalar
+        # writes a value that load_scenario parses back.
+        for name in ("rho", "sigma_obs", "visibility_overlap", "alpha"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         require_int("seed", self.seed, 0, 2**64 - 1)
         object.__setattr__(self, "seed", int(self.seed))
 

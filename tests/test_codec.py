@@ -381,6 +381,87 @@ def test_decode_message_is_reconstruct_of_decode_latents(small_cfg, small_fitted
     assert np.array_equal(whole.values, _single_stage_decode(msg, params, cb, f_local))
 
 
+def _band_case(n, full):
+    # A full mask is a whole map of n cells; a sparse one codes n cells of 128x128.
+    if full:
+        h = next(h for h in range(int(np.sqrt(n)), 0, -1) if n % h == 0)
+        return Mask.ones(h, n // h)
+    bits = np.zeros(128 * 128, dtype=bool)
+    bits[np.random.default_rng(n).choice(bits.size, n, replace=False)] = True
+    return Mask(bits.reshape(128, 128))
+
+
+@pytest.mark.parametrize("conditional", [True, False])
+@pytest.mark.parametrize(
+    "n, full",
+    [(n, True) for n in (1, 511, 512, 513, 1027, 16384)]
+    + [(n, False) for n in (0, 1, 511, 512, 513, 1027)],
+)
+def test_reconstruct_bands_equal_the_whole_product_bit_for_bit(n, full, conditional):
+    # reconstruct takes the decoder product band by band; each band must give
+    # the bits of the whole (n, row) @ w product, cast to float32 and
+    # scattered onto the coded cells. The codec has the acceptance geometry.
+    rng = np.random.default_rng(5)
+    c, d = 32, 16
+    cb = Codebook(rng.normal(size=(64, d)))
+    params = make_params(
+        rng.normal(size=(d, c)) / np.sqrt(c),
+        rng.normal(size=c),
+        cb,
+        w_cond=rng.normal(size=(d + c + 1, c)),
+        w_uncond=rng.normal(size=(d + 1, c)),
+    )
+    mask = _band_case(n, full)
+    assert mask.count() == n and mask.bits.all() == full
+    f = FeatureMap(rng.normal(size=(c, *mask.bits.shape)))
+    msg = encode_message(apply_mask(f, mask), mask, params, cb)
+    latents = decode_latents(msg, params, cb)
+    local = FeatureMap(rng.normal(size=f.shape))
+    context = si_context(local, params, mask) if conditional else None
+    w = params.w_cond if conditional else params.w_uncond
+    rows = (codec_module._design(latents, context) @ w).astype(np.float32)
+    expected = np.zeros(f.shape, dtype=np.float32)
+    expected.reshape(c, -1)[:, mask.bits.ravel()] = rows.T
+    got = reconstruct(msg, latents, params, context).values
+    assert got.dtype == np.float32 and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, bands",
+    [
+        (1, [1]),
+        (512, [512]),
+        (513, [513]),
+        (514, [512, 2]),
+        (1025, [512, 513]),
+        (1027, [512, 512, 3]),
+    ],
+)
+def test_reconstruct_bands_never_multiply_a_lone_row(monkeypatch, n, bands):
+    # OpenBLAS multiplies a one-row matrix with its matrix-vector kernel,
+    # which sums in another order than the matrix kernel the whole product
+    # uses; so a lone last row joins the band before it.
+    rng = np.random.default_rng(6)
+    c, d = 4, 2
+    cb = Codebook(rng.normal(size=(8, d)))
+    params = make_params(
+        rng.normal(size=(d, c)), np.zeros(c), cb, w_uncond=rng.normal(size=(d + 1, c))
+    )
+    mask = _band_case(n, full=False)
+    f = FeatureMap(rng.normal(size=(c, 128, 128)))
+    msg = encode_message(apply_mask(f, mask), mask, params, cb)
+    seen = []
+    design = codec_module._design
+
+    def recording(latents, ctx):
+        seen.append(len(latents))
+        return design(latents, ctx)
+
+    monkeypatch.setattr(codec_module, "_design", recording)
+    reconstruct(msg, decode_latents(msg, params, cb), params)
+    assert seen == bands
+
+
 def test_reconstruct_checks_its_rows_and_decoder(small_cfg, small_fitted):
     params, cb = small_fitted.params, small_fitted.codebook
     scene = generate_scene(small_cfg, 0)

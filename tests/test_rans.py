@@ -12,7 +12,7 @@ from dsc_codec import (
     rans_decode,
     rans_encode,
 )
-from dsc_codec.rans import RANS_L
+from dsc_codec.rans import MAX_PRECISION, MIN_PRECISION, RANS_L
 
 
 def test_table_invariants():
@@ -98,7 +98,7 @@ def test_determinism():
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_property(data):
     k = data.draw(st.integers(1, 64))
-    p = data.draw(st.integers(8, 14))
+    p = data.draw(st.integers(MIN_PRECISION, MAX_PRECISION))
     n = data.draw(st.integers(1, 400))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -106,7 +106,33 @@ def test_roundtrip_property(data):
     ft = build_freq_table(idx, k, precision=p)
     payload, state = rans_encode(idx, ft)
     out = rans_decode(payload, ft, n, state)
+    assert out.dtype == np.int32
     assert np.array_equal(out, idx)
+
+
+@pytest.mark.parametrize("p", range(MIN_PRECISION, MAX_PRECISION + 1))
+def test_one_symbol_table_fills_every_slot_and_roundtrips(p):
+    # k=1 holds all 2^p slots at f = 2^p: the state never moves, no byte is
+    # written, and every decoded slot maps back to symbol 0.
+    ft = build_freq_table(np.zeros(300, dtype=np.int64), 1, precision=p)
+    assert ft.freqs.tolist() == [1 << p]
+    symbols, freq, bias = ft.decoder_lists
+    assert symbols.dtype == np.int32 and symbols.tolist() == [0] * (1 << p)
+    assert freq == [1 << p] * (1 << p) and bias == list(range(1 << p))
+    payload, state = rans_encode(np.zeros(300, dtype=np.int64), ft)
+    assert payload == b"" and state == RANS_L
+    out = rans_decode(payload, ft, 300, state)
+    assert out.dtype == np.int32 and out.tolist() == [0] * 300
+
+
+def test_decoder_lists_hold_each_slots_symbol_frequency_and_offset():
+    ft = FrequencyTable(np.array([2, 0, 5, 1] + [0] * 3 + [248]), precision=8)
+    symbols, freq, bias = ft.decoder_lists
+    assert not symbols.flags.writeable
+    assert symbols[:9].tolist() == [0, 0, 2, 2, 2, 2, 2, 3, 7]
+    assert freq[:9] == [2, 2, 5, 5, 5, 5, 5, 1, 248]
+    assert bias[:9] == [0, 1, 0, 1, 2, 3, 4, 0, 0]
+    assert bias[-1] == 247 and len(symbols) == len(freq) == len(bias) == 256
 
 
 def test_truncated_payload_is_detected():
@@ -115,7 +141,7 @@ def test_truncated_payload_is_detected():
     ft = build_freq_table(idx, 32, precision=12)
     payload, state = rans_encode(idx, ft)
     assert len(payload) > 4
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match=rf"payload truncated at symbol \d+ of {len(idx)}"):
         rans_decode(payload[:-3], ft, len(idx), state)
 
 

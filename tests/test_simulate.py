@@ -332,6 +332,26 @@ def test_scenario_file_roundtrip(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(rho=True),
+        dict(visibility_overlap=False, sigma_obs=True),
+        dict(rho=np.float32(0.35), sigma_obs=np.float32(0.25), alpha=np.float32(0.8)),
+        dict(visibility_overlap=np.float64(0.75)),
+    ],
+)
+def test_scenario_real_fields_are_floats_and_survive_the_file(tmp_path, kw):
+    cfg = cfg_with(**kw)
+    for name in ("rho", "sigma_obs", "visibility_overlap", "alpha"):
+        assert type(getattr(cfg, name)) is float
+    for name, value in kw.items():
+        assert getattr(cfg, name) == float(value)
+    path = tmp_path / "scenario.cfg"
+    save_scenario(cfg, path)
+    assert load_scenario(path) == cfg
+
+
 def test_scenario_file_rejects_non_finite_sigma_obs(tmp_path):
     path = tmp_path / "nan.cfg"
     path.write_text("sigma_obs = nan\n")
