@@ -4,9 +4,34 @@ Layout, all little-endian, nothing uncounted:
 
     "DSC1" (4B) | version u8 | flags u8 | C u16 | H u16 | W u16 | D u16 |
     K u16 | p u8 | codebook version hash u64 |
-    mask length u32 | mask bytes (row-major bits, LSB-first per byte) |
+    mask length u32 | mask section |
     N u32 | K x u16 frequencies |
     payload length u32 | payload bytes | final coder state u32
+
+The mask section has two forms, told apart by its length:
+
+  * packed bits: the row-major mask bits, LSB-first per byte,
+    ceil(H*W/8) bytes;
+  * run form: first u8 | k0 u8 | k1 u8 | R u32, then a bit stream,
+    LSB-first and zero-padded to a byte. `first` is the first run's value
+    and R the number of runs (maximal stretches of equal row-major bits,
+    so their values alternate). A run of length v is (q << k) + r + 1, with
+    k = k0 for a 0-run and k1 for a 1-run. The stream holds every run's
+    unary quotient (q zeros, then a one) in run order, then the 0-runs'
+    k0-bit remainders, then the 1-runs' k1-bit remainders, each remainder
+    least significant bit first. Each k is the lowest k in 0..31 that
+    minimizes its group's bits.
+
+The encoder writes the run form exactly when fewer than half the cells are
+kept and the run form is shorter than the packed bits; otherwise it writes
+the packed bits. Dense masks stay packed because pruning a few cells of a
+nearly full mask splits its runs: with the shorter form always sent, the
+mean message grew as the pruning threshold rose. The rule keeps the mean
+message shrinking as the threshold rises at the seeds measured, but it is
+no guarantee: in a sparse mask, pruning one cell inside a kept run adds
+two runs, which can cost more mask bits than the one symbol saves, so a
+single pruned cell can lengthen the message. Run lengths are Golomb-Rice
+codes (Golomb, IEEE T-IT 1966).
 
 The reported rate of a message is the total serialized length in bytes.
 Frequencies are the quantized counts summing to 2^p with p in [8, 15], so
@@ -19,11 +44,13 @@ is defined yet. A Message stores no H, W, K or N: they are its mask's
 shape, its table's length and its mask's population. A message with
 symbols checks its table by building the rans.FrequencyTable that decodes
 it, and keeps that as `table` (None when N = 0). Parsing is strict: any
-trailing or missing bytes, a bad magic, version or flags byte, an N other
-than the parsed mask's population, or an inconsistent table raises
-MessageParseError rather than returning garbage. Constructing a Message
-checks that every header and length field fits its field, so to_bytes
-never fails on a constructed message.
+trailing or missing bytes, a bad magic, version or flags byte, a mask
+section other than the one the encoder writes for the mask it decodes to,
+an N other than the parsed mask's population, or an inconsistent table
+raises MessageParseError rather than returning garbage, so
+Message.from_bytes(d).to_bytes() == d for every accepted d. Constructing a
+Message checks that every header and length field fits its field, so
+to_bytes never fails on a constructed message.
 """
 
 from __future__ import annotations
@@ -62,6 +89,126 @@ def unpack_mask(data: bytes, height: int, width: int) -> Mask:
         raise MessageParseError(f"mask section is {len(data)} bytes, expected {expected}")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=height * width, bitorder="little")
     return Mask(bits.astype(bool).reshape(height, width))
+
+
+def encode_mask(mask: Mask) -> bytes:
+    """The mask section: the run form when the rule picks it, else packed bits."""
+    cells = mask.height * mask.width
+    if 2 * mask.count() < cells:
+        runs = _run_form(mask.bits.ravel(), (cells + 7) // 8)
+        if runs is not None:
+            return runs
+    return pack_mask(mask)
+
+
+def decode_mask(data: bytes, height: int, width: int) -> Mask:
+    """Parse either form of the mask section; accept only the encoder's form."""
+    if height < 1 or width < 1:
+        raise MessageParseError(f"mask dimensions must be >= 1, got {height}x{width}")
+    if len(data) != (height * width + 7) // 8:
+        return Mask(_parse_run_form(data, height * width).reshape(height, width))
+    mask = unpack_mask(data, height, width)
+    if encode_mask(mask) != data:
+        raise MessageParseError("packed mask section is not the form the encoder writes")
+    return mask
+
+
+_RUN_HEADER = struct.Struct("<BBBI")  # first, k0, k1, R
+_MAX_RICE_K = 31
+
+
+def _rice_parameters(m: np.ndarray, ones: np.ndarray) -> tuple[list[int], int]:
+    """Each run group's lowest best k, and the bit stream's length.
+
+    m holds each run's length minus one and ones marks the 1-runs. Past the
+    bit length of a group's longest run every quotient is 0 and each k
+    costs one more bit per run, so no larger k needs trying.
+    """
+    ks, total = [], 0
+    for group in (m[~ones], m[ones]):
+        top = min(int(group.max()).bit_length(), _MAX_RICE_K) if group.size else 0
+        k = np.arange(top + 1)
+        bits = (group[:, np.newaxis] >> k).sum(axis=0) + group.size * (k + 1)
+        best = int(np.argmin(bits))
+        ks.append(best)
+        total += int(bits[best])
+    return ks, total
+
+
+def _run_flags(first: int, count: int) -> np.ndarray:
+    """True at the 1-runs of `count` alternating runs starting with `first`."""
+    ones = np.zeros(count, dtype=bool)
+    ones[1 - first :: 2] = True
+    return ones
+
+
+def _run_form(flat: np.ndarray, limit: int) -> bytes | None:
+    """The run-form section of the flat mask, or None unless shorter than limit bytes."""
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    m = np.diff(np.concatenate(([0], edges, [flat.size]))) - 1
+    first = int(flat[0])
+    ones = _run_flags(first, m.size)
+    ks, total = _rice_parameters(m, ones)
+    if _RUN_HEADER.size + (total + 7) // 8 >= limit:
+        return None
+    q = m >> np.where(ones, ks[1], ks[0])
+    bits = np.zeros(total, dtype=np.uint8)
+    bits[np.cumsum(q + 1) - 1] = 1
+    pos = int(q.sum()) + m.size
+    for group, k in ((~ones, ks[0]), (ones, ks[1])):
+        block = (m[group, np.newaxis] >> np.arange(k)) & 1
+        bits[pos : pos + block.size] = block.ravel()
+        pos += block.size
+    header = _RUN_HEADER.pack(first, ks[0], ks[1], m.size)
+    return header + np.packbits(bits, bitorder="little").tobytes()
+
+
+def _parse_run_form(data: bytes, cells: int) -> np.ndarray:
+    """The flat mask bits of a run-form section that the encoder would write."""
+    if len(data) < _RUN_HEADER.size:
+        raise MessageParseError(f"run-form mask section of {len(data)} bytes lacks its header")
+    first, k0, k1, count = _RUN_HEADER.unpack_from(data)
+    nbits = 8 * (len(data) - _RUN_HEADER.size)
+    if first > 1:
+        raise MessageParseError(f"run-form first run value must be 0 or 1, got {first}")
+    if max(k0, k1) > _MAX_RICE_K:
+        raise MessageParseError(f"Rice parameters must be <= {_MAX_RICE_K}, got {k0} and {k1}")
+    if not 1 <= count <= min(cells, nbits):
+        raise MessageParseError(f"run count {count} outside [1, {min(cells, nbits)}]")
+    stream = np.frombuffer(data, dtype=np.uint8, offset=_RUN_HEADER.size)
+    bits = np.unpackbits(stream, bitorder="little")
+    stops = np.flatnonzero(bits)[:count]
+    if stops.size < count:
+        raise MessageParseError(f"run-form stream ends after {stops.size} of {count} quotients")
+    ones = _run_flags(first, count)
+    k = np.where(ones, k1, k0)
+    q = np.diff(stops, prepend=-1) - 1
+    if (q > (cells - 1) >> k).any():
+        raise MessageParseError("a run is longer than the mask")
+    pos = int(stops[-1]) + 1
+    r = np.empty(count, dtype=np.int64)
+    for group, width in ((~ones, k0), (ones, k1)):
+        n = int(np.count_nonzero(group))
+        if pos + n * width > nbits:
+            raise MessageParseError("run-form stream ends inside its remainders")
+        block = bits[pos : pos + n * width].reshape(n, width)
+        r[group] = block @ (1 << np.arange(width, dtype=np.int64))
+        pos += n * width
+    spare = stream.size - (pos + 7) // 8
+    if spare:
+        raise MessageParseError(f"{spare} spare bytes after the run-form stream")
+    if bits[pos:].any():
+        raise MessageParseError("nonzero padding bits after the run-form stream")
+    m = (q << k) + r
+    if (m >= cells).any() or int(m.sum(dtype=np.uint64)) + count != cells:
+        raise MessageParseError(f"run lengths do not sum to the mask's {cells} cells")
+    ks, _ = _rice_parameters(m, ones)
+    if ks != [k0, k1]:
+        raise MessageParseError(f"Rice parameters {k0}, {k1}: the encoder writes {ks[0]}, {ks[1]}")
+    kept = int(m[ones].sum()) + int(np.count_nonzero(ones))
+    if 2 * kept >= cells or len(data) >= (cells + 7) // 8:
+        raise MessageParseError("run form of a mask the encoder writes as packed bits")
+    return np.repeat(ones, m + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +260,7 @@ class Message:
         return self.freqs.size
 
     def to_bytes(self) -> bytes:
-        mask_bytes = pack_mask(self.mask)
+        mask_bytes = encode_mask(self.mask)
         parts = [
             _FIXED_HEADER.pack(
                 MESSAGE_MAGIC,
@@ -160,7 +307,7 @@ class Message:
         if flags != 0:
             raise MessageParseError(f"no message flag is defined, got flags {flags:#04x}")
         (mask_len,) = _U32.unpack(take(4, "mask length"))
-        mask = unpack_mask(bytes(take(mask_len, "mask")), h, w)
+        mask = decode_mask(bytes(take(mask_len, "mask")), h, w)
         (n,) = _U32.unpack(take(4, "symbol count"))
         if n != mask.count():
             raise MessageParseError(f"symbol count {n} != mask population {mask.count()}")

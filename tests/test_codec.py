@@ -53,6 +53,7 @@ from dsc_codec.pruning import mask_from_scores, score_map
 from dsc_codec.quantizer import codebook_hash, dequantize, quantize_map
 from dsc_codec.simulate import generate_scene, observe
 from dsc_codec.wire import MAX_MESSAGE_PRECISION, Message
+from tests.test_wire import independent_run_form
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -631,15 +632,36 @@ _CONTAINER_HEADERS = {
 }
 
 
+def _coded_link(cfg, fitted, tau):
+    """A real small-scene message pruned at tau, and its receiver map."""
+    scene = generate_scene(cfg, 0)
+    sender, local = observe(scene, 1, cfg), observe(scene, 0, cfg)
+    mask = mask_from_scores(score_map(sender), tau)
+    pruned = FeatureMap(sender.values * mask.bits[np.newaxis])
+    msg = encode_message(pruned, mask, fitted.params, fitted.codebook)
+    return msg.to_bytes(), local
+
+
 @pytest.fixture(scope="module")
 def coded_link(small_cfg, small_fitted):
-    """A real small-scene message at tau=0.5 (a mixed mask) and its receiver map."""
-    scene = generate_scene(small_cfg, 0)
-    sender, local = observe(scene, 1, small_cfg), observe(scene, 0, small_cfg)
-    mask = mask_from_scores(score_map(sender), 0.5)
-    pruned = FeatureMap(sender.values * mask.bits[np.newaxis])
-    msg = encode_message(pruned, mask, small_fitted.params, small_fitted.codebook)
-    return msg.to_bytes(), local
+    """tau=0.5: a mixed mask, sent as packed bits."""
+    return _coded_link(small_cfg, small_fitted, 0.5)
+
+
+@pytest.fixture(scope="module")
+def sparse_coded_link(small_cfg, small_fitted):
+    """tau=0.8: a sparse mask, sent in the run form."""
+    return _coded_link(small_cfg, small_fitted, 0.8)
+
+
+def test_coded_links_send_both_mask_forms(coded_link, sparse_coded_link, small_cfg):
+    cells = small_cfg.height * small_cfg.width
+    for (clean, _), packed in ((coded_link, True), (sparse_coded_link, False)):
+        (mask_len,) = struct.unpack_from("<I", clean, _HEADER.size)
+        kept = Message.from_bytes(clean).num_symbols
+        assert (2 * kept >= cells) is packed
+        assert (mask_len == cells // 8) is packed
+        assert mask_len <= cells // 8
 
 
 def _receive(data, f_local, fitted, conditional):
@@ -668,19 +690,31 @@ def _corrupt(draw, data: bytes, header: struct.Struct) -> bytes:
     return header.pack(*fields) + data[header.size :]
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_corrupted_message_decodes_or_raises_decode_error(coded_link, small_fitted, data):
-    # The receiver contract: whatever bytes arrive, parse + decode either
-    # returns a reconstruction or raises a DecodeError subclass.
-    clean, local = coded_link
+def _receive_corrupted(link, fitted, data) -> None:
+    """The receiver contract: whatever bytes arrive, parse + decode either
+    returns a reconstruction or raises a DecodeError subclass."""
+    clean, local = link
     corrupted = _corrupt(data.draw, clean, _HEADER)
     conditional = data.draw(st.booleans())
     try:
-        recon = _receive(corrupted, local, small_fitted, conditional)
+        recon = _receive(corrupted, local, fitted, conditional)
     except DecodeError:
         return
     assert isinstance(recon, FeatureMap)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_corrupted_message_decodes_or_raises_decode_error(coded_link, small_fitted, data):
+    _receive_corrupted(coded_link, small_fitted, data)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_corrupted_run_form_message_decodes_or_raises_decode_error(
+    sparse_coded_link, small_fitted, data
+):
+    _receive_corrupted(sparse_coded_link, small_fitted, data)
 
 
 @pytest.fixture(scope="module")
@@ -854,8 +888,10 @@ def test_encode_rejects_mismatched_codebook(small_cfg, small_fitted, rng):
 
 def test_encode_rate_accounting_at_ten_percent_occupancy(rng):
     # 128x128 map, ~10% occupancy, K = 64: fixed overhead is exactly
-    # header 25 + mask(4 + 2048) + N 4 + table 128 + payload-len 4 + state 4,
-    # and the rANS payload tracks the realized index entropy.
+    # header 25 + mask(4 + its length field) + N 4 + table 128 +
+    # payload-len 4 + state 4, and the rANS payload tracks the realized index
+    # entropy. A random 10% mask takes the run form, under the 2048 packed
+    # bytes, written exactly as the documented layout gives it.
     c, h, w = 4, 128, 128
     cb = Codebook(rng.normal(size=(64, c)))
     params = make_params(np.eye(c), np.zeros(c), cb=cb)
@@ -863,9 +899,13 @@ def test_encode_rate_accounting_at_ten_percent_occupancy(rng):
     bits = rng.random((h, w)) < 0.10
     mask = Mask(bits)
     msg = encode_message(FeatureMap(f.values * bits[np.newaxis]), mask, params, cb)
-    total = len(msg.to_bytes())
-    overhead = 25 + 4 + 2048 + 4 + 2 * 64 + 4 + 4
-    assert total == overhead + len(msg.payload)
+    data = msg.to_bytes()
+    (mask_len,) = struct.unpack_from("<I", data, _HEADER.size)
+    section = data[_HEADER.size + 4 : _HEADER.size + 4 + mask_len]
+    assert section == independent_run_form(bits.ravel().astype(int).tolist())
+    assert mask_len < 2048
+    overhead = 25 + 4 + mask_len + 4 + 2 * 64 + 4 + 4
+    assert len(data) == overhead + len(msg.payload)
 
     idx = rans_decode(
         msg.payload, FrequencyTable(msg.freqs, msg.precision), msg.num_symbols, msg.final_state

@@ -64,7 +64,7 @@ _PINNED = {
     },
     0.8: {
         "apply_mask": "2e338d63ad45ae891eecb3c7e3e552294d091fcfcc1505f56a4968c9aca45c4d",
-        "message": "a93c8e6bf523fcaa981141fdcaefe5f5ff5124707b468b9651c0d4e166fc2312",
+        "message": "e69040c52f7d97ee76ffe67e98e284f79257d5b9e49214394850e2340423acbd",
         "conditional": "49eef4c13575decba7563a6a4fa4c37ef0ae434c3babf9038f531ec2e2311713",
         "unconditional": "f87268fb27c5ac6c942ea0dc9f034b3cb1944a6544284f34859720bfc25e9224",
         "fuse_all": "9c210dce89d31089d4cfcb2b9cba18d02ce3a01af63db435c99bd2998908fb6d",

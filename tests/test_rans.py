@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,35 @@ from dsc_codec import (
     FrequencyTable,
     FrequencyTableError,
     build_freq_table,
+    rans,
     rans_decode,
     rans_encode,
 )
 from dsc_codec.rans import MAX_PRECISION, MIN_PRECISION, RANS_L
+
+
+# rans_decode's two symbol lookups, forced by the ratio its rule compares:
+# ratio 0 bisects every message, and 2^40 reads every one from the slot lists.
+_PATHS = {"bisect": 0, "lists": 1 << 40}
+
+
+@contextmanager
+def _decode_path(path: str):
+    saved = rans._BISECT_RATIO
+    rans._BISECT_RATIO = _PATHS[path]
+    try:
+        yield
+    finally:
+        rans._BISECT_RATIO = saved
+
+
+def _decode_or_error(path, payload, ft, n, state):
+    """Both paths' outcome: the symbols, or the DecodeError's message."""
+    with _decode_path(path):
+        try:
+            return rans_decode(payload, ft, n, state).tolist()
+        except DecodeError as exc:
+            return str(exc)
 
 
 def test_table_invariants():
@@ -108,6 +135,42 @@ def test_roundtrip_property(data):
     out = rans_decode(payload, ft, n, state)
     assert out.dtype == np.int32
     assert np.array_equal(out, idx)
+    for path in _PATHS:
+        with _decode_path(path):
+            forced = rans_decode(payload, ft, n, state)
+        assert forced.dtype == np.int32 and np.array_equal(forced, idx)
+
+
+@pytest.mark.parametrize("p", range(MIN_PRECISION, MAX_PRECISION + 1))
+def test_both_decode_paths_agree_on_symbols_and_errors_at_every_precision(p):
+    # The clean stream, a trailing byte, a wrong final state and every
+    # truncation: both paths return the same symbols or raise the same
+    # DecodeError at the same symbol.
+    rng = np.random.default_rng(p)
+    truncations = set()
+    for k, n in ((2, 1), (16, 40), (64, 300)):
+        idx = rng.integers(0, k, size=n)
+        ft = build_freq_table(idx, k, precision=p)
+        payload, state = rans_encode(idx, ft)
+        assert _decode_or_error("bisect", payload, ft, n, state) == idx.tolist()
+        cases = [(payload, state), (payload + b"\x00", state), (payload, RANS_L + 1)]
+        cases += [(payload[:cut], state) for cut in range(len(payload))]
+        for data, start in cases:
+            outcome = _decode_or_error("bisect", data, ft, n, start)
+            assert outcome == _decode_or_error("lists", data, ft, n, start)
+            if isinstance(outcome, str) and "truncated" in outcome:
+                truncations.add(outcome)
+    assert len(truncations) > 1
+
+
+def test_rule_bisects_short_messages_without_building_the_slot_lists():
+    # n = 400 against 2^12: 10 * 400 < 4096 bisects; n = 410 reads the lists.
+    for n, bisects in ((400, True), (410, False)):
+        idx = np.arange(n) % 7
+        ft = build_freq_table(idx, 7, precision=12)
+        payload, state = rans_encode(idx, ft)
+        assert rans_decode(payload, ft, n, state).tolist() == idx.tolist()
+        assert ("decoder_lists" in ft.__dict__) is not bisects
 
 
 @pytest.mark.parametrize("p", range(MIN_PRECISION, MAX_PRECISION + 1))
@@ -141,8 +204,11 @@ def test_truncated_payload_is_detected():
     ft = build_freq_table(idx, 32, precision=12)
     payload, state = rans_encode(idx, ft)
     assert len(payload) > 4
-    with pytest.raises(DecodeError, match=rf"payload truncated at symbol \d+ of {len(idx)}"):
-        rans_decode(payload[:-3], ft, len(idx), state)
+    for path in _PATHS:
+        with _decode_path(path), pytest.raises(
+            DecodeError, match=rf"payload truncated at symbol \d+ of {len(idx)}"
+        ):
+            rans_decode(payload[:-3], ft, len(idx), state)
 
 
 def test_trailing_bytes_are_detected():

@@ -3,17 +3,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsc_codec import ConfigError, Mask, Message, MessageParseError
 from dsc_codec.rans import RANS_L
-from dsc_codec.wire import pack_mask, unpack_mask
+from dsc_codec.wire import decode_mask, encode_mask, pack_mask, unpack_mask
 
 
-def make_message(n_height=4, n_width=6, k=8, with_payload=True) -> Message:
-    rng = np.random.default_rng(0)
-    bits = rng.random((n_height, n_width)) < 0.5
+def make_message(n_height=4, n_width=6, k=8, with_payload=True, bits=None) -> Message:
+    if bits is None:
+        bits = np.random.default_rng(0).random((n_height, n_width)) < 0.5
     if not with_payload:
-        bits[:] = False
+        bits = np.zeros_like(bits)
     mask = Mask(bits)
     n = mask.count()
     freqs = np.zeros(k, dtype=np.int64)
@@ -29,6 +31,86 @@ def make_message(n_height=4, n_width=6, k=8, with_payload=True) -> Message:
         payload=b"\xde\xad\xbe\xef" if n > 0 else b"",
         final_state=RANS_L + 17 if n > 0 else RANS_L,
     )
+
+
+def _bit(stream: bytes, i: int) -> int:
+    """Bit i of an LSB-first bit stream."""
+    return (stream[i // 8] >> (i % 8)) & 1
+
+
+def _runs(bits: list[int]) -> list[int]:
+    """Lengths of the maximal stretches of equal bits."""
+    lengths = [1]
+    for prev, cur in zip(bits, bits[1:]):
+        if cur == prev:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
+
+
+def rice_stream(lengths: list[int], first: int, ks: tuple[int, int]) -> list[int]:
+    """The run form's bit stream for these run lengths, before padding."""
+    values = [first ^ (i % 2) for i in range(len(lengths))]
+    stream = []
+    for v, b in zip(lengths, values):
+        stream += [0] * ((v - 1) >> ks[b]) + [1]
+    for value in (0, 1):
+        for v, b in zip(lengths, values):
+            if b == value:
+                stream += [((v - 1) >> j) & 1 for j in range(ks[value])]
+    return stream
+
+
+def run_section(first: int, k0: int, k1: int, count: int, stream: list[int]) -> bytes:
+    """A run-form section from its header fields and its stream's bits."""
+    stream = stream + [0] * (-len(stream) % 8)
+    body = bytes(sum(stream[i + j] << j for j in range(8)) for i in range(0, len(stream), 8))
+    return struct.pack("<BBBI", first, k0, k1, count) + body
+
+
+def independent_run_form(bits: list[int]) -> bytes:
+    """The documented run form of row-major mask bits, written bit by bit."""
+    lengths = _runs(bits)
+    ks = []
+    for value in (0, 1):
+        group = [v - 1 for i, v in enumerate(lengths) if bits[0] ^ (i % 2) == value]
+        cost = [sum((m >> k) + 1 + k for m in group) for k in range(32)]
+        ks.append(cost.index(min(cost)))
+    stream = rice_stream(lengths, bits[0], tuple(ks))
+    return run_section(bits[0], ks[0], ks[1], len(lengths), stream)
+
+
+def independent_mask_bits(section: bytes, cells: int) -> list[int]:
+    """Row-major mask bits from either documented form of the mask section."""
+    if len(section) == (cells + 7) // 8:
+        return [_bit(section, i) for i in range(cells)]
+    first, k0, k1, count = struct.unpack_from("<BBBI", section)
+    stream = section[7:]
+    pos = 0
+    quotients = []
+    for _ in range(count):
+        q = 0
+        while not _bit(stream, pos):
+            q += 1
+            pos += 1
+        pos += 1
+        quotients.append(q)
+    values = [first ^ (i % 2) for i in range(count)]
+    lengths = [0] * count
+    for value, k in ((0, k0), (1, k1)):
+        for i in range(count):
+            if values[i] == value:
+                r = sum(_bit(stream, pos + j) << j for j in range(k))
+                pos += k
+                lengths[i] = (quotients[i] << k) + r + 1
+    assert (pos + 7) // 8 == len(stream), "independent parser found spare run-form bytes"
+    assert all(_bit(stream, i) == 0 for i in range(pos, 8 * len(stream)))
+    out = []
+    for v, b in zip(lengths, values):
+        out += [b] * v
+    assert len(out) == cells
+    return out
 
 
 def independent_parse(data: bytes) -> dict:
@@ -66,6 +148,7 @@ def independent_parse(data: bytes) -> dict:
         "dims": (c, h, w, d, k, p),
         "cb_hash": cb_hash,
         "mask_bytes": mask_bytes,
+        "mask_bits": independent_mask_bits(mask_bytes, h * w),
         "n": n,
         "freqs": freqs,
         "payload": payload,
@@ -102,19 +185,31 @@ def test_message_roundtrip_bit_exact():
     assert again.final_state == msg.final_state
 
 
+def _blob_bits() -> np.ndarray:
+    """A 32x32 mask keeping two rectangles, 272 of its 1024 cells."""
+    bits = np.zeros((32, 32), dtype=bool)
+    bits[3:11, 5:25] = True
+    bits[20:30, 12:23] = True
+    return bits
+
+
 def test_independent_parser_agrees_on_every_section():
-    msg = make_message()
-    data = msg.to_bytes()
-    parsed = independent_parse(data)
-    assert parsed["magic"] == b"DSC1"
-    assert parsed["version"] == 1
-    assert parsed["dims"] == (3, 4, 6, 5, 8, 12)
-    assert parsed["cb_hash"] == msg.codebook_hash
-    assert parsed["n"] == msg.num_symbols
-    assert list(parsed["freqs"]) == msg.freqs.tolist()
-    assert parsed["payload"] == msg.payload
-    assert parsed["state"] == msg.final_state
-    assert parsed["total"] == len(data)
+    # One message with packed mask bits, one with the run form.
+    for msg, packed in ((make_message(), True), (make_message(bits=_blob_bits()), False)):
+        data = msg.to_bytes()
+        parsed = independent_parse(data)
+        h, w = msg.mask.bits.shape
+        assert (len(parsed["mask_bytes"]) == (h * w + 7) // 8) is packed
+        assert parsed["mask_bits"] == msg.mask.bits.ravel().tolist()
+        assert parsed["magic"] == b"DSC1"
+        assert parsed["version"] == 1
+        assert parsed["dims"] == (3, h, w, 5, 8, 12)
+        assert parsed["cb_hash"] == msg.codebook_hash
+        assert parsed["n"] == msg.num_symbols
+        assert list(parsed["freqs"]) == msg.freqs.tolist()
+        assert parsed["payload"] == msg.payload
+        assert parsed["state"] == msg.final_state
+        assert parsed["total"] == len(data)
 
 
 def test_zero_symbol_message_is_valid():
@@ -261,3 +356,128 @@ def test_message_accepts_field_extremes_and_numpy_integers():
     again = Message.from_bytes(msg.to_bytes())
     assert (again.channels, again.embed_dim) == (0xFFFF, 0)
     assert (again.codebook_hash, again.final_state) == (2**64 - 1, 2**32 - 1)
+
+
+# ------------------------------------------------------------ the mask section
+
+
+@st.composite
+def masks(draw) -> np.ndarray:
+    """Random or blobby masks from 1x1 to 128x128 at any density."""
+    h, w = draw(st.integers(1, 128)), draw(st.integers(1, 128))
+    density = draw(st.floats(0.0, 1.0))
+    block = draw(st.sampled_from([1, 2, 5, 16]))  # 1: cell-wise random
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = rng.random((-(-h // block), -(-w // block))) < density
+    return np.kron(coarse, np.ones((block, block), dtype=bool))[:h, :w]
+
+
+@given(masks())
+@settings(max_examples=150, deadline=None)
+def test_mask_section_follows_the_rule_and_roundtrips(bits):
+    cells = bits.size
+    flat = bits.ravel().tolist()
+    packed = (cells + 7) // 8
+    runs = independent_run_form(flat)
+    sparse = 2 * sum(flat) < cells
+    section = encode_mask(Mask(bits))
+    if sparse and len(runs) < packed:
+        assert section == runs
+    else:
+        assert section == pack_mask(Mask(bits))
+    assert independent_mask_bits(section, cells) == flat
+    assert np.array_equal(decode_mask(section, *bits.shape).bits, bits)
+    msg = make_message(bits=bits, with_payload=bool(bits.any()))
+    data = msg.to_bytes()
+    again = Message.from_bytes(data)
+    assert again.to_bytes() == data
+    assert np.array_equal(again.mask.bits, bits)
+
+
+def test_run_form_of_an_empty_and_a_split_mask():
+    # One 0-run of 256 cells: 255 = (1 << 7) + 127 is cheapest at k0 = 7
+    # (1 + 1 + 7 bits, tied with k0 = 8), and the empty 1-runs take k1 = 0.
+    empty = np.zeros((16, 16), dtype=bool)
+    assert encode_mask(Mask(empty)) == run_section(0, 7, 0, 1, [0, 1] + [1] * 7)
+    # A 1-run of 100, then a 0-run of 156: 99 = (1 << 6) + 35 at k1 = 6 and
+    # 155 = (2 << 6) + 27 at k0 = 6. Quotients in run order, then the 0-run's
+    # remainder, then the 1-run's, each least significant bit first.
+    split = np.zeros(256, dtype=bool)
+    split[:100] = True
+    stream = [0, 1] + [0, 0, 1] + [1, 1, 0, 1, 1, 0] + [1, 1, 0, 0, 0, 1]
+    assert rice_stream([100, 156], 1, (6, 6)) == stream
+    assert encode_mask(Mask(split.reshape(16, 16))) == run_section(1, 6, 6, 2, stream)
+
+
+# The run-form stream of an empty 16x16 mask (9 bytes, against 32 packed).
+_EMPTY = [0, 1] + [1] * 7
+
+
+@pytest.mark.parametrize(
+    "section, match",
+    [
+        (run_section(0, 7, 0, 0, _EMPTY), r"run count 0 outside \[1, 16\]"),
+        (run_section(0, 0, 0, 257, [1] * 257), r"run count 257 outside \[1, 256\]"),
+        (run_section(0, 32, 0, 1, [1]), "Rice parameters must be <= 31"),
+        (run_section(0, 7, 32, 1, [1]), "Rice parameters must be <= 31"),
+        (run_section(2, 7, 0, 1, _EMPTY), "first run value must be 0 or 1"),
+        (run_section(0, 7, 0, 1, [0] * 16), "ends after 0 of 1 quotients"),
+        (run_section(0, 7, 0, 1, [0, 0, 1] + [1] * 7), "longer than the mask"),
+        (run_section(0, 7, 0, 1, [0, 1] + [1] * 4), "ends inside its remainders"),
+        (
+            run_section(0, 7, 6, 2, rice_stream([200, 57], 0, (7, 6))),
+            "do not sum to the mask's 256 cells",
+        ),
+        (run_section(0, 7, 0, 1, _EMPTY + [0] * 5 + [1]), "nonzero padding"),
+        (run_section(0, 7, 0, 1, _EMPTY) + b"\x00", "1 spare bytes"),
+        (struct.pack("<BBB", 0, 7, 0), "of 3 bytes lacks its header"),
+    ],
+)
+def test_run_form_rejects_malformed_sections(section, match):
+    assert decode_mask(run_section(0, 7, 0, 1, _EMPTY), 16, 16).count() == 0
+    with pytest.raises(MessageParseError, match=match):
+        decode_mask(section, 16, 16)
+
+
+def test_mask_section_rejects_any_form_but_the_encoders():
+    full = Mask.ones(16, 16)
+    empty = Mask.zeros(16, 16)
+    # The run form of a mask keeping at least half its cells: one 1-run.
+    runs_of_full = run_section(1, 0, 7, 1, _EMPTY)
+    assert encode_mask(full) == pack_mask(full)
+    assert independent_mask_bits(runs_of_full, 256) == [1] * 256
+    # Packed bits of a mask whose run form is shorter.
+    assert encode_mask(empty) != pack_mask(empty)
+    # A run form with a k that is not the lowest best: k0 = 8 ties k0 = 7.
+    tied_k = run_section(0, 8, 0, 1, [1] * 9)
+    assert independent_mask_bits(tied_k, 256) == [0] * 256
+    for section, match in (
+        (runs_of_full, "run form of a mask the encoder writes as packed bits"),
+        (pack_mask(empty), "packed mask section is not the form the encoder writes"),
+        (tied_k, "Rice parameters 8, 0: the encoder writes 7, 0"),
+    ):
+        with pytest.raises(MessageParseError, match=match):
+            decode_mask(section, 16, 16)
+    # A sparse mask whose run form (9 bytes) is not shorter than its 2 packed bytes.
+    one_cell = [1] + [0] * 15
+    assert encode_mask(Mask(np.array(one_cell, dtype=bool).reshape(4, 4))) == b"\x01\x00"
+    with pytest.raises(MessageParseError, match="run form of a mask the encoder writes as packed"):
+        decode_mask(independent_run_form(one_cell), 4, 4)
+
+
+def test_packed_section_rejects_nonzero_padding_bits():
+    bits = np.zeros((3, 3), dtype=bool)
+    bits[0] = bits[1] = True  # 6 of 9 kept: packed, 2 bytes, 7 padding bits
+    section = encode_mask(Mask(bits))
+    assert section == b"\x3f\x00"
+    with pytest.raises(MessageParseError, match="not the form the encoder writes"):
+        decode_mask(b"\x3f\x80", 3, 3)
+
+
+def test_message_with_a_non_canonical_mask_section_is_rejected():
+    good = _zero_symbol_bytes(k=2, flags=0)
+    assert Message.from_bytes(good).to_bytes() == good
+    # The 2x3 empty mask's padding bits set.
+    bad = good.replace(struct.pack("<I", 1) + b"\x00", struct.pack("<I", 1) + b"\xc0", 1)
+    with pytest.raises(MessageParseError, match="not the form the encoder writes"):
+        Message.from_bytes(bad)
