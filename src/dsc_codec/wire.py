@@ -43,14 +43,21 @@ state. The version byte is MESSAGE_VERSION and the flags byte is 0: no flag
 is defined yet. A Message stores no H, W, K or N: they are its mask's
 shape, its table's length and its mask's population. A message with
 symbols checks its table by building the rans.FrequencyTable that decodes
-it, and keeps that as `table` (None when N = 0). Parsing is strict: any
-trailing or missing bytes, a bad magic, version or flags byte, a mask
-section other than the one the encoder writes for the mask it decodes to,
-an N other than the parsed mask's population, or an inconsistent table
-raises MessageParseError rather than returning garbage, so
-Message.from_bytes(d).to_bytes() == d for every accepted d. Constructing a
-Message checks that every header and length field fits its field, so
-to_bytes never fails on a constructed message.
+it, and keeps that as `table` (None when N = 0). Constructing a Message
+checks that every header and length field fits its field, so to_bytes never
+fails on a constructed message.
+
+Parsing has one rule: Message.from_bytes(d) accepts d exactly when the
+message it parses serializes back to d, so from_bytes(d).to_bytes() == d for
+every accepted d, and every other d raises MessageParseError naming the first
+section that differs. Before that comparison the parser keeps only the
+guards that keep parsing safe, each raising MessageParseError: the
+truncation of every section; the magic, version and flags bytes, checked
+first so that a foreign or future message is rejected before its H*W sizes
+a mask; mask dimensions of at least 1 and the packed section's length; the
+run form's own guards (see _parse_run_form); and the Message's field and
+table checks. A mask section in a form other than the encoder's, an N other
+than the mask's population or trailing bytes all fail the comparison.
 """
 
 from __future__ import annotations
@@ -102,15 +109,18 @@ def encode_mask(mask: Mask) -> bytes:
 
 
 def decode_mask(data: bytes, height: int, width: int) -> Mask:
-    """Parse either form of the mask section; accept only the encoder's form."""
+    """The mask of either form of the mask section, parsed safely.
+
+    A section of ceil(H*W/8) bytes is packed bits, any other is the run form.
+    Either may decode from bytes the encoder would not write for that mask
+    (padding bits, spare bytes, another k, the other form); Message.from_bytes
+    rejects those by serializing the parsed message again.
+    """
     if height < 1 or width < 1:
         raise MessageParseError(f"mask dimensions must be >= 1, got {height}x{width}")
-    if len(data) != (height * width + 7) // 8:
-        return Mask(_parse_run_form(data, height * width).reshape(height, width))
-    mask = unpack_mask(data, height, width)
-    if encode_mask(mask) != data:
-        raise MessageParseError("packed mask section is not the form the encoder writes")
-    return mask
+    if len(data) == (height * width + 7) // 8:
+        return unpack_mask(data, height, width)
+    return Mask(_parse_run_form(data, height * width).reshape(height, width))
 
 
 _RUN_HEADER = struct.Struct("<BBBI")  # first, k0, k1, R
@@ -164,13 +174,31 @@ def _run_form(flat: np.ndarray, limit: int) -> bytes | None:
 
 
 def _parse_run_form(data: bytes, cells: int) -> np.ndarray:
-    """The flat mask bits of a run-form section that the encoder would write."""
+    """The flat mask bits of a run-form section.
+
+    Only the guards that keep the parse safe are checked; each one stops
+    another exception or an allocation the input does not pay for:
+      * the section holds the 7-byte run header (else struct.error);
+      * k0, k1 <= 31, so every shift and remainder fits an int64 (a wider
+        remainder can wrap to a negative run length, a ValueError in
+        np.repeat);
+      * 1 <= R <= min(H*W, stream bits) before the R-entry arrays are
+        allocated (R = 0 has no last quotient, and a u32 R asks for up to
+        4 GB);
+      * the stream holds R quotients and every remainder (else arrays of
+        mismatched shape);
+      * each quotient keeps its run inside H*W, so (q << k) cannot overflow
+        (it could once the stream holds 2^32 bits); with k <= 31 every run
+        length is then non-negative and their sum cannot wrap a uint64;
+      * run lengths that sum to H*W (else the mask has the wrong size).
+    A first value other than 0 or 1, spare bytes, nonzero padding or a k
+    the encoder would not pick parse here and fail Message.from_bytes's
+    round trip.
+    """
     if len(data) < _RUN_HEADER.size:
         raise MessageParseError(f"run-form mask section of {len(data)} bytes lacks its header")
     first, k0, k1, count = _RUN_HEADER.unpack_from(data)
     nbits = 8 * (len(data) - _RUN_HEADER.size)
-    if first > 1:
-        raise MessageParseError(f"run-form first run value must be 0 or 1, got {first}")
     if max(k0, k1) > _MAX_RICE_K:
         raise MessageParseError(f"Rice parameters must be <= {_MAX_RICE_K}, got {k0} and {k1}")
     if not 1 <= count <= min(cells, nbits):
@@ -194,20 +222,9 @@ def _parse_run_form(data: bytes, cells: int) -> np.ndarray:
         block = bits[pos : pos + n * width].reshape(n, width)
         r[group] = block @ (1 << np.arange(width, dtype=np.int64))
         pos += n * width
-    spare = stream.size - (pos + 7) // 8
-    if spare:
-        raise MessageParseError(f"{spare} spare bytes after the run-form stream")
-    if bits[pos:].any():
-        raise MessageParseError("nonzero padding bits after the run-form stream")
     m = (q << k) + r
-    if (m >= cells).any() or int(m.sum(dtype=np.uint64)) + count != cells:
+    if int(m.sum(dtype=np.uint64)) + count != cells:
         raise MessageParseError(f"run lengths do not sum to the mask's {cells} cells")
-    ks, _ = _rice_parameters(m, ones)
-    if ks != [k0, k1]:
-        raise MessageParseError(f"Rice parameters {k0}, {k1}: the encoder writes {ks[0]}, {ks[1]}")
-    kept = int(m[ones].sum()) + int(np.count_nonzero(ones))
-    if 2 * kept >= cells or len(data) >= (cells + 7) // 8:
-        raise MessageParseError("run form of a mask the encoder writes as packed bits")
     return np.repeat(ones, m + 1)
 
 
@@ -286,16 +303,22 @@ class Message:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Message":
+        """The message whose to_bytes() is exactly `data`.
+
+        The fields are read behind the guards that keep parsing safe (see
+        the module docstring), the Message is built, and it is accepted only
+        if it serializes back to `data`; otherwise the error names the first
+        section that differs, or the trailing bytes.
+        """
         view = memoryview(data)
-        pos = 0
+        sections: list[tuple[str, int]] = []  # (name, end offset) in read order
 
         def take(n: int, what: str) -> memoryview:
-            nonlocal pos
+            pos = sections[-1][1] if sections else 0
             if pos + n > len(view):
                 raise MessageParseError(f"message truncated while reading {what}")
-            chunk = view[pos : pos + n]
-            pos += n
-            return chunk
+            sections.append((what, pos + n))
+            return view[pos : pos + n]
 
         magic, version, flags, c, h, w, d, k, p, cb_hash = _FIXED_HEADER.unpack(
             take(_FIXED_HEADER.size, "header")
@@ -306,19 +329,15 @@ class Message:
             raise MessageParseError(f"unsupported message version {version}")
         if flags != 0:
             raise MessageParseError(f"no message flag is defined, got flags {flags:#04x}")
-        (mask_len,) = _U32.unpack(take(4, "mask length"))
-        mask = decode_mask(bytes(take(mask_len, "mask")), h, w)
-        (n,) = _U32.unpack(take(4, "symbol count"))
-        if n != mask.count():
-            raise MessageParseError(f"symbol count {n} != mask population {mask.count()}")
+        (mask_len,) = _U32.unpack(take(4, "mask section"))
+        mask = decode_mask(bytes(take(mask_len, "mask section")), h, w)
+        take(4, "symbol count")  # N is the mask's population; the round trip checks it
         freqs = np.frombuffer(take(2 * k, "frequency table"), dtype="<u2").astype(np.int64)
         (payload_len,) = _U32.unpack(take(4, "payload length"))
         payload = bytes(take(payload_len, "payload"))
         (state,) = _U32.unpack(take(4, "final state"))
-        if pos != len(view):
-            raise MessageParseError(f"{len(view) - pos} trailing bytes after message")
         try:
-            return cls(
+            msg = cls(
                 channels=c,
                 embed_dim=d,
                 precision=p,
@@ -330,3 +349,12 @@ class Message:
             )
         except (ConfigError, FrequencyTableError) as exc:
             raise MessageParseError(str(exc)) from exc
+        out = msg.to_bytes()
+        if out == data:
+            return msg
+        start = 0
+        for what, stop in sections:
+            if out[start:stop] != view[start:stop]:
+                raise MessageParseError(f"{what} is not the form the encoder writes")
+            start = stop
+        raise MessageParseError(f"{len(view) - start} trailing bytes after message")

@@ -692,12 +692,20 @@ def _corrupt(draw, data: bytes, header: struct.Struct) -> bytes:
 
 def _receive_corrupted(link, fitted, data) -> None:
     """The receiver contract: whatever bytes arrive, parse + decode either
-    returns a reconstruction or raises a DecodeError subclass."""
+    returns a reconstruction or raises a DecodeError subclass, and bytes the
+    parser accepts are exactly the ones their message serializes to."""
     clean, local = link
     corrupted = _corrupt(data.draw, clean, _HEADER)
     conditional = data.draw(st.booleans())
     try:
-        recon = _receive(corrupted, local, fitted, conditional)
+        msg = Message.from_bytes(corrupted)
+    except DecodeError:
+        return
+    assert msg.to_bytes() == corrupted
+    try:
+        recon = decode_message(
+            msg, fitted.params, fitted.codebook, f_local=local if conditional else None
+        )
     except DecodeError:
         return
     assert isinstance(recon, FeatureMap)

@@ -113,6 +113,20 @@ def independent_mask_bits(section: bytes, cells: int) -> list[int]:
     return out
 
 
+def with_mask_section(data: bytes, section: bytes) -> bytes:
+    """A message's bytes with its mask length and mask section replaced."""
+    (old,) = struct.unpack_from("<I", data, 25)  # the mask length follows the 25-byte header
+    return data[:25] + struct.pack("<I", len(section)) + section + data[29 + old :]
+
+
+def carrying(section: bytes, height: int, width: int) -> bytes:
+    """A message whose mask section is `section`, with the symbol count,
+    table and payload of the mask that section decodes to."""
+    bits = decode_mask(section, height, width).bits
+    msg = make_message(bits=bits, with_payload=bool(bits.any()))
+    return with_mask_section(msg.to_bytes(), section)
+
+
 def independent_parse(data: bytes) -> dict:
     """Standalone walk of the documented layout; shares no code with wire.py."""
     pos = 0
@@ -309,7 +323,7 @@ def test_parse_rejects_symbol_count_other_than_mask_population(delta):
     # N sits right after header(25) + mask_len(4) + mask.
     offset = 25 + 4 + len(pack_mask(msg.mask))
     data[offset : offset + 4] = struct.pack("<I", msg.mask.count() + delta)
-    with pytest.raises(MessageParseError, match="mask population"):
+    with pytest.raises(MessageParseError, match="symbol count is not the form the encoder writes"):
         Message.from_bytes(bytes(data))
 
 
@@ -420,7 +434,6 @@ _EMPTY = [0, 1] + [1] * 7
         (run_section(0, 0, 0, 257, [1] * 257), r"run count 257 outside \[1, 256\]"),
         (run_section(0, 32, 0, 1, [1]), "Rice parameters must be <= 31"),
         (run_section(0, 7, 32, 1, [1]), "Rice parameters must be <= 31"),
-        (run_section(2, 7, 0, 1, _EMPTY), "first run value must be 0 or 1"),
         (run_section(0, 7, 0, 1, [0] * 16), "ends after 0 of 1 quotients"),
         (run_section(0, 7, 0, 1, [0, 0, 1] + [1] * 7), "longer than the mask"),
         (run_section(0, 7, 0, 1, [0, 1] + [1] * 4), "ends inside its remainders"),
@@ -428,8 +441,6 @@ _EMPTY = [0, 1] + [1] * 7
             run_section(0, 7, 6, 2, rice_stream([200, 57], 0, (7, 6))),
             "do not sum to the mask's 256 cells",
         ),
-        (run_section(0, 7, 0, 1, _EMPTY + [0] * 5 + [1]), "nonzero padding"),
-        (run_section(0, 7, 0, 1, _EMPTY) + b"\x00", "1 spare bytes"),
         (struct.pack("<BBB", 0, 7, 0), "of 3 bytes lacks its header"),
     ],
 )
@@ -437,6 +448,25 @@ def test_run_form_rejects_malformed_sections(section, match):
     assert decode_mask(run_section(0, 7, 0, 1, _EMPTY), 16, 16).count() == 0
     with pytest.raises(MessageParseError, match=match):
         decode_mask(section, 16, 16)
+
+
+_NOT_THE_ENCODERS = "mask section is not the form the encoder writes"
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        run_section(2, 0, 7, 1, _EMPTY),  # read as one 1-run: a full mask
+        run_section(0, 7, 0, 1, _EMPTY + [0] * 5 + [1]),
+        run_section(0, 7, 0, 1, _EMPTY) + b"\x00",
+    ],
+    ids=["first run value 2", "nonzero padding", "1 spare byte"],
+)
+def test_message_rejects_a_run_section_the_encoder_does_not_write(section):
+    good = carrying(run_section(0, 7, 0, 1, _EMPTY), 16, 16)
+    assert Message.from_bytes(good).to_bytes() == good
+    with pytest.raises(MessageParseError, match=_NOT_THE_ENCODERS):
+        Message.from_bytes(carrying(section, 16, 16))
 
 
 def test_mask_section_rejects_any_form_but_the_encoders():
@@ -451,18 +481,14 @@ def test_mask_section_rejects_any_form_but_the_encoders():
     # A run form with a k that is not the lowest best: k0 = 8 ties k0 = 7.
     tied_k = run_section(0, 8, 0, 1, [1] * 9)
     assert independent_mask_bits(tied_k, 256) == [0] * 256
-    for section, match in (
-        (runs_of_full, "run form of a mask the encoder writes as packed bits"),
-        (pack_mask(empty), "packed mask section is not the form the encoder writes"),
-        (tied_k, "Rice parameters 8, 0: the encoder writes 7, 0"),
-    ):
-        with pytest.raises(MessageParseError, match=match):
-            decode_mask(section, 16, 16)
+    for section in (runs_of_full, pack_mask(empty), tied_k):
+        with pytest.raises(MessageParseError, match=_NOT_THE_ENCODERS):
+            Message.from_bytes(carrying(section, 16, 16))
     # A sparse mask whose run form (9 bytes) is not shorter than its 2 packed bytes.
     one_cell = [1] + [0] * 15
     assert encode_mask(Mask(np.array(one_cell, dtype=bool).reshape(4, 4))) == b"\x01\x00"
-    with pytest.raises(MessageParseError, match="run form of a mask the encoder writes as packed"):
-        decode_mask(independent_run_form(one_cell), 4, 4)
+    with pytest.raises(MessageParseError, match=_NOT_THE_ENCODERS):
+        Message.from_bytes(carrying(independent_run_form(one_cell), 4, 4))
 
 
 def test_packed_section_rejects_nonzero_padding_bits():
@@ -470,8 +496,8 @@ def test_packed_section_rejects_nonzero_padding_bits():
     bits[0] = bits[1] = True  # 6 of 9 kept: packed, 2 bytes, 7 padding bits
     section = encode_mask(Mask(bits))
     assert section == b"\x3f\x00"
-    with pytest.raises(MessageParseError, match="not the form the encoder writes"):
-        decode_mask(b"\x3f\x80", 3, 3)
+    with pytest.raises(MessageParseError, match=_NOT_THE_ENCODERS):
+        Message.from_bytes(carrying(b"\x3f\x80", 3, 3))
 
 
 def test_message_with_a_non_canonical_mask_section_is_rejected():
@@ -481,3 +507,36 @@ def test_message_with_a_non_canonical_mask_section_is_rejected():
     bad = good.replace(struct.pack("<I", 1) + b"\x00", struct.pack("<I", 1) + b"\xc0", 1)
     with pytest.raises(MessageParseError, match="not the form the encoder writes"):
         Message.from_bytes(bad)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_mask_section_round_trips_exactly_or_raises(data):
+    # The one parse rule: whatever bytes stand in the mask section of a
+    # valid message, from_bytes raises MessageParseError or returns a
+    # message that serializes back to exactly those bytes.
+    h, w = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random((h, w)) < data.draw(st.floats(0.0, 1.0))
+    clean = make_message(bits=bits, with_payload=bool(bits.any())).to_bytes()
+    section = encode_mask(Mask(bits))
+    kind = data.draw(st.sampled_from(["bytes", "flip", "runs", "other form"]))
+    if kind == "bytes":
+        new = data.draw(st.binary(max_size=2 * len(section) + 8))
+    elif kind == "flip":
+        new = bytearray(section)
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(new) - 1), min_size=1, max_size=3)):
+            new[bit // 8] ^= 1 << (bit % 8)
+        new = bytes(new)
+    elif kind == "runs":  # any run header, then any stream
+        fields = [data.draw(st.integers(0, top)) for top in (2, 33, 33, bits.size + 1)]
+        new = struct.pack("<BBBI", *fields) + data.draw(st.binary(max_size=40))
+    else:
+        forms = [pack_mask(Mask(bits)), independent_run_form(bits.ravel().tolist())]
+        new = data.draw(st.sampled_from(forms))
+    corrupted = with_mask_section(clean, new)
+    try:
+        msg = Message.from_bytes(corrupted)
+    except MessageParseError:
+        return
+    assert msg.to_bytes() == corrupted
