@@ -53,8 +53,10 @@ from .errors import (
     ShapeMismatchError,
     StepRejectedError,
     frozen_array,
+    read_container,
     require_int,
     require_nonnegative,
+    write_container,
 )
 from .features import FeatureMap, Mask, _frozen_map, require_same_shape, require_spatial_match
 from .quantizer import Codebook, dequantize, quantize_map
@@ -672,54 +674,28 @@ def save_codec_params(params: CodecParams, path) -> None:
     """Write the version-4 DCCP container (header + f64 LE weight blocks)."""
     flags = sum(bit for field, bit, _ in _DECODERS if getattr(params, field) is not None)
     weights = [w for field, _, _ in _DECODERS if (w := getattr(params, field)) is not None]
-    with open(path, "wb") as fh:
-        fh.write(
-            _DCCP_HEADER.pack(
-                _DCCP_MAGIC,
-                _DCCP_VERSION,
-                flags,
-                params.channels,
-                params.embed_dim,
-                params.codebook_hash,
-            )
-        )
-        for block in (params.projection, params.mean, *weights):
-            fh.write(block.astype("<f8").tobytes())
+    fields = (_DCCP_VERSION, flags, params.channels, params.embed_dim, params.codebook_hash)
+    blocks = [("<f8", block) for block in (params.projection, params.mean, *weights)]
+    write_container(path, _DCCP_HEADER, _DCCP_MAGIC, fields, blocks)
 
 
-def load_codec_params(path) -> CodecParams:
-    """Read a DCCP container; a malformed file raises FormatError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _DCCP_HEADER.size:
-        raise FormatError("codec params file too short for header")
-    magic, version, flags, c, d, cb_hash = _DCCP_HEADER.unpack_from(data, 0)
-    if magic != _DCCP_MAGIC:
-        raise FormatError(f"bad codec params magic {magic!r}")
+def _dccp_layout(version: int, flags: int, c: int, d: int, _cb_hash) -> list:
+    """The DCCP blocks' (dtype, shape), after the version and flag bits pass."""
     if version != _DCCP_VERSION:
         raise FormatError(f"unsupported codec params version {version}")
     if flags & ~sum(bit for _, bit, _ in _DECODERS):
         raise FormatError(f"undefined codec params flag bits {flags:#04x}")
-    pos = _DCCP_HEADER.size
+    weights = [(len(_row_columns(d, c, blocks)), c) for _, bit, blocks in _DECODERS if flags & bit]
+    return [("<f8", shape) for shape in [(d, c), (c,), *weights]]
 
-    def block(rows: int, cols: int, what: str) -> np.ndarray:
-        nonlocal pos
-        nbytes = 8 * rows * cols
-        if pos + nbytes > len(data):
-            raise FormatError(f"codec params file truncated in {what}")
-        arr = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=pos).reshape(rows, cols)
-        pos += nbytes
-        return arr
 
-    projection = block(d, c, "projection")
-    mean = block(1, c, "mean")[0]
-    weights = {
-        field: block(len(_row_columns(d, c, blocks)), c, field) if flags & bit else None
-        for field, bit, blocks in _DECODERS
-    }
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes in codec params file")
-    try:
-        return CodecParams(projection, mean, cb_hash, **weights)
-    except ConfigError as exc:
-        raise FormatError(f"codec params file holds invalid parameters: {exc}") from exc
+def _stored_params(version, flags, c, d, cb_hash, projection, mean, *weights) -> CodecParams:
+    saved = [field for field, bit, _ in _DECODERS if flags & bit]
+    return CodecParams(projection, mean, cb_hash, **dict(zip(saved, weights)))
+
+
+def load_codec_params(path) -> CodecParams:
+    """Read a DCCP container; a malformed file raises FormatError."""
+    return read_container(
+        path, "codec params", _DCCP_HEADER, _DCCP_MAGIC, _dccp_layout, _stored_params
+    )

@@ -15,6 +15,20 @@ Five checks shared by every module raise ConfigError with one wording:
     shape that every immutable container stores.
 
 NaN fails every check but require_real.
+
+Three rules for the files the package loads, and for index sequences, are
+written here once:
+
+  * read_container and write_container: the binary containers (.fmap, .cdbk,
+    .dccp), a magic-tagged little-endian header followed by row-major blocks
+    whose shapes the header gives. A file too short for its header, a foreign
+    magic, a length other than header plus blocks, or blocks that build no
+    valid value raise FormatError;
+  * ascii_lines: the lines of a text file (scenario, sweep CSV), broken at
+    LF, CRLF or a lone CR; a non-ASCII byte raises FormatError naming
+    path:line and its column;
+  * index_array: an int64 index sequence; any rank but 1 raises
+    ShapeMismatchError.
 """
 
 import math
@@ -125,3 +139,66 @@ def frozen_array(name: str, values, dtype, shape: tuple[int | None, ...]) -> np.
         raise ConfigError(f"{name} contains non-finite values")
     arr.flags.writeable = False
     return arr
+
+
+def index_array(name: str, values) -> np.ndarray:
+    """values as an int64 array; ShapeMismatchError unless it is 1-d."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ShapeMismatchError(f"{name} must be a 1-d index sequence, got shape {arr.shape}")
+    return arr
+
+
+def write_container(path, header, magic: bytes, fields, blocks) -> None:
+    """Write header.pack(magic, *fields), then each (dtype, array) block row-major."""
+    with open(path, "wb") as fh:
+        fh.write(header.pack(magic, *fields))
+        for dtype, block in blocks:
+            fh.write(block.astype(dtype).tobytes())
+
+
+def read_container(path, what: str, header, magic: bytes, layout, build):
+    """Read a container file written by write_container and build its value.
+
+    layout(*fields) gives the (dtype, shape) of each block from the header
+    fields after the magic, and may itself raise FormatError for a field it
+    rejects. build(*fields, *blocks) gets the blocks as read-only views of
+    the file; a ConfigError it raises becomes FormatError, its __cause__.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < header.size:
+        raise FormatError(f"{what} file too short for header")
+    found, *fields = header.unpack_from(data)
+    if found != magic:
+        raise FormatError(f"bad {what} magic {found!r}")
+    shapes = layout(*fields)
+    expected = header.size + sum(np.dtype(dt).itemsize * math.prod(shape) for dt, shape in shapes)
+    if len(data) != expected:
+        raise FormatError(f"{what} file length {len(data)} != expected {expected}")
+    blocks, pos = [], header.size
+    for dtype, shape in shapes:
+        blocks.append(np.frombuffer(data, dtype, math.prod(shape), pos).reshape(shape))
+        pos += blocks[-1].nbytes
+    try:
+        return build(*fields, *blocks)
+    except ConfigError as exc:
+        raise FormatError(f"{what} file holds an invalid value: {exc}") from exc
+
+
+def ascii_lines(path):
+    """Yield (line number, text) for each line of path, counted from 1.
+
+    Lines break at LF, CRLF or a lone CR (bytes.splitlines). A non-ASCII
+    byte raises FormatError naming path:line and the byte's column.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            text = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+            ) from None
+        yield lineno, text

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeMismatchError, frozen_array, require_int
+from .errors import ShapeMismatchError, frozen_array, read_container, require_int, write_container
 
 _FMAP_MAGIC = b"FMAP"
 _FMAP_HEADER = struct.Struct("<4sHHH")
@@ -103,7 +103,7 @@ class Mask:
         return cls(np.zeros((height, width), dtype=bool))
 
     def count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
 
 def require_spatial_match(f: FeatureMap, m: Mask) -> None:
@@ -156,28 +156,13 @@ def raw_payload_bytes(channels: int, height: int, width: int, bits_per_scalar: i
 
 def save_feature_map(f: FeatureMap, path) -> None:
     """Write the FMAP container: 'FMAP' | u16 C | u16 H | u16 W | C*H*W f32 LE."""
-    with open(path, "wb") as fh:
-        fh.write(_FMAP_HEADER.pack(_FMAP_MAGIC, f.channels, f.height, f.width))
-        fh.write(f.values.astype("<f4").tobytes())
+    write_container(path, _FMAP_HEADER, _FMAP_MAGIC, f.shape, [("<f4", f.values)])
 
 
 def load_feature_map(path) -> FeatureMap:
     """Read an FMAP container; a malformed file raises FormatError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _FMAP_HEADER.size:
-        raise FormatError("feature map file too short for header")
-    magic, c, h, w = _FMAP_HEADER.unpack_from(data, 0)
-    if magic != _FMAP_MAGIC:
-        raise FormatError(f"bad feature map magic {magic!r}")
-    expected = _FMAP_HEADER.size + 4 * c * h * w
-    if len(data) != expected:
-        raise FormatError(
-            f"feature map file length {len(data)} != expected {expected} for "
-            f"{c}x{h}x{w}"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=_FMAP_HEADER.size)
-    try:
-        return FeatureMap(values.reshape(c, h, w))
-    except ConfigError as exc:
-        raise FormatError(f"feature map file holds an invalid map: {exc}") from exc
+    return read_container(
+        path, "feature map", _FMAP_HEADER, _FMAP_MAGIC,
+        lambda c, h, w: [("<f4", (c, h, w))],
+        lambda c, h, w, values: FeatureMap(values),
+    )

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError, index_array
 
 _MI_DUST = 1e-12
 
 
 def _as_symbols(idx, name: str) -> np.ndarray:
-    arr = np.asarray(idx, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ShapeMismatchError(f"{name} must be a 1-d index sequence")
+    arr = index_array(name, idx)
     if arr.size < 1:
         raise ConfigError(f"{name} must contain at least one symbol")
     if arr.min() < 0:

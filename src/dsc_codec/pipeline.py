@@ -67,7 +67,7 @@ from .codec import (
     reconstruct,
     si_context,
 )
-from .errors import ConfigError, DecodeError, FormatError, InsufficientDataError
+from .errors import ConfigError, DecodeError, FormatError, InsufficientDataError, ascii_lines
 from .errors import require_int, require_nonnegative, require_real, require_unit_interval
 from .features import FeatureMap, Mask, apply_mask, elementwise_max, mse
 from .pruning import mask_from_scores, score_map
@@ -511,23 +511,16 @@ def write_csv(rows: Sequence[SweepRow], path_or_handle) -> None:
 def read_csv(path) -> list[SweepRow]:
     """Parse a sweep CSV in the documented schema.
 
-    A non-ASCII line, a wrong header or field count, or a field that does not
-    parse raises FormatError naming path:line.
+    A non-ASCII line, a wrong or missing header, a wrong field count, or a
+    field that does not parse raises FormatError naming path:line.
     """
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
+    lines = ascii_lines(path)
+    lineno, header = next(lines, (1, ""))
+    if header.strip() != CSV_HEADER:
+        raise FormatError(f"{path}:{lineno}: unexpected CSV header: {header.strip()!r}")
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("ascii").strip()
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
-            ) from None
-        if lineno == 1:
-            if line != CSV_HEADER:
-                raise FormatError(f"{path}:{lineno}: unexpected CSV header: {line!r}")
-            continue
+    for lineno, text in lines:
+        line = text.strip()
         if not line:
             continue
         parts = line.split(",")

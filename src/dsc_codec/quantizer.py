@@ -46,7 +46,10 @@ from .errors import (
     ShapeMismatchError,
     SymbolOutOfRangeError,
     frozen_array,
+    index_array,
+    read_container,
     require_int,
+    write_container,
 )
 
 _CDBK_MAGIC = b"CDBK"
@@ -273,9 +276,7 @@ def quantize_map(latent, cb: Codebook) -> np.ndarray:
 
 def dequantize(idx, cb: Codebook) -> np.ndarray:
     """Codeword lookup per symbol; rejects indices outside the codebook."""
-    symbols = np.asarray(idx, dtype=np.int64)
-    if symbols.ndim != 1:
-        raise ShapeMismatchError("index map must be 1-d")
+    symbols = index_array("idx", idx)
     if symbols.size and (symbols.min() < 0 or symbols.max() >= cb.size):
         raise SymbolOutOfRangeError(
             f"symbol outside codebook of size {cb.size} (corrupt stream or wrong codebook)"
@@ -427,28 +428,21 @@ def train_codebook(samples, k: int, iters: int, seed: int) -> Codebook:
 
 def save_codebook(cb: Codebook, path) -> None:
     """Write the CDBK container: 'CDBK' | u16 K | u16 D | u64 hash | K*D f32 LE."""
-    with open(path, "wb") as fh:
-        fh.write(_CDBK_HEADER.pack(_CDBK_MAGIC, cb.size, cb.dim, cb.version_hash))
-        fh.write(cb.codewords.astype("<f4").tobytes())
+    fields = (cb.size, cb.dim, cb.version_hash)
+    write_container(path, _CDBK_HEADER, _CDBK_MAGIC, fields, [("<f4", cb.codewords)])
+
+
+def _stored_codebook(k: int, d: int, stored_hash: int, codewords: np.ndarray) -> Codebook:
+    cb = Codebook(codewords)
+    if cb.version_hash != stored_hash:
+        raise FormatError("codebook version hash does not match file contents")
+    return cb
 
 
 def load_codebook(path) -> Codebook:
     """Read a CDBK container; a malformed file raises FormatError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _CDBK_HEADER.size:
-        raise FormatError("codebook file too short for header")
-    magic, k, d, stored_hash = _CDBK_HEADER.unpack_from(data, 0)
-    if magic != _CDBK_MAGIC:
-        raise FormatError(f"bad codebook magic {magic!r}")
-    expected = _CDBK_HEADER.size + 4 * k * d
-    if len(data) != expected:
-        raise FormatError(f"codebook file length {len(data)} != expected {expected}")
-    codewords = np.frombuffer(data, dtype="<f4", offset=_CDBK_HEADER.size).reshape(k, d)
-    try:
-        cb = Codebook(codewords)
-    except ConfigError as exc:
-        raise FormatError(f"codebook file holds an invalid codebook: {exc}") from exc
-    if cb.version_hash != stored_hash:
-        raise FormatError("codebook version hash does not match file contents")
-    return cb
+    return read_container(
+        path, "codebook", _CDBK_HEADER, _CDBK_MAGIC,
+        lambda k, d, _: [("<f4", (k, d))],
+        _stored_codebook,
+    )

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DecodeError, FrequencyTableError, ShapeMismatchError, require_int
+from .errors import ConfigError, DecodeError, FrequencyTableError, index_array, require_int
 
 RANS_L = 1 << 23
 MIN_PRECISION = 8
@@ -112,9 +112,7 @@ def build_freq_table(idx, num_symbols: int, precision: int = 12) -> FrequencyTab
     Largest-remainder rounding restores the exact sum deterministically
     (ties broken toward the lower symbol index).
     """
-    symbols = np.asarray(idx, dtype=np.int64)
-    if symbols.ndim != 1:
-        raise ShapeMismatchError("index map must be 1-d")
+    symbols = index_array("idx", idx)
     if symbols.size < 1:
         raise ConfigError("cannot build a frequency table from an empty index map")
     require_int("num_symbols", num_symbols, 1)
@@ -148,9 +146,7 @@ def build_freq_table(idx, num_symbols: int, precision: int = 12) -> FrequencyTab
 
 def rans_encode(idx, ft: FrequencyTable) -> tuple[bytes, int]:
     """Encode the index sequence; returns (payload bytes, final coder state)."""
-    symbols = np.asarray(idx, dtype=np.int64)
-    if symbols.ndim != 1:
-        raise ShapeMismatchError("index map must be 1-d")
+    symbols = index_array("idx", idx)
     if symbols.size:
         if symbols.min() < 0 or symbols.max() >= ft.num_symbols:
             raise ConfigError(f"symbols must lie in [0,{ft.num_symbols})")

@@ -41,6 +41,7 @@ from .errors import (
     FormatError,
     ShapeMismatchError,
     UndefinedCorrelationError,
+    ascii_lines,
     frozen_array,
     require_int,
     require_nonnegative,
@@ -338,20 +339,12 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 def load_scenario(path) -> ScenarioConfig:
     """Parse a 'key = value' scenario file ('#' starts a comment).
 
-    A line that is not ASCII, not 'key = value', with an unknown key or a value
-    that does not parse raises FormatError naming the line. A parsed value out
-    of its documented range raises ConfigError.
+    A line that is not ASCII, not 'key = value', with an unknown or repeated
+    key or a value that does not parse raises FormatError naming the line. A
+    parsed value out of its documented range raises ConfigError.
     """
     values: dict[str, object] = {}
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            text = raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
-            ) from None
+    for lineno, text in ascii_lines(path):
         line = text.split("#", 1)[0].strip()
         if not line:
             continue
@@ -360,6 +353,8 @@ def load_scenario(path) -> ScenarioConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _SCENARIO_FIELDS:
             raise FormatError(f"{path}:{lineno}: unknown scenario key {key!r}")
+        if key in values:
+            raise FormatError(f"{path}:{lineno}: repeated scenario key {key!r}")
         try:
             values[key] = _SCENARIO_FIELDS[key](value)
         except ValueError as exc:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dsc_codec import ScenarioConfig, fit_codec
+
+# The default settings, plus the @reproduce_failure blob of any failing example,
+# so a fuzz failure in a CI log can be replayed exactly.
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 @pytest.fixture(scope="session")

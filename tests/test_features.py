@@ -178,6 +178,17 @@ def test_feature_map_file_errors(tmp_path):
         load_feature_map(good)
 
 
+def test_feature_map_file_layout_matches_an_independent_packer(tmp_path):
+    # 'FMAP' | u16 C | u16 H | u16 W, then the C*H*W values as f32 LE in
+    # channel, row, column order. Distinct extents pin that order.
+    f = FeatureMap((np.arange(24.0) - 5).reshape(2, 3, 4) / 4)
+    body = [f.values[c, h, w] for c in range(2) for h in range(3) for w in range(4)]
+    path = tmp_path / "f.fmap"
+    save_feature_map(f, path)
+    assert path.read_bytes() == struct.pack("<4sHHH", b"FMAP", 2, 3, 4) + struct.pack("<24f", *body)
+    assert np.array_equal(load_feature_map(path).values, f.values)
+
+
 @pytest.mark.parametrize(
     "shape, body, match",
     [

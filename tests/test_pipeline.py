@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsc_codec import (
     ConfigError,
@@ -32,6 +34,7 @@ from dsc_codec.pipeline import (
 )
 from dsc_codec.pruning import mask_from_scores, score_map
 from dsc_codec.simulate import generate_scene, observe, scene_config
+from tests.test_simulate import mutated_text
 from tests.test_wire import independent_parse
 
 
@@ -639,6 +642,36 @@ def test_read_csv_rejects_a_malformed_line_naming_path_and_line(
         read_csv(path)
     assert str(info.value).startswith(f"{path}:{lineno}: ")
     assert detail in str(info.value)
+
+
+def test_read_csv_breaks_lines_at_lf_crlf_and_a_lone_cr(tmp_path):
+    path = tmp_path / "sweep.csv"
+    for eol in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(_CSV_HEADER_LINE + eol + _CSV_ROW + eol + _CSV_ROW + eol)
+        assert len(read_csv(path)) == 2
+    path.write_bytes(b"")
+    with pytest.raises(FormatError, match=r"sweep.csv:1: unexpected CSV header: ''"):
+        read_csv(path)
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+    row = SweepRow(0.5, 8, 8, 0.9, 0.0, 0, 100.0, 0.25, 0.125, 1, 7, 1)
+    write_csv([row, dataclasses.replace(row, tau=0.25, sigma_pose=1.5, delay=3)], path)
+    return path, path.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_csv_file_reads_or_raises_format_error(csv_file, data):
+    path, clean = csv_file
+    path.write_bytes(data.draw(mutated_text(clean)))
+    try:
+        rows = read_csv(path)
+    except FormatError:
+        return
+    assert all(isinstance(row, SweepRow) for row in rows)
 
 
 def test_write_csv_is_byte_deterministic(tmp_path, small_cfg):

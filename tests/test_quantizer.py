@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import struct
 
@@ -251,6 +252,22 @@ def test_codebook_file_roundtrip_and_corruption(tmp_path, rng):
     bad.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         load_codebook(bad)
+
+
+def test_codebook_file_layout_matches_an_independent_packer(tmp_path):
+    # 'CDBK' | u16 K | u16 D | u64 hash, then the K*D codewords as f32 LE in
+    # codeword, coordinate order. The hash is the 8-byte little-endian
+    # BLAKE2b digest of u16 K | u16 D | the same f32 LE codewords.
+    cb = codebook((np.arange(15.0) - 4).reshape(3, 5) / 8)
+    body = struct.pack("<15f", *[cb.codewords[k, j] for k in range(3) for j in range(5)])
+    digest = hashlib.blake2b(struct.pack("<HH", 3, 5) + body, digest_size=8).digest()
+    expected = struct.pack("<4sHHQ", b"CDBK", 3, 5, int.from_bytes(digest, "little")) + body
+    path = tmp_path / "book.cdbk"
+    save_codebook(cb, path)
+    assert path.read_bytes() == expected
+    loaded = load_codebook(path)
+    assert np.array_equal(loaded.codewords, cb.codewords)
+    assert loaded.version_hash == cb.version_hash
 
 
 @pytest.mark.parametrize(

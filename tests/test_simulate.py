@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter
 
 from dsc_codec import (
     ConfigError,
     FeatureMap,
+    FormatError,
     Mask,
     ScenarioConfig,
     UndefinedCorrelationError,
@@ -362,16 +365,64 @@ def test_scenario_file_rejects_non_finite_sigma_obs(tmp_path):
 def test_scenario_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("bogus = 3\n")
-    from dsc_codec import FormatError
-
     with pytest.raises(FormatError):
         load_scenario(path)
 
 
 def test_scenario_file_rejects_a_non_ascii_byte_naming_its_line(tmp_path):
-    from dsc_codec import FormatError
-
     path = tmp_path / "latin1.cfg"
     path.write_bytes(b"seed = 7\nrho = 0.5 \xe9\n")
     with pytest.raises(FormatError, match=r"latin1.cfg:2: non-ASCII byte 0xe9 at column 11"):
         load_scenario(path)
+
+
+def test_scenario_file_rejects_a_repeated_key_naming_its_second_line(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed = 1\n# seed = 3 is a comment\nrho = 0.5\nseed = 2\n")
+    with pytest.raises(FormatError, match=r"twice.cfg:4: repeated scenario key 'seed'"):
+        load_scenario(path)
+
+
+# What the text-file fuzzers insert: the separators, a comment, digits, nan,
+# an LF, a lone CR, a NUL and a non-ASCII byte.
+TEXT_TOKENS = [b"=", b"#", b",", b"nan", b"\r", b"\n", b"\x00", b"\xff"] + [
+    str(digit).encode() for digit in range(10)
+]
+
+
+@st.composite
+def mutated_text(draw, data: bytes) -> bytes:
+    """data after one to three edits: a byte flipped, a token inserted or a byte deleted."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if kind == "insert":
+            pos = draw(st.integers(0, len(out)))
+            out[pos:pos] = draw(st.sampled_from(TEXT_TOKENS))
+        elif out:
+            pos = draw(st.integers(0, len(out) - 1))
+            if kind == "flip":
+                out[pos] ^= draw(st.integers(1, 255))
+            else:
+                del out[pos]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.cfg"
+    save_scenario(cfg_with(num_agents=3, sigma_obs=0.5, visibility_overlap=0.75), path)
+    return path, path.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_scenario_file_loads_or_raises_format_or_config_error(scenario_file, data):
+    # A scenario file that parses gives a ScenarioConfig; one that does not
+    # raises FormatError, or ConfigError for a parsed value out of range.
+    path, clean = scenario_file
+    path.write_bytes(data.draw(mutated_text(clean)))
+    try:
+        assert isinstance(load_scenario(path), ScenarioConfig)
+    except (FormatError, ConfigError):
+        pass
