@@ -18,7 +18,8 @@ of it, and the unconditional ablation baseline (decode_message without a
 local feature) the nested [latent | 1], so its training objective can never
 beat the conditional one. fit_conditional_decoder fits the decoders of
 several codecs in one pass over the training pairs, building each pair's
-context once and freeing its rows before the next pair.
+context once, freeing each codec's rows before the next codec builds its
+own and the pair's targets and context before the next pair.
 
 Decoding has two stages. decode_latents checks the header against the codec
 and codebook, rANS-decodes the symbols with the message's own table and
@@ -200,6 +201,17 @@ def _kept_cells(f: FeatureMap, flat: np.ndarray) -> np.ndarray:
     if not flat.all():
         cols = cols[:, flat]
     return cols.T.astype(np.float64, order="C")
+
+
+def _kept_latents(f: FeatureMap, flat: np.ndarray, params: CodecParams) -> np.ndarray:
+    """project_cells(_kept_cells(f, flat), params), centred in place.
+
+    The kept cells are a fresh block, so they are centred where they lie:
+    the same float operations, without a second (kept, C) float64 block.
+    """
+    cells = _kept_cells(f, flat)
+    cells -= params.mean
+    return cells @ params.projection.T
 
 
 # Below this share of kept cells the window sums gather rows at the kept
@@ -402,6 +414,8 @@ def fit_conditional_decoder(
         if not flat.any():
             continue
         y = _kept_cells(sender_pruned, flat)
+        yty += float(np.sum(y * y))
+        m += len(y)
         context = None
         for (params, cb), (gram, xty) in zip(codecs, normal):
             # Quantize first, in a one-codec pass's allocation order: building
@@ -412,10 +426,10 @@ def fit_conditional_decoder(
             x = _design(deq, context)
             gram += x.T @ x
             xty += x.T @ y
-        yty += float(np.sum(y * y))
-        m += len(y)
+            # Free this codec's rows before the next codec builds its own.
+            del deq, x
         # Nothing of this pair is read again; free it before the next one.
-        del y, deq, context, x
+        del y, context
     return [
         _solve_decoder(params, gram, xty, yty, m)
         for (params, _), (gram, xty) in zip(codecs, normal)

@@ -27,7 +27,8 @@ written here once:
   * ascii_lines: the lines of a text file (scenario, sweep CSV), broken at
     LF, CRLF or a lone CR; a non-ASCII byte raises FormatError naming
     path:line and its column;
-  * index_array: an int64 index sequence; any rank but 1 raises
+  * index_array: an int64 index sequence; entries that are not integers
+    within int64 range raise ConfigError, and any rank but 1 raises
     ShapeMismatchError.
 """
 
@@ -142,8 +143,23 @@ def frozen_array(name: str, values, dtype, shape: tuple[int | None, ...]) -> np.
 
 
 def index_array(name: str, values) -> np.ndarray:
-    """values as an int64 array; ShapeMismatchError unless it is 1-d."""
-    arr = np.asarray(values, dtype=np.int64)
+    """values as a 1-d int64 array.
+
+    The entries must be of an integer dtype and within int64 range: a
+    float (NaN included), a non-numeric entry or an integer past int64
+    range raises ConfigError rather than being truncated or wrapped. An
+    empty sequence is valid whatever its dtype. Any rank but 1 raises
+    ShapeMismatchError.
+    """
+    try:
+        arr = np.asarray(values)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise TypeError(f"entries of dtype {arr.dtype} are not integers")
+        if arr.size and arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max:
+            raise OverflowError("an entry exceeds the int64 range")
+        arr = arr.astype(np.int64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be integer indices: {exc}") from exc
     if arr.ndim != 1:
         raise ShapeMismatchError(f"{name} must be a 1-d index sequence, got shape {arr.shape}")
     return arr

@@ -28,7 +28,10 @@ part: the k-means codebook and the ridge decoders. Beyond the observations
 and the k-means sample, the fit holds one map's or one pair's float64 cells
 at a time: the PCA statistics, the sample and the decoder rows are built map
 by map or pair by pair, and the sample is freed once the codebooks are
-trained. A scene walk frees its simulated frames once they are observed.
+trained. The sample is one (D, S) block, in the column layout Lloyd's
+passes read, so k-means takes it without a copy; the decoder pass frees
+each codec's rows before the next codec builds its own. A scene walk holds
+one latent frame at a time and observes each frame as it is made.
 One fit does the first part once and fits the decoders of every size in one
 pass over the training pairs; fit_codec is its one-size case, and the
 rate-distortion sweep makes one fit for all its sizes and one scene walk per
@@ -58,7 +61,7 @@ import numpy as np
 from .codec import (
     CodecParams,
     DecoderFit,
-    _kept_cells,
+    _kept_latents,
     decode_latents,
     encode_message,
     fit_conditional_decoder,
@@ -76,8 +79,8 @@ from .simulate import (
     STREAM_KMEANS,
     STREAM_POSE,
     ScenarioConfig,
+    _walk_frames,
     derive_seed,
-    generate_frames,
     generate_scene,
     observe,
     perturb_pose,
@@ -206,23 +209,27 @@ def _fit_codecs(
     if not kept:
         raise InsufficientDataError("no training cell survives pruning")
     # The k-means sample is every step-th latent of the maps' kept cells in
-    # order. It is drawn map by map, so only one map's latents are held at a
-    # time: a map whose first latent is number start keeps its rows from
-    # offset (-start) % step on.
+    # order, so it holds ceil(kept / step) latents. It is drawn map by map
+    # straight into one (D, S) block, so only one map's latents are held
+    # besides it: a map whose first latent is number start keeps its rows
+    # from offset (-start) % step on. Lloyd's passes read the sample column
+    # by column, so kmeans_fit reads block.T without a transposed copy.
     step = max(1, -(-kept // _KMEANS_SAMPLE_LIMIT))
-    pieces, start = [], 0
+    block = np.empty((embed_dim, -(-kept // step)))
+    start = filled = 0
     for f, m in zip(pooled, itertools.chain.from_iterable(masks)):
         flat = m.bits.ravel()
         if flat.any():
-            latents = project_cells(_kept_cells(f, flat), encoder)
-            pieces.append(np.ascontiguousarray(latents[(-start) % step :: step]))
+            latents = _kept_latents(f, flat, encoder)
+            rows = latents[(-start) % step :: step]
+            block[:, filled : filled + len(rows)] = rows.T
+            filled += len(rows)
             start += latents.shape[0]
-    # C order, as Lloyd's passes read whole rows.
-    sample = np.concatenate(pieces)
-    del pieces
+    # The last map's latents are not read again; free them before k-means.
+    del latents, rows
     seed = derive_seed(cfg.seed, STREAM_KMEANS)
-    codebooks = [train_codebook(sample, k, _KMEANS_ITERS, seed) for k in codebook_sizes]
-    del sample
+    codebooks = [train_codebook(block.T, k, _KMEANS_ITERS, seed) for k in codebook_sizes]
+    del block
     codecs = [(replace(encoder, codebook_hash=cb.version_hash), cb) for cb in codebooks]
     fits = fit_conditional_decoder(pairs, codecs)
     return [
@@ -277,14 +284,16 @@ def _scene_links(
     Results are keyed by grid position (codec, tau, sigma and delay index)
     and decoder flag, so repeated grid entries give repeated links.
     Arguments are validated before any simulation. The chain is walked once,
-    the receiver is observed once and the sender once per distinct frame
-    max(0, t - delay); each (sigma, delay) sender view is scored once, each
-    (codec, tau, sigma, delay) message is encoded once, its latents are
+    holding one latent frame at a time: the receiver is observed once and
+    the sender once per distinct frame max(0, t - delay), each as its frame
+    is made. Each (sigma, delay) sender view is scored once (_view_links),
+    each (codec, tau, sigma, delay) message is encoded once, its latents are
     decoded once and reconstructed by every decoder in decoders. When a
     conditional decoder is requested, the receiver's context is built once
-    at every cell for all codecs; a link takes the rows at its coded cells,
-    which equal si_context at its mask bit for bit. A message whose latents
-    fail to decode fails every decoder's link.
+    at every cell for all codecs; a link takes the rows at its coded cells
+    (the whole context when every cell is coded), which equal si_context at
+    its mask bit for bit. A message whose latents fail to decode fails every
+    decoder's link.
     """
     require_int("t", t, 0)
     require_int("sender", sender, 0, cfg.num_agents - 1)
@@ -294,15 +303,16 @@ def _scene_links(
     _check_grid(taus, sigmas, delays, budget)
     delays = [int(delay) for delay in delays]
 
-    frames = generate_frames(cfg, t)
-    f_local = observe(frames[t], receiver, cfg)
+    # One walk of the chain, holding one latent frame: each frame is
+    # observed as it is made, by the sender where a delay sends it and by
+    # the receiver at t.
+    sent = {max(0, t - delay) for delay in delays}
     stale = {}
-    for delay in delays:
-        t_send = max(0, t - delay)
-        if t_send not in stale:
-            stale[t_send] = observe(frames[t_send], sender, cfg)
-    # The latents are not needed past their observations.
-    del frames
+    for scene in _walk_frames(cfg, t):
+        if scene.t in sent:
+            stale[scene.t] = observe(scene, sender, cfg)
+    f_local = observe(scene, receiver, cfg)
+    del scene
     pose_seed = derive_seed(cfg.seed, STREAM_POSE, sender, t)
     everywhere = Mask.ones(f_local.height, f_local.width)
     context = si_context(f_local, codecs[0][0], everywhere) if any(decoders) else None
@@ -310,43 +320,71 @@ def _scene_links(
     links = {}
     for si, sigma in enumerate(sigmas):
         for di, delay in enumerate(delays):
-            f_sender = perturb_pose(stale[max(0, t - delay)], sigma, pose_seed)
-            scores = score_map(f_sender)
-            oracle = fuse_all(f_local, [f_sender])
-            for ti, tau in enumerate(taus):
-                mask = mask_from_scores(scores, tau)
-                pruned = apply_mask(f_sender, mask)
-                for ci, (params, cb) in enumerate(codecs):
-                    msg = encode_message(pruned, mask, params, cb)
-                    payload = len(msg.to_bytes())
-                    within = budget is None or payload <= budget
-                    failed = False
-                    recons = {}
-                    if within:
-                        try:
-                            latents = decode_latents(msg, params, cb)
-                        except DecodeError:
-                            failed = True
-                        else:
-                            rows = None if context is None else context[mask.bits.ravel()]
-                            recons = {
-                                conditional: reconstruct(
-                                    msg, latents, params, rows if conditional else None
-                                )
-                                for conditional in decoders
-                            }
-                    for conditional in decoders:
-                        recon = recons.get(conditional)
-                        fused = fuse_all(f_local, [] if recon is None else [recon])
-                        if recon is None:
-                            recon = FeatureMap.zeros(*f_sender.shape)
-                        links[(ci, ti, si, di, conditional)] = LinkResult(
-                            payload_bytes=payload,
-                            within_budget=within,
-                            recon_mse=mse(recon, pruned),
-                            fusion_mse=mse(fused, oracle),
-                            failed=failed,
+            view = _view_links(
+                f_local, stale[max(0, t - delay)], sigma, pose_seed, context, codecs, taus,
+                budget, decoders,
+            )
+            for (ci, ti, conditional), link in view.items():
+                links[(ci, ti, si, di, conditional)] = link
+    return links
+
+
+def _view_links(
+    f_local: FeatureMap,
+    f_stale: FeatureMap,
+    sigma: float,
+    pose_seed: int,
+    context: np.ndarray | None,
+    codecs: Sequence[tuple[CodecParams, Codebook]],
+    taus: Sequence[float],
+    budget: int | None,
+    decoders: Sequence[bool],
+) -> dict[tuple[int, int, bool], LinkResult]:
+    """Every (codec, tau, conditional) link of one sender view, keyed by that triple.
+
+    The view is f_stale shifted by the pose noise sigma. What a view builds
+    (its maps, messages and reconstructions) is freed on return, before the
+    next view is built.
+    """
+    f_sender = perturb_pose(f_stale, sigma, pose_seed)
+    scores = score_map(f_sender)
+    oracle = fuse_all(f_local, [f_sender])
+    links = {}
+    for ti, tau in enumerate(taus):
+        mask = mask_from_scores(scores, tau)
+        pruned = apply_mask(f_sender, mask)
+        for ci, (params, cb) in enumerate(codecs):
+            msg = encode_message(pruned, mask, params, cb)
+            payload = len(msg.to_bytes())
+            within = budget is None or payload <= budget
+            failed = False
+            recons = {}
+            if within:
+                try:
+                    latents = decode_latents(msg, params, cb)
+                except DecodeError:
+                    failed = True
+                else:
+                    flat = mask.bits.ravel()
+                    rows = context if context is None or flat.all() else context[flat]
+                    recons = {
+                        conditional: reconstruct(
+                            msg, latents, params, rows if conditional else None
                         )
+                        for conditional in decoders
+                    }
+            for conditional in decoders:
+                recon = recons.get(conditional)
+                fused = fuse_all(f_local, [] if recon is None else [recon])
+                if recon is None:
+                    recon = FeatureMap.zeros(*f_sender.shape)
+                links[(ci, ti, conditional)] = LinkResult(
+                    payload_bytes=payload,
+                    within_budget=within,
+                    recon_mse=mse(recon, pruned),
+                    fusion_mse=mse(fused, oracle),
+                    failed=failed,
+                )
     return links
 
 

@@ -25,7 +25,10 @@ assignment that the bound has not proved, so the result is cdist's on every
 platform.
 Every distance Lloyd's loop reads comes from the same kernel, one known
 centre per sample with the samples read column by column: the k-means++
-weights, the distortion after each assignment and the reseed pass. The
+weights, the distortion after each assignment and the reseed pass. So
+kmeans_fit reads its (N, D) samples as a (D, N) block; given the .T view
+of a C-order (D, N) block, as the codec fit passes its sample, it makes no
+copy of them. The
 k-means++ init screens each new centre with the same float32 estimate and
 bound, and measures exactly only the samples the bound cannot prove farther
 from the new centre than from their nearest centre so far.
@@ -242,9 +245,11 @@ def _sqdist(columns: np.ndarray, targets, shape=None) -> np.ndarray:
     distance past float64 range is inf, without a warning. The default
     shape, (N,), measures each sample of the (D, N) transposed sample
     matrix against its target: a scalar per dimension (one centre for every
-    sample) or an N-array (each sample's own centre); these are the only
-    distances kmeans_fit reads. _nearest reads (rows, K) distances of rows
-    to every codeword, with (D, rows, 1) columns and K-array targets.
+    sample) or an N-array (each sample's own centre); these, and the
+    k-means++ init's (rows,) distances of some samples to one centre, read
+    one dimension's entries at a time, are the only distances kmeans_fit
+    reads. _nearest reads (rows, K) distances of rows to every codeword,
+    with (D, rows, 1) columns and K-array targets.
     """
     acc = np.zeros(columns.shape[1] if shape is None else shape)
     diff = np.empty_like(acc)
@@ -301,8 +306,10 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
     sum of the kept one and its _screen_tol (with max_norm the largest
     sample norm, which bounds every centre's) is proved by _nearest's bound
     to be strictly farther from c, so its d2 stays. Only the other samples
-    get a _sqdist distance and an np.minimum, so d2 is bit for bit that of
-    a full pass per centre, at every k.
+    get a _sqdist distance, read one dimension's entries at a time with no
+    copy of their rows, and d2 takes it where it is smaller (np.minimum's
+    values), so d2 is bit for bit that of a full pass per centre, at every
+    k.
     """
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -317,6 +324,7 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
     low_x = x.astype(np.float32)
     sq_norms = np.einsum("nd,nd->n", x, x)
     tol = _screen_tol(sq_norms, np.sqrt(sq_norms.max()), x.shape[1])
+    del sq_norms
     kept = _estimates(low_x, low_x[pick])
     est = np.empty_like(kept)
     for j in range(1, k):
@@ -331,10 +339,13 @@ def _kmeans_pp(x: np.ndarray, columns: np.ndarray, k: int, rng) -> np.ndarray:
         centers[j] = x[pick]
         _estimates(low_x, low_x[pick], out=est)
         rows = np.flatnonzero(~(est > kept + tol))
-        near = _sqdist(x[rows].T, centers[j])
-        closer = rows[near < d2[rows]]
-        d2[rows] = np.minimum(d2[rows], near)
-        kept[closer] = est[closer]
+        # One dimension's unsettled entries at a time: no sample-sized copy.
+        near = _sqdist((col[rows] for col in columns), centers[j], rows.shape)
+        # np.minimum(d2, near) at rows, writing only where near is smaller.
+        closer = near < d2[rows]
+        rows = rows[closer]
+        d2[rows] = near[closer]
+        kept[rows] = est[rows]
     return centers
 
 
@@ -383,6 +394,8 @@ def kmeans_fit(
     if not np.isfinite(x).all():
         raise ConfigError("samples must be finite")
 
+    # (D, N): each Lloyd's pass reads the samples column by column. A caller
+    # that holds its sample as the .T view of a (D, N) block passes no copy.
     columns = np.ascontiguousarray(x.T)
     centers = _kmeans_pp(x, columns, k, np.random.default_rng(seed))
     assign = _nearest(x, centers)

@@ -25,14 +25,17 @@ identical at every cell. The blur is a numpy replica of scipy's
 float order, so every field is bit for bit scipy's without importing it.
 All randomness is drawn from streams keyed by hashing (seed, stream tag,
 indices), so adding agents or frames never perturbs existing ones and
-generation is reproducible under any scheduling.
+generation is reproducible under any scheduling. The chain is walked one
+frame at a time (_walk_frames): between steps the walk holds only the last
+frame, so a caller that observes each frame as it is made holds one latent
+frame, and generate_scene holds one however far it walks.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -195,6 +198,27 @@ class Scene:
         require_int("frame index", self.t, 0)
 
 
+def _walk_frames(cfg: ScenarioConfig, t_max: int) -> Iterator[Scene]:
+    """The scenes at frames 0..t_max, yielded in order by one walk of the AR(1) chain.
+
+    Between steps the walk holds one latent frame, the last scene it
+    yielded, so a caller that keeps only the frames it observes holds only
+    those. A t_max that is not an integer >= 0 raises ConfigError before any
+    field is drawn.
+    """
+    require_int("frame index", t_max, 0)
+    innov = np.sqrt(1.0 - cfg.alpha**2)
+    for step in range(t_max + 1):
+        z = _unit_field(_rng(cfg.seed, STREAM_SCENE, step), cfg.channels, cfg.height, cfg.width)
+        if step:
+            z = cfg.alpha * scene.latent + innov * z
+        scene = Scene(z, step)
+        # The scene keeps its own copy of z; drop z, so that between steps
+        # only the scene's frame is held.
+        del z
+        yield scene
+
+
 def generate_frames(cfg: ScenarioConfig, t_max: int) -> list[Scene]:
     """Latent fields for frames 0..t_max from one walk of the AR(1) chain.
 
@@ -202,20 +226,17 @@ def generate_frames(cfg: ScenarioConfig, t_max: int) -> list[Scene]:
     one scene get them all from one walk instead of replaying the chain from
     frame 0 per frame.
     """
-    require_int("frame index", t_max, 0)
-    z = _unit_field(_rng(cfg.seed, STREAM_SCENE, 0), cfg.channels, cfg.height, cfg.width)
-    frames = [Scene(z, 0)]
-    innov = np.sqrt(1.0 - cfg.alpha**2)
-    for step in range(1, t_max + 1):
-        eps = _unit_field(_rng(cfg.seed, STREAM_SCENE, step), cfg.channels, cfg.height, cfg.width)
-        z = cfg.alpha * z + innov * eps
-        frames.append(Scene(z, step))
-    return frames
+    return list(_walk_frames(cfg, t_max))
 
 
 def generate_scene(cfg: ScenarioConfig, t: int) -> Scene:
-    """Latent field at frame t, deterministic in (cfg.seed, t)."""
-    return generate_frames(cfg, t)[-1]
+    """Latent field at frame t, deterministic in (cfg.seed, t).
+
+    The chain is walked once, holding one frame at a time.
+    """
+    for scene in _walk_frames(cfg, t):
+        pass
+    return scene
 
 
 def _covisible_cells(cfg: ScenarioConfig) -> int:

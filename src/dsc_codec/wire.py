@@ -44,8 +44,9 @@ is defined yet. A Message stores no H, W, K or N: they are its mask's
 shape, its table's length and its mask's population. A message with
 symbols checks its table by building the rans.FrequencyTable that decodes
 it, and keeps that as `table` (None when N = 0). Constructing a Message
-checks that every header and length field fits its field, so to_bytes never
-fails on a constructed message.
+checks that every header and length field fits its field and that the mask
+has at most MAX_CELLS cells, so to_bytes never fails on a constructed
+message and never writes one that from_bytes rejects for its grid.
 
 Parsing has one rule: Message.from_bytes(d) accepts d exactly when the
 message it parses serializes back to d, so from_bytes(d).to_bytes() == d for
@@ -54,7 +55,9 @@ section that differs. Before that comparison the parser keeps only the
 guards that keep parsing safe, each raising MessageParseError: the
 truncation of every section; the magic, version and flags bytes, checked
 first so that a foreign or future message is rejected before its H*W sizes
-a mask; mask dimensions of at least 1 and the packed section's length; the
+a mask; H*W at most MAX_CELLS = 2^20, checked next, so the mask, the symbol
+count and the receiver's decode stay bounded by the cap whatever the header
+claims; mask dimensions of at least 1 and the packed section's length; the
 run form's own guards (see _parse_run_form); and the Message's field and
 table checks. A mask section in a form other than the encoder's, an N other
 than the mask's population or trailing bytes all fail the comparison.
@@ -76,6 +79,11 @@ MESSAGE_VERSION = 1
 # Largest table precision the wire carries: a single-symbol table holds 2^p
 # in one u16 frequency field.
 MAX_MESSAGE_PRECISION = 15
+# Largest mask grid, H * W, that a message may carry: 64 times the
+# 128 x 128 acceptance grid. A parse sizes nothing by H * W before it checks
+# this cap, so a few header bytes cannot claim a grid whose mask and
+# symbols cost more than an honest message at the cap.
+MAX_CELLS = 1 << 20
 
 _FIXED_HEADER = struct.Struct("<4sBBHHHHHBQ")
 _U32 = struct.Struct("<I")
@@ -246,6 +254,10 @@ class Message:
     def __post_init__(self) -> None:
         for name in ("channels", "height", "width", "embed_dim"):
             require_int(name, getattr(self, name), 0, _U16_MAX)
+        if self.height * self.width > MAX_CELLS:
+            raise ConfigError(
+                f"a {self.height}x{self.width} mask exceeds the wire's {MAX_CELLS} cells"
+            )
         require_int("precision", self.precision, MIN_PRECISION, MAX_MESSAGE_PRECISION)
         require_int("codebook_hash", self.codebook_hash, 0, 2**64 - 1)
         require_int("payload length", len(self.payload), 0, _U32_MAX)
@@ -253,7 +265,7 @@ class Message:
         arr = np.array(self.freqs, dtype=np.int64, order="C")
         if arr.ndim != 1 or not 1 <= arr.size <= _U16_MAX:
             raise ConfigError(f"codebook size must be >= 1 and <= {_U16_MAX}, got {arr.shape}")
-        # At most 0xFFFF^2 < 2^32 cells, so N always fits its u32 field.
+        # At most MAX_CELLS < 2^32 cells, so N always fits its u32 field.
         n = self.mask.count()
         # Non-negative and summing to 2^p <= 2^15, so each entry fits its u16 field.
         table = FrequencyTable(arr, self.precision) if n > 0 else None
@@ -329,6 +341,8 @@ class Message:
             raise MessageParseError(f"unsupported message version {version}")
         if flags != 0:
             raise MessageParseError(f"no message flag is defined, got flags {flags:#04x}")
+        if h * w > MAX_CELLS:
+            raise MessageParseError(f"a {h}x{w} mask exceeds the wire's {MAX_CELLS} cells")
         (mask_len,) = _U32.unpack(take(4, "mask section"))
         mask = decode_mask(bytes(take(mask_len, "mask section")), h, w)
         take(4, "symbol count")  # N is the mask's population; the round trip checks it

@@ -1132,6 +1132,24 @@ def test_decoder_fit_holds_nothing_of_a_pair_past_it(rng, monkeypatch):
     assert max(held) - held[0] < h * w * 8
 
 
+def test_decoder_fit_holds_one_codecs_rows_at_a_time(rng):
+    # Each codec frees its dequantized latents and design rows before the
+    # next codec builds its own, so four codecs peak less than one codec's
+    # design rows above one.
+    c, d, h, w = 8, 4, 32, 32
+    cb = Codebook(rng.normal(size=(16, d)))
+    params = make_params(np.linalg.qr(rng.normal(size=(c, c)))[0][:d], np.zeros(c), cb=cb)
+    pairs = []
+    for _ in range(2):
+        sender = FeatureMap(rng.normal(size=(c, h, w)))
+        receiver = FeatureMap(sender.values + 0.5 * rng.normal(size=(c, h, w)))
+        pairs.append((sender, Mask.ones(h, w), receiver))
+    design_rows = h * w * (d + c + 1) * 8
+    peak_1 = _traced_peak(lambda: fit_conditional_decoder(pairs, [(params, cb)]))
+    peak_4 = _traced_peak(lambda: fit_conditional_decoder(pairs, [(params, cb)] * 4))
+    assert peak_4 - peak_1 < design_rows
+
+
 def test_fit_rejects_an_empty_codec_list(rng):
     _, pairs = _mixed_codecs_and_pairs(rng)
     with pytest.raises(ConfigError, match="no codec"):

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from dsc_codec import (
+    Codebook,
+    CodecError,
     CodecParams,
     ConfigError,
     FrequencyTable,
     build_freq_table,
+    dequantize,
+    empirical_entropy,
     evaluate_point,
     finetune_step,
     fit_codec,
@@ -21,6 +25,7 @@ from dsc_codec import (
     observe,
     perturb_pose,
     rans_decode,
+    rans_encode,
     raw_payload_bytes,
     rd_sweep,
     robustness_sweep,
@@ -31,6 +36,7 @@ from dsc_codec import (
 )
 from dsc_codec import simulate
 from dsc_codec.errors import frozen_array
+from dsc_codec.rans import RANS_L
 from dsc_codec.simulate import Scene, derive_seed, scene_config, visibility_mask
 from tests.test_pipeline import _count_calls
 
@@ -78,6 +84,41 @@ def test_frozen_array_is_read_only_and_does_not_follow_its_input():
     assert arr[0, 0] == 0.0
     # The copy is made even when the input already has the requested dtype.
     assert not np.shares_memory(arr, source)
+
+
+# -------------------------------------------------------------- index_array
+
+_CB3 = Codebook(np.arange(6.0).reshape(3, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dequantize([1.9], _CB3),
+        lambda: build_freq_table([0.5, 2.7], 3),
+        lambda: rans_encode([0.0, 1.0], build_freq_table([0, 1], 3)),
+        lambda: empirical_entropy([2**63]),
+        lambda: empirical_entropy(np.array([2**63], dtype=np.uint64)),
+        lambda: empirical_entropy([2**64]),
+        lambda: empirical_entropy([1, float("nan")]),
+        lambda: empirical_entropy(["1"]),
+        lambda: dequantize([True], _CB3),
+    ],
+)
+def test_index_arrays_reject_entries_that_are_not_int64_integers(call):
+    # Truncating 1.9 to codeword 1, or wrapping 2**63, would be silent garbage.
+    with pytest.raises(CodecError) as info:
+        call()
+    assert isinstance(info.value, ConfigError)
+
+
+def test_index_arrays_accept_integer_dtypes_and_empty_sequences():
+    assert dequantize(np.array([2, 0], dtype=np.uint8), _CB3).tolist() == [[4, 5], [0, 1]]
+    assert dequantize(np.array([1], dtype=np.int32), _CB3).tolist() == [[2, 3]]
+    assert empirical_entropy(np.array([2**62, 2**62 - 1], dtype=np.uint64) % 3) >= 0.0
+    # np.asarray([]) is float64; an empty index sequence stays valid.
+    assert rans_encode([], build_freq_table([0, 1], 3)) == (b"", RANS_L)
+    assert dequantize([], _CB3).shape == (0, 2)
 
 
 # --------------------------------------------------------- integer arguments

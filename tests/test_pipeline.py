@@ -34,6 +34,7 @@ from dsc_codec.pipeline import (
 )
 from dsc_codec.pruning import mask_from_scores, score_map
 from dsc_codec.simulate import generate_scene, observe, scene_config
+from tests.test_codec import _traced_peak
 from tests.test_simulate import mutated_text
 from tests.test_wire import independent_parse
 
@@ -169,7 +170,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 def test_run_link_rejects_invalid_perturbation_before_simulating(
     monkeypatch, small_cfg, small_fitted, kwargs
 ):
-    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    frames = _count_calls(monkeypatch, pipeline, "_walk_frames")
     with pytest.raises(ConfigError):
         run_link(small_cfg, 4, 1, 0, small_fitted.params, small_fitted.codebook, **kwargs)
     assert frames == []
@@ -189,7 +190,7 @@ def test_run_link_rejects_invalid_perturbation_before_simulating(
 def test_robustness_sweep_rejects_invalid_grid_before_simulating(
     monkeypatch, small_cfg, small_fitted, sigmas, delays
 ):
-    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    frames = _count_calls(monkeypatch, pipeline, "_walk_frames")
     with pytest.raises(ConfigError):
         robustness_sweep(
             small_cfg, sigmas, delays, small_fitted.params, small_fitted.codebook, scenes=2
@@ -200,7 +201,7 @@ def test_robustness_sweep_rejects_invalid_grid_before_simulating(
 def test_run_link_rejects_a_budget_string_before_simulating(
     monkeypatch, small_cfg, small_fitted
 ):
-    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    frames = _count_calls(monkeypatch, pipeline, "_walk_frames")
     with pytest.raises(ConfigError, match="^budget must be an integer, got '100'"):
         run_link(small_cfg, 4, 1, 0, small_fitted.params, small_fitted.codebook, budget="100")
     assert frames == []
@@ -320,7 +321,7 @@ def test_rd_sweep_shares_fit_and_scene_work(monkeypatch, small_cfg, taus, sizes)
 )
 def test_rd_sweep_rejects_invalid_grid_before_simulating(monkeypatch, small_cfg, kwargs):
     scenes = _count_calls(monkeypatch, pipeline, "generate_scene")
-    frames = _count_calls(monkeypatch, pipeline, "generate_frames")
+    frames = _count_calls(monkeypatch, pipeline, "_walk_frames")
     args = dict(taus=[0.0], codebook_sizes=[8], embed_dim=8, scenes_per_point=1, train_scenes=2)
     args.update(kwargs)
     with pytest.raises(ConfigError):
@@ -339,16 +340,58 @@ def test_fit_codec_rejects_invalid_arguments_before_simulating(monkeypatch, smal
     assert scenes == []
 
 
-def test_kmeans_sample_is_a_c_order_array_of_its_own(monkeypatch, small_cfg):
+def test_kmeans_sample_is_one_d_by_s_block_of_its_own(monkeypatch, small_cfg):
     # A limit below the 2048 training cells makes the sample every 5th row;
-    # Lloyd's passes read it row by row, and it must not keep the pooled
-    # latents alive.
+    # Lloyd's passes read it column by column, so it is the .T view of one
+    # C-order (D, S) block, and it must not keep the pooled latents alive.
     monkeypatch.setattr(pipeline, "_KMEANS_SAMPLE_LIMIT", 500)
     samples = _count_calls(monkeypatch, pipeline, "train_codebook")
     fit_codec(small_cfg, codebook_size=4, embed_dim=4, train_scenes=1)
     [(sample, *_)] = samples
     assert sample.shape[0] <= 500
-    assert sample.flags.c_contiguous and sample.flags.owndata
+    block = sample.base
+    assert block is not None and block.shape == (4, sample.shape[0])
+    assert block.flags.c_contiguous and block.flags.owndata
+    assert np.shares_memory(sample.T, block) and sample.T.flags.c_contiguous
+
+
+def test_kmeans_copies_no_sample_during_fit_codec(monkeypatch):
+    # 2 scenes x 2 agents x 128 x 128 cells give a 65536 x 16 sample (8 MiB).
+    # k-means reads the fit's (D, S) block through its .T view, so its peak
+    # above what the fit holds stays below one sample: the float32 screen's
+    # lift (half a sample) and N-sized vectors, but no copy of the sample.
+    cfg = ScenarioConfig(num_agents=2, channels=16, height=128, width=128, seed=3)
+    peaks = []
+    train = pipeline.train_codebook
+
+    def tracing(samples, k, iters, seed):
+        out = []
+        peak = _traced_peak(lambda: out.append(train(samples, k, iters, seed)))
+        peaks.append((samples.nbytes, peak))
+        return out[0]
+
+    monkeypatch.setattr(pipeline, "train_codebook", tracing)
+    fit_codec(cfg, codebook_size=64, embed_dim=16, train_scenes=2)
+    [(sample_bytes, peak)] = peaks
+    assert sample_bytes == 65536 * 16 * 8
+    assert peak < sample_bytes
+
+
+def test_scene_links_hold_one_latent_frame_of_the_walk():
+    # The walk holds one latent frame and each sender view's maps are freed
+    # before the next view: a delay-4 sender costs at most one latent frame
+    # more than none, and walking to frame 4 at most one more than frame 0.
+    cfg = ScenarioConfig(num_agents=2, channels=32, height=64, width=64, seed=3)
+    fitted = fit_codec(cfg, codebook_size=4, embed_dim=4, train_scenes=1)
+    frame = cfg.channels * cfg.height * cfg.width * 8
+
+    def peak(t, delays):
+        grid = ([(fitted.params, fitted.codebook)], (0.0,), (0.0,), delays, None, (True,))
+        return _traced_peak(lambda: pipeline._scene_links(cfg, t, 1, 0, *grid))
+
+    at_4 = peak(4, (0,))
+    assert peak(4, (0, 4)) <= at_4 + frame
+    assert at_4 <= peak(0, (0,)) + frame
 
 
 def test_kmeans_sample_is_every_step_th_pooled_latent(monkeypatch):

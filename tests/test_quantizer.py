@@ -460,12 +460,16 @@ def test_screen_matches_cdist_next_to_ulp_twin_codewords():
 def _count_sqdist_rows(monkeypatch, ndim) -> list[int]:
     # Rows per _sqdist call whose columns have ndim dimensions: 3 for the
     # rows _nearest measures against every codeword, 2 for the samples
-    # kmeans_fit measures against one centre each.
+    # kmeans_fit measures against one centre each. The init passes some
+    # samples' columns one dimension at a time, with their count in shape.
     rows = []
     kernel = quantizer._sqdist
 
     def counting(columns, targets, shape=None):
-        if columns.ndim == ndim:
+        if not isinstance(columns, np.ndarray):
+            if ndim == 2:
+                rows.append(shape[0])
+        elif columns.ndim == ndim:
             rows.append(columns.shape[1])
         return kernel(columns, targets, shape)
 
@@ -640,3 +644,34 @@ def test_train_codebook_hashes_are_pinned(k):
     r = np.random.default_rng(20261018)
     samples = r.normal(size=(4096, 16)) * r.uniform(0.5, 3.0, size=16)
     assert train_codebook(samples, k, iters=25, seed=5).version_hash == _PINNED_HASHES[k]
+
+
+def _column_view(samples: np.ndarray) -> np.ndarray:
+    """The (N, D) samples as the .T view of a C-order (D, N) copy, as the fit passes them."""
+    view = np.array(samples.T, order="C").T
+    assert view.T.flags.c_contiguous and not np.shares_memory(view, samples)
+    return view
+
+
+@pytest.mark.parametrize("k", [1, 4, 64, 256])
+def test_kmeans_fit_is_the_same_on_a_column_view_of_the_sample(k):
+    # The float32 screen reads the view in another layout, so its estimates
+    # may differ in the last bits; its bound holds in any summation order,
+    # so every index, centre and distortion is the same.
+    r = np.random.default_rng(20261020)
+    samples = r.normal(size=(4096, 16)) * r.uniform(0.5, 3.0, size=16)
+    centers, history = kmeans_fit(samples, k, 25, 5)
+    view_centers, view_history = kmeans_fit(_column_view(samples), k, 25, 5)
+    assert np.array_equal(centers, view_centers)
+    assert history == view_history
+
+
+@settings(max_examples=100, deadline=None)
+@given(init_cases(), st.integers(0, 8))
+def test_kmeans_fit_is_the_same_on_a_column_view_of_drawn_samples(case, iters):
+    samples, k, seed = case
+    centers, history = kmeans_fit(samples, k, iters, seed)
+    view_centers, view_history = kmeans_fit(_column_view(samples), k, iters, seed)
+    assert np.array_equal(centers, view_centers)
+    assert history == view_history
+

@@ -1,14 +1,27 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsc_codec import ConfigError, Mask, Message, MessageParseError
+from dsc_codec import (
+    CodecParams,
+    Codebook,
+    ConfigError,
+    DecodeError,
+    FeatureMap,
+    Mask,
+    Message,
+    MessageParseError,
+    decode_latents,
+    encode_message,
+)
+from dsc_codec import wire
 from dsc_codec.rans import RANS_L
-from dsc_codec.wire import decode_mask, encode_mask, pack_mask, unpack_mask
+from dsc_codec.wire import MAX_CELLS, decode_mask, encode_mask, pack_mask, unpack_mask
 
 
 def make_message(n_height=4, n_width=6, k=8, with_payload=True, bits=None) -> Message:
@@ -71,14 +84,18 @@ def run_section(first: int, k0: int, k1: int, count: int, stream: list[int]) -> 
 
 def independent_run_form(bits: list[int]) -> bytes:
     """The documented run form of row-major mask bits, written bit by bit."""
-    lengths = _runs(bits)
+    return run_form_of_runs(bits[0], _runs(bits))
+
+
+def run_form_of_runs(first: int, lengths: list[int]) -> bytes:
+    """The documented run form of runs of these lengths, the first of value first."""
     ks = []
     for value in (0, 1):
-        group = [v - 1 for i, v in enumerate(lengths) if bits[0] ^ (i % 2) == value]
+        group = [v - 1 for i, v in enumerate(lengths) if first ^ (i % 2) == value]
         cost = [sum((m >> k) + 1 + k for m in group) for k in range(32)]
         ks.append(cost.index(min(cost)))
-    stream = rice_stream(lengths, bits[0], tuple(ks))
-    return run_section(bits[0], ks[0], ks[1], len(lengths), stream)
+    stream = rice_stream(lengths, first, tuple(ks))
+    return run_section(first, ks[0], ks[1], len(lengths), stream)
 
 
 def independent_mask_bits(section: bytes, cells: int) -> list[int]:
@@ -540,3 +557,138 @@ def test_any_mask_section_round_trips_exactly_or_raises(data):
     except MessageParseError:
         return
     assert msg.to_bytes() == corrupted
+
+
+# --------------------------------------------------------------------------
+# The grid cap: a header cannot make the receiver size more than MAX_CELLS.
+
+
+def _one_dim_codec(k: int) -> tuple[CodecParams, Codebook]:
+    """A C = D = 1 codec whose K codewords are 0, 1, ..., K - 1."""
+    cb = Codebook(np.arange(k, dtype=np.float64).reshape(k, 1))
+    return CodecParams(np.ones((1, 1)), np.zeros(1), cb.version_hash), cb
+
+
+def cheap_grid_bytes(
+    height: int, width: int, first: int, lengths: list[int], cb: Codebook,
+    freqs: list[int], payload: bytes = b"", state: int = RANS_L,
+) -> bytes:
+    """A C = D = 1 message whose run-form mask states an H x W grid in a few bytes."""
+    section = run_form_of_runs(first, lengths)
+    population = sum(v for i, v in enumerate(lengths) if first ^ (i % 2))
+    return b"".join(
+        [
+            b"DSC1",
+            struct.pack("<BB", 1, 0),
+            struct.pack("<HHHHH", 1, height, width, 1, len(freqs)),
+            struct.pack("<B", 12),  # precision
+            struct.pack("<Q", cb.version_hash),
+            struct.pack("<I", len(section)) + section,
+            struct.pack("<I", min(population, 0xFFFFFFFF)),
+            struct.pack(f"<{len(freqs)}H", *freqs),
+            struct.pack("<I", len(payload)) + payload,
+            struct.pack("<I", state),
+        ]
+    )
+
+
+def _half_kept(cells: int) -> list[int]:
+    """Runs of a mask whose first cells // 2 + 1 cells are clear and the rest set."""
+    return [cells // 2 + 1, cells - cells // 2 - 1]
+
+
+def test_parse_rejects_a_grid_over_the_cap_before_sizing_its_mask(monkeypatch):
+    _, cb = _one_dim_codec(1)
+    at_cap = cheap_grid_bytes(1024, 1024, 0, _half_kept(1024 * 1024), cb, [4096])
+    assert 1024 * 1024 == MAX_CELLS
+    msg = Message.from_bytes(at_cap)
+    assert msg.to_bytes() == at_cap and msg.num_symbols == MAX_CELLS // 2 - 1
+    sized = []
+    original = wire.decode_mask
+    monkeypatch.setattr(
+        wire, "decode_mask", lambda *args: sized.append(args) or original(*args)
+    )
+    over = cheap_grid_bytes(1024, 1025, 0, _half_kept(1024 * 1025), cb, [4096])
+    with pytest.raises(MessageParseError, match="exceeds the wire's 1048576 cells"):
+        Message.from_bytes(over)
+    assert sized == []
+    # The largest grid the u16 fields allow is rejected just as early.
+    with pytest.raises(MessageParseError, match="exceeds"):
+        Message.from_bytes(cheap_grid_bytes(0xFFFF, 0xFFFF, 0, [0xFFFF**2], cb, [4096]))
+    assert sized == []
+
+
+def test_message_and_encoder_reject_a_grid_over_the_cap():
+    with pytest.raises(ConfigError, match="exceeds the wire's"):
+        Message(
+            channels=1, embed_dim=1, precision=12, codebook_hash=0,
+            mask=Mask(np.zeros((1024, 1025), dtype=bool)), freqs=[4096], payload=b"",
+            final_state=RANS_L,
+        )
+    params, cb = _one_dim_codec(2)
+    with pytest.raises(ConfigError, match="exceeds the wire's"):
+        encode_message(
+            FeatureMap.zeros(1, 1025, 1024), Mask(np.zeros((1025, 1024), dtype=bool)), params, cb
+        )
+    ok = encode_message(FeatureMap.zeros(1, 1024, 1024), Mask.ones(1024, 1024), params, cb)
+    assert ok.num_symbols == MAX_CELLS
+
+
+# Traced peaks of a parse, and of a parse and decode, of any cheap message:
+# the cap bounds the mask, the symbols and their latents, whatever grid the
+# header claims. The worst is a 1024 x 1024 grid with 2^19 - 1 coded cells
+# (the run form is written only below half): its parse peaks at 3.0 MiB and
+# its decode at 11.8 MiB, as rans_decode holds a list entry and an index per
+# symbol (16 B) and the latents are float64.
+_CHEAP_PARSE_PEAK = 8 << 20
+_CHEAP_DECODE_PEAK = 16 << 20
+
+
+@st.composite
+def cheap_grids(draw):
+    """(bytes, K) of a 1-3-run message with a one- or two-symbol table, any u16 grid."""
+    h, w = draw(st.integers(1, 0xFFFF)), draw(st.integers(1, 0xFFFF))
+    cells = h * w
+    runs = draw(st.integers(1, min(3, cells)))
+    cuts = []
+    if runs > 1:
+        inner = st.integers(1, cells - 1)
+        cuts = sorted(draw(st.sets(inner, min_size=runs - 1, max_size=runs - 1)))
+    lengths = [b - a for a, b in zip([0] + cuts, cuts + [cells])]
+    first = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        freqs, payload, state = [4096], b"", RANS_L
+    else:
+        rare = draw(st.integers(1, 4095))
+        freqs = [4096 - rare, rare]
+        payload = draw(st.binary(max_size=64))
+        state = draw(st.sampled_from([RANS_L, draw(st.integers(0, 0xFFFFFFFF))]))
+    _, cb = _one_dim_codec(len(freqs))
+    return cheap_grid_bytes(h, w, first, lengths, cb, freqs, payload, state), len(freqs)
+
+
+@given(cheap_grids())
+@example((cheap_grid_bytes(1024, 1024, 0, _half_kept(MAX_CELLS), _one_dim_codec(1)[1], [4096]), 1))
+@settings(max_examples=60, deadline=None)
+def test_any_cheap_grid_parses_and_decodes_within_the_cap(case):
+    data, k = case
+    params, cb = _one_dim_codec(k)
+    tracemalloc.start()
+    try:
+        try:
+            msg = Message.from_bytes(data)
+        except DecodeError:
+            msg = None
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        if msg is not None:
+            assert msg.num_symbols <= msg.height * msg.width <= MAX_CELLS
+            try:
+                latents = decode_latents(msg, params, cb)
+            except DecodeError:
+                pass
+            else:
+                assert latents.shape == (msg.num_symbols, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parse_peak < _CHEAP_PARSE_PEAK and peak < _CHEAP_DECODE_PEAK
