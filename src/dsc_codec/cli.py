@@ -163,7 +163,7 @@ def _cmd_sweep_rd(args) -> int:
 
 def _cmd_sweep_robust(args) -> int:
     cfg = _load_config(args)
-    _check_grid((args.tau,), args.sigmas, args.delays, None, args.scenes)
+    _check_grid(cfg, (args.tau,), args.sigmas, args.delays, None, args.scenes)
     fitted = fit_codec(
         cfg,
         codebook_size=args.codebook_size,

@@ -23,7 +23,9 @@ own and the pair's targets and context before the next pair.
 
 Decoding has two stages. decode_latents checks the header against the codec
 and codebook, rANS-decodes the symbols with the message's own table and
-dequantizes them; it does not depend on the decoder or the receiver.
+dequantizes them band by band into its result, so besides the result it
+holds the int32 symbols and one band's transients; it does not depend on
+the decoder or the receiver.
 reconstruct maps those latents (and context rows, for the conditional
 decoder) to channel space and scatters them onto the coded cells. It builds
 and multiplies the decoder rows in cache-sized bands, which give the whole
@@ -83,6 +85,9 @@ _RIDGE_LAMBDA = 1e-3
 # On a dense 128x128x32 map (2-core Xeon, best of 5) 256 or 512 cells took
 # 2.5 ms, 1024 to 4096 cells 3.3 to 3.8 ms, and the whole map in one band 4.5.
 _BAND_CELLS = 512
+# decode_latents' symbols per dequantize call: one band's int64 indices are
+# all it holds besides the int32 symbols and its result.
+_LATENT_BAND = 1 << 14
 # Weight of the old codeword in finetune_step's moving-average refresh.
 _EMA_DECAY = 0.99
 # Weight of finetune_step's commitment term, which pulls latents toward their codewords.
@@ -185,9 +190,20 @@ def fit_encoder_projection(
     return proj, mean
 
 
-def project_cells(cells: np.ndarray, params: CodecParams) -> np.ndarray:
-    """(M, C) channel vectors -> (M, D) latents through the encoder projection."""
-    return (cells - params.mean) @ params.projection.T
+def project_cells(
+    cells: np.ndarray, params: CodecParams, *, overwrite: bool = False
+) -> np.ndarray:
+    """(M, C) channel vectors -> (M, D) latents through the encoder projection.
+
+    With overwrite=True a float64 cells block is centred where it lies, so a
+    caller that owns a fresh block needs no second one; the float
+    operations, and so the latents, are the same.
+    """
+    if overwrite:
+        cells -= params.mean
+    else:
+        cells = cells - params.mean
+    return cells @ params.projection.T
 
 
 def _kept_cells(f: FeatureMap, flat: np.ndarray) -> np.ndarray:
@@ -201,17 +217,6 @@ def _kept_cells(f: FeatureMap, flat: np.ndarray) -> np.ndarray:
     if not flat.all():
         cols = cols[:, flat]
     return cols.T.astype(np.float64, order="C")
-
-
-def _kept_latents(f: FeatureMap, flat: np.ndarray, params: CodecParams) -> np.ndarray:
-    """project_cells(_kept_cells(f, flat), params), centred in place.
-
-    The kept cells are a fresh block, so they are centred where they lie:
-    the same float operations, without a second (kept, C) float64 block.
-    """
-    cells = _kept_cells(f, flat)
-    cells -= params.mean
-    return cells @ params.projection.T
 
 
 # Below this share of kept cells the window sums gather rows at the kept
@@ -490,8 +495,9 @@ def decode_latents(msg: Message, params: CodecParams, cb: Codebook) -> np.ndarra
     """First decode stage: the dequantized latents of the coded cells.
 
     Checks the header against params and cb, rANS-decodes the symbols and
-    looks up their codewords. Returns (msg.num_symbols, D) float64 rows in
-    row-major cell order. Every failure is a DecodeError subclass.
+    looks up their codewords, _LATENT_BAND symbols at a time, into the
+    result. Returns (msg.num_symbols, D) float64 rows in row-major cell
+    order. Every failure is a DecodeError subclass.
     """
     if msg.codebook_hash != cb.version_hash:
         raise CodebookMismatchError(
@@ -505,7 +511,11 @@ def decode_latents(msg: Message, params: CodecParams, cb: Codebook) -> np.ndarra
     if msg.num_symbols == 0:
         return np.zeros((0, params.embed_dim))
     idx = rans_decode(msg.payload, msg.table, msg.num_symbols, msg.final_state)
-    return dequantize(idx, cb)
+    latents = np.empty((msg.num_symbols, params.embed_dim))
+    for start in range(0, msg.num_symbols, _LATENT_BAND):
+        band = slice(start, start + _LATENT_BAND)
+        dequantize(idx[band], cb, out=latents[band])
+    return latents
 
 
 def reconstruct(

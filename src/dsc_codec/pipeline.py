@@ -61,7 +61,7 @@ import numpy as np
 from .codec import (
     CodecParams,
     DecoderFit,
-    _kept_latents,
+    _kept_cells,
     decode_latents,
     encode_message,
     fit_conditional_decoder,
@@ -86,6 +86,7 @@ from .simulate import (
     perturb_pose,
     scene_config,
 )
+from .wire import MAX_CELLS
 
 # Frame index all evaluations run at, so delayed senders (delay <= 4) stay in
 # range and rate and robustness sweeps see identical data at (sigma=0, delay=0).
@@ -161,8 +162,18 @@ class FittedCodec:
     decoder_fit: DecoderFit
 
 
-def _check_grid(taus, sigmas, delays, budget: int | None, scenes: int = 1) -> None:
-    """Raise ConfigError unless a sweep can run this grid; run before any fit."""
+def _check_grid(
+    cfg: ScenarioConfig, taus, sigmas, delays, budget: int | None, scenes: int = 1
+) -> None:
+    """Raise ConfigError unless a sweep can run this grid; run before any fit.
+
+    Every link sends a message over cfg's whole grid, so a grid of more than
+    wire.MAX_CELLS cells, which no message may state, is rejected here too.
+    """
+    if cfg.height * cfg.width > MAX_CELLS:
+        raise ConfigError(
+            f"a {cfg.height}x{cfg.width} grid exceeds the wire's {MAX_CELLS} cells per message"
+        )
     if not (len(taus) and len(sigmas) and len(delays)):
         raise ConfigError("sweep grids must be non-empty")
     require_int("scenes", scenes, 1)
@@ -220,7 +231,7 @@ def _fit_codecs(
     for f, m in zip(pooled, itertools.chain.from_iterable(masks)):
         flat = m.bits.ravel()
         if flat.any():
-            latents = _kept_latents(f, flat, encoder)
+            latents = project_cells(_kept_cells(f, flat), encoder, overwrite=True)
             rows = latents[(-start) % step :: step]
             block[:, filled : filled + len(rows)] = rows.T
             filled += len(rows)
@@ -300,7 +311,7 @@ def _scene_links(
     require_int("receiver", receiver, 0, cfg.num_agents - 1)
     if sender == receiver:
         raise ConfigError("sender and receiver must differ")
-    _check_grid(taus, sigmas, delays, budget)
+    _check_grid(cfg, taus, sigmas, delays, budget)
     delays = [int(delay) for delay in delays]
 
     # One walk of the chain, holding one latent frame: each frame is
@@ -410,8 +421,9 @@ def run_link(
     receiver then falls back to its local feature only. A t that is not an
     integer >= 0, a sender or receiver that is not an agent index, a tau
     outside [0, 1], a sigma_pose that is not finite and >= 0, a delay that
-    is not a whole number >= 0, or a budget that is neither None nor an
-    integer >= 0 raises ConfigError before anything is simulated.
+    is not a whole number >= 0, a budget that is neither None nor an
+    integer >= 0, or a cfg grid of more than wire.MAX_CELLS cells raises
+    ConfigError before anything is simulated.
     """
     links = _scene_links(
         cfg, t, sender, receiver, [(params, cb)], (tau,), (sigma_pose,), (delay,), budget,
@@ -437,7 +449,7 @@ def _sweep(
     not an integer >= 1 raises ConfigError; the grid is validated before any
     simulation.
     """
-    _check_grid(taus, sigmas, delays, budget, scenes)
+    _check_grid(cfg, taus, sigmas, delays, budget, scenes)
     per_scene = [
         _scene_links(
             scene_config(cfg, s, stream="eval"), DEFAULT_EVAL_T, 1, 0,
@@ -508,7 +520,7 @@ def rd_sweep(
     if not len(codebook_sizes):
         raise ConfigError("sweep grids must be non-empty")
     require_int("scenes_per_point", scenes_per_point, 1)
-    _check_grid(taus, (0.0,), (0,), budget)
+    _check_grid(cfg, taus, (0.0,), (0,), budget)
     # _fit_codecs checks its own arguments before it simulates anything.
     fits = _fit_codecs(cfg, codebook_sizes, embed_dim, train_scenes)
     codecs = [(f.params, f.codebook) for f in fits]

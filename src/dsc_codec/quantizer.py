@@ -279,14 +279,20 @@ def quantize_map(latent, cb: Codebook) -> np.ndarray:
     return _nearest(_as_latents(latent, cb.dim), cb.codewords.astype(np.float64))
 
 
-def dequantize(idx, cb: Codebook) -> np.ndarray:
-    """Codeword lookup per symbol; rejects indices outside the codebook."""
+def dequantize(idx, cb: Codebook, out: np.ndarray | None = None) -> np.ndarray:
+    """Codeword lookup per symbol; rejects indices outside the codebook.
+
+    The float64 rows are written to out, a (len(idx), D) float64 array,
+    when it is given, and returned.
+    """
     symbols = index_array("idx", idx)
     if symbols.size and (symbols.min() < 0 or symbols.max() >= cb.size):
         raise SymbolOutOfRangeError(
             f"symbol outside codebook of size {cb.size} (corrupt stream or wrong codebook)"
         )
-    return cb.codewords.astype(np.float64)[symbols]
+    # Every index is in range, so "clip" never clips; it lets take write
+    # straight into out, where "raise" would stage the rows in a buffer.
+    return np.take(cb.codewords.astype(np.float64), symbols, axis=0, out=out, mode="clip")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -24,8 +24,10 @@ step exactly: the slot cf = x mod 2^p names s, and
     x -> f[s] * (x >> p) + (cf - c[s])
 
 is followed by byte-wise refills up to L. Both terms are read per slot, so
-the decode loop never looks up s; it records the slots, and the symbols are
-one gather at the end. A message short against its table (10 * n < 2^p)
+the decode loop never looks up s; it records the slots of a band of
+_DECODE_BAND symbols, and each band's symbols are one gather into the int32
+result, so a decode holds 4 bytes per symbol and one band's records
+whatever n is. A message short against its table (10 * n < 2^p)
 finds s by bisecting the K+1 cumulative starts instead, so decoding it
 builds no 2^p-entry list; both paths decode the same symbols and raise the
 same errors at the same symbol. After the last symbol the state must land
@@ -52,6 +54,9 @@ MAX_PRECISION = 16
 # the table build on a 2-core Xeon, bisecting wins below n = 2^p / 10 at
 # p = 12, 2^p / 4 at p = 8 and 2^p / 2 at p = 15.
 _BISECT_RATIO = 10
+# rans_decode records this many slots (a list entry and an int each) before
+# it gathers their symbols into its result.
+_DECODE_BAND = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +179,8 @@ def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.nd
     """Decode exactly n symbols; raises DecodeError on any inconsistency.
 
     The loop carries only the state and records each step's slot; the int32
-    symbols are one gather of the table's slot symbols at the end. A short
-    message bisects the cumulative starts per symbol instead.
+    symbols are one gather of the table's slot symbols per _DECODE_BAND
+    steps. A short message bisects the cumulative starts per symbol instead.
     """
     require_int("symbol count", n, 0)
     if not RANS_L <= state < (RANS_L << 8):
@@ -185,11 +190,10 @@ def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.nd
     lower = RANS_L
     pos = 0
     size = len(payload)
-    short = _BISECT_RATIO * n < 1 << p
-    recorded = []
-    record = recorded.append
-    if short:
+    if _BISECT_RATIO * n < 1 << p:
         # Short message: bisect the K+1 starts, with no 2^p-entry list.
+        recorded = []
+        record = recorded.append
         freqs, cum, _ = ft.encoder_lists
         for i in range(n):
             cf = state & mask
@@ -201,21 +205,26 @@ def rans_decode(payload: bytes, ft: FrequencyTable, n: int, state: int) -> np.nd
                     raise DecodeError(f"payload truncated at symbol {i} of {n}")
                 state = (state << 8) | payload[pos]
                 pos += 1
+        out = np.fromiter(recorded, dtype=np.int32, count=n)
     else:
+        out = np.empty(n, dtype=np.int32)
         symbols, freq, bias = ft.decoder_lists
-        for i in range(n):
-            cf = state & mask
-            record(cf)
-            state = freq[cf] * (state >> p) + bias[cf]
-            while state < lower:
-                if pos >= size:
-                    raise DecodeError(f"payload truncated at symbol {i} of {n}")
-                state = (state << 8) | payload[pos]
-                pos += 1
+        for start in range(0, n, _DECODE_BAND):
+            stop = min(n, start + _DECODE_BAND)
+            recorded = []
+            record = recorded.append
+            for i in range(start, stop):
+                cf = state & mask
+                record(cf)
+                state = freq[cf] * (state >> p) + bias[cf]
+                while state < lower:
+                    if pos >= size:
+                        raise DecodeError(f"payload truncated at symbol {i} of {n}")
+                    state = (state << 8) | payload[pos]
+                    pos += 1
+            out[start:stop] = symbols[np.fromiter(recorded, dtype=np.intp, count=stop - start)]
     if pos != size:
         raise DecodeError(f"{size - pos} unconsumed payload bytes after {n} symbols")
     if state != RANS_L:
         raise DecodeError("coder state did not return to the initial value; stream corrupt")
-    if short:
-        return np.fromiter(recorded, dtype=np.int32, count=n)
-    return symbols[np.fromiter(recorded, dtype=np.intp, count=n)]
+    return out

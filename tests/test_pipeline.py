@@ -330,6 +330,32 @@ def test_rd_sweep_rejects_invalid_grid_before_simulating(monkeypatch, small_cfg,
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        lambda cfg, fitted: run_link(cfg, 4, 1, 0, fitted.params, fitted.codebook),
+        lambda cfg, fitted: robustness_sweep(cfg, [0.0], [0], fitted.params, fitted.codebook),
+        lambda cfg, fitted: rd_sweep(
+            cfg, taus=[0.0], codebook_sizes=[8], embed_dim=8, scenes_per_point=1, train_scenes=2
+        ),
+    ],
+    ids=["run_link", "robustness_sweep", "rd_sweep"],
+)
+def test_links_and_sweeps_reject_a_grid_over_the_wire_cap_before_simulating(
+    monkeypatch, small_cfg, small_fitted, entry
+):
+    # No message may state more than MAX_CELLS cells, so no link can run on
+    # a larger grid; the check comes before the fit, the walk or a message.
+    scenes = _count_calls(monkeypatch, pipeline, "generate_scene")
+    frames = _count_calls(monkeypatch, pipeline, "_walk_frames")
+    over = dataclasses.replace(small_cfg, height=1025, width=1024)
+    with pytest.raises(ConfigError, match="^a 1025x1024 grid exceeds the wire's 1048576 cells"):
+        entry(over, small_fitted)
+    assert scenes == [] and frames == []
+    at_cap = dataclasses.replace(small_cfg, height=1024, width=1024)
+    pipeline._check_grid(at_cap, [0.0], [0.0], [0], None)
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [{"codebook_size": 0}, {"embed_dim": 0}, {"train_scenes": 0}],
 )

@@ -163,6 +163,22 @@ def test_both_decode_paths_agree_on_symbols_and_errors_at_every_precision(p):
     assert len(truncations) > 1
 
 
+def test_slot_path_decodes_across_band_edges(monkeypatch):
+    # Bands of 7 slots: 40 symbols span six bands, the last one partial. The
+    # clean stream, a trailing byte, a wrong final state and every truncation
+    # give the bisect path's symbols or DecodeError.
+    monkeypatch.setattr(rans, "_DECODE_BAND", 7)
+    idx = np.random.default_rng(5).integers(0, 16, size=40)
+    ft = build_freq_table(idx, 16, precision=12)
+    payload, state = rans_encode(idx, ft)
+    assert _decode_or_error("lists", payload, ft, 40, state) == idx.tolist()
+    cases = [(payload + b"\x00", state), (payload, RANS_L + 1)]
+    cases += [(payload[:cut], state) for cut in range(len(payload))]
+    for data, start in cases:
+        outcome = _decode_or_error("lists", data, ft, 40, start)
+        assert outcome == _decode_or_error("bisect", data, ft, 40, start)
+
+
 def test_rule_bisects_short_messages_without_building_the_slot_lists():
     # n = 400 against 2^12: 10 * 400 < 4096 bisects; n = 410 reads the lists.
     for n, bisects in ((400, True), (410, False)):

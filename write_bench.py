@@ -1,12 +1,12 @@
 """Write a BENCH_<n>.json file from repeated runs of the unedited benchmark.
 
-    python3 write_bench.py --out BENCH_1.json --seed 7 --runs 5 --seconds 4
+    python3 write_bench.py --out BENCH_1.json
 
 Run from the root of a checkout. Each run is ``perfbench/run.py`` as a
-subprocess, unedited: every workload of BENCHMARK.json ``--runs`` times at
-``--trace 0`` (round-robin over the workloads, so slow drift on a shared
-machine spreads over all of them), then once each at ``--trace 1``, all at
-one seed. The file records the environment line, the median and quartiles
+subprocess, unedited, for SECONDS seconds at seed SEED: every workload of
+BENCHMARK.json RUNS times at ``--trace 0`` (round-robin over the workloads,
+so slow drift on a shared machine spreads over all of them), then once each
+at ``--trace 1``. The file records the environment line, the median and quartiles
 of every end-to-end metric with each run's value, the traced per-layer
 metrics, the per-section wire bytes and the output digests. The script
 exits non-zero, writing nothing, if any run fails or is not ``correct``, or
@@ -24,13 +24,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
+SEED = 7
+RUNS = 5
+SECONDS = 4
 
 
-def _run(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _run(workload: str, trace: int) -> dict:
     """One benchmark run: its env line, digests and JSON last line, or SystemExit."""
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -56,20 +59,15 @@ def _spread(values: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=4.0)
     args = parser.parse_args(argv)
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in spec["workloads"]]
     timed = {name: [] for name in names}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for name in names:
-            timed[name].append(_run(name, args.seed, args.seconds, 0))
-    traced = {name: _run(name, args.seed, args.seconds, 1) for name in names}
+            timed[name].append(_run(name, 0))
+    traced = {name: _run(name, 1) for name in names}
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     workloads = {}
@@ -106,12 +104,11 @@ def main(argv=None) -> int:
     for key in ("workload", "trace"):
         env.pop(key)
     report = {
-        "command": (
-            f"python3 write_bench.py --out {args.out.name} --seed {args.seed} "
-            f"--runs {args.runs} --seconds {args.seconds:g}"
-        ),
+        "command": f"python3 write_bench.py --out {args.out.name}",
         "env": env,
-        "runs_per_workload": {"trace_0": args.runs, "trace_1": 1},
+        "seed": SEED,
+        "seconds": SECONDS,
+        "runs_per_workload": {"trace_0": RUNS, "trace_1": 1},
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the trace-0 runs",
         "workloads": workloads,
     }
