@@ -98,14 +98,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    cfg = _load_config(args)
-    fitted = fit_codec(
+def _fit(args, cfg: ScenarioConfig):
+    """fit_codec with the --codebook-size, --embed-dim and --train-scenes flags."""
+    return fit_codec(
         cfg,
         codebook_size=args.codebook_size,
         embed_dim=args.embed_dim,
         train_scenes=args.train_scenes,
     )
+
+
+def _cmd_fit(args) -> int:
+    cfg = _load_config(args)
+    fitted = _fit(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_codec_params(fitted.params, out / "codec.dccp")
@@ -164,12 +169,7 @@ def _cmd_sweep_rd(args) -> int:
 def _cmd_sweep_robust(args) -> int:
     cfg = _load_config(args)
     _check_grid(cfg, (args.tau,), args.sigmas, args.delays, None, args.scenes)
-    fitted = fit_codec(
-        cfg,
-        codebook_size=args.codebook_size,
-        embed_dim=args.embed_dim,
-        train_scenes=args.train_scenes,
-    )
+    fitted = _fit(args, cfg)
     rows = robustness_sweep(
         cfg,
         sigmas=args.sigmas,
@@ -205,6 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="scenario key-value file")
         p.add_argument("--seed", type=int, help=f"seed override (fallback: ${SEED_ENV})")
 
+    def add_codec_flags(p, train_scenes: int) -> None:
+        p.add_argument("--codebook-size", type=int, default=64)
+        p.add_argument("--embed-dim", type=int, default=64)
+        p.add_argument("--train-scenes", type=int, default=train_scenes)
+
     p = sub.add_parser("gen", help="write per-agent feature-map fixtures")
     add_scenario_flags(p)
     p.add_argument("--t", type=int, default=0, help="frame index")
@@ -213,9 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train the codec and save params + codebook")
     add_scenario_flags(p)
-    p.add_argument("--codebook-size", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--train-scenes", type=int, default=8)
+    add_codec_flags(p, train_scenes=8)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_fit)
 
@@ -252,10 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", type=_float_list, default="0,1,2,4")
     p.add_argument("--delays", type=_int_list, default="0,1,2,4")
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--codebook-size", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=64)
     p.add_argument("--scenes", type=int, default=3)
-    p.add_argument("--train-scenes", type=int, default=6)
+    add_codec_flags(p, train_scenes=6)
     p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(func=_cmd_sweep_robust)
 
@@ -273,10 +274,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,22 +1,25 @@
 """The conditional codec: linear encoder, discrete bottleneck, context decoder.
 
-Sender side: per-cell channel vectors are mean-centered, projected to a
-D-dimensional latent (PCA fit offline, from a mean and covariance summed map
-by map, so the fit holds one map's float64 cells on top of its inputs),
-vector-quantized against a shared codebook, and rANS-coded into a
-self-describing message. Encoding never sees any receiver-side data; a
-message is a pure function of the pruned feature, the mask, the codec
-parameters and the codebook, and so is its table precision.
+Sender side: the kept cells' channel vectors (FeatureMap.cell_vectors at
+the mask) are mean-centered, projected to a D-dimensional latent (PCA fit
+offline, from a mean and covariance summed map by map, so the fit holds one
+map's float64 cells on top of its inputs), vector-quantized against a shared
+codebook, and rANS-coded into a self-describing message. Encoding never sees
+any receiver-side data; a message is a pure function of the pruned feature,
+the mask, the codec parameters and the codebook, and so is its table
+precision.
 
 Receiver side: the local feature is turned into a per-cell context vector
 (the channel-space box mean of the receiver's own feature over a small
-neighborhood, computed only at the coded cells; it uses none of the encoder's
-projection). Ridge-fit linear decoders map each coded cell's row back to
-channel space. _row describes that row, [dequantized latent | context | 1],
-and _DECODERS the two decoders that read it: the conditional one reads all
-of it, and the unconditional ablation baseline (decode_message without a
-local feature) the nested [latent | 1], so its training objective can never
-beat the conditional one. fit_conditional_decoder fits the decoders of
+neighborhood, computed only at the coded cells). si_context takes only the
+receiver's map and the mask: side information is the decoder's own
+observation and owes nothing to the codec, whose channel count is checked
+where a codec reads the context. Ridge-fit linear decoders map each coded
+cell's row back to channel space. _row describes that row, [dequantized
+latent | context | 1], and _DECODERS the two decoders that read it: the
+conditional one reads all of it, and the unconditional ablation baseline
+(decode_message without a local feature) the nested [latent | 1], so its
+training objective can never beat the conditional one. fit_conditional_decoder fits the decoders of
 several codecs in one pass over the training pairs, building each pair's
 context once, freeing each codec's rows before the next codec builds its
 own and the pair's targets and context before the next pair.
@@ -63,10 +66,8 @@ from .errors import (
 )
 from .features import FeatureMap, Mask, _frozen_map, require_same_shape, require_spatial_match
 from .quantizer import Codebook, dequantize, quantize_map
-from .rans import RANS_L, build_freq_table, rans_decode, rans_encode
+from .rans import DEFAULT_PRECISION, RANS_L, build_freq_table, rans_decode, rans_encode
 from .wire import MAX_MESSAGE_PRECISION, Message
-
-DEFAULT_PRECISION = 12
 
 _DCCP_MAGIC = b"DCCP"
 _DCCP_VERSION = 4
@@ -206,19 +207,6 @@ def project_cells(
     return cells @ params.projection.T
 
 
-def _kept_cells(f: FeatureMap, flat: np.ndarray) -> np.ndarray:
-    """f.cell_vectors()[flat] without the float64 copy of every cell.
-
-    The kept columns of the float32 map are gathered straight into a
-    C-order (flat.sum(), C) float64 block, the layout the boolean gather
-    gives, so the projection that follows makes the same float operations.
-    """
-    cols = f.values.reshape(f.channels, -1)
-    if not flat.all():
-        cols = cols[:, flat]
-    return cols.T.astype(np.float64, order="C")
-
-
 # Below this share of kept cells the window sums gather rows at the kept
 # cells; at or above it they add whole-map shifted slices, whose cost does not
 # depend on the share. On a 128x128x32 float32 grid the two cost about the
@@ -242,7 +230,7 @@ def _require_channels(f: FeatureMap, params: CodecParams) -> None:
         )
 
 
-def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarray:
+def si_context(f_local: FeatureMap, mask: Mask) -> np.ndarray:
     """Context rows at the kept cells of mask: the local (2r+1)^2 box mean.
 
     Returns (mask.count(), C) float64 rows in row-major cell order, the
@@ -251,8 +239,11 @@ def si_context(f_local: FeatureMap, params: CodecParams, mask: Mask) -> np.ndarr
     and the divisor fixed, so border cells (whose windows hang over the
     padding) genuinely differ from interior ones. r = _CONTEXT_RADIUS is fixed:
     r=0 decodes worse at every pose noise >= 1, and r=2 and r=3 worse overall.
+    It reads no codec parameter; a mask that is not H x W of f_local raises
+    ShapeMismatchError, and the codec's channel count is checked by whoever
+    feeds the rows to a decoder (decode_message's header check, reconstruct's
+    row widths, fit_conditional_decoder's sender check).
     """
-    _require_channels(f_local, params)
     require_spatial_match(f_local, mask)
     c, h, w = f_local.shape
     r = _CONTEXT_RADIUS
@@ -316,9 +307,8 @@ def encode_message(f_pruned: FeatureMap, mask: Mask, params: CodecParams, cb: Co
     _require_matching_codebook(params, cb)
 
     precision = DEFAULT_PRECISION
-    flat = mask.bits.ravel()
-    if flat.any():
-        latents = project_cells(_kept_cells(f_pruned, flat), params)
+    if mask.bits.any():
+        latents = project_cells(f_pruned.cell_vectors(mask), params)
         idx = quantize_map(latents, cb)
         distinct = int(np.count_nonzero(np.bincount(idx)))
         precision = max(precision, (distinct - 1).bit_length())
@@ -415,10 +405,9 @@ def fit_conditional_decoder(
         require_same_shape(sender_pruned, receiver)
         for params, _ in codecs:
             _require_channels(sender_pruned, params)
-        flat = mask.bits.ravel()
-        if not flat.any():
+        if not mask.bits.any():
             continue
-        y = _kept_cells(sender_pruned, flat)
+        y = sender_pruned.cell_vectors(mask)
         yty += float(np.sum(y * y))
         m += len(y)
         context = None
@@ -427,7 +416,7 @@ def fit_conditional_decoder(
             # the context first left a later 4-size fit's peak RSS 4 MB higher.
             deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
             if context is None:
-                context = si_context(receiver, params, mask)
+                context = si_context(receiver, mask)
             x = _design(deq, context)
             gram += x.T @ x
             xty += x.T @ y
@@ -579,8 +568,9 @@ def decode_message(
     The conditional decoder reads f_local's context; without f_local the
     unconditional one (the ablation baseline) decodes. Pruned cells come back
     as exact zeros. Every argument is checked once before any symbol is
-    decoded (the header by decode_latents); then the two stages run:
-    decode_latents, and reconstruct with si_context(f_local, params, msg.mask).
+    decoded: f_local against the header here, the header against the codec
+    by decode_latents. Then the two stages run: decode_latents, and
+    reconstruct with si_context(f_local, msg.mask).
     """
     _decoder_weights(params, f_local is not None)
     if f_local is not None and f_local.shape != (msg.channels, msg.height, msg.width):
@@ -589,7 +579,7 @@ def decode_message(
             f"({msg.channels},{msg.height},{msg.width})"
         )
     latents = decode_latents(msg, params, cb)
-    context = None if f_local is None else si_context(f_local, params, msg.mask)
+    context = None if f_local is None else si_context(f_local, msg.mask)
     return reconstruct(msg, latents, params, context)
 
 
@@ -632,9 +622,7 @@ def finetune_step(
         require_same_shape(f_sender, f_receiver)
         _require_channels(f_sender, params)
         sender_cells.append(f_sender.cell_vectors())
-        ctx_rows.append(
-            si_context(f_receiver, params, Mask.ones(f_receiver.height, f_receiver.width))
-        )
+        ctx_rows.append(si_context(f_receiver, Mask.ones(f_receiver.height, f_receiver.width)))
     v = np.concatenate(sender_cells, axis=0)
     ctx = np.concatenate(ctx_rows, axis=0)
     m = v.shape[0]

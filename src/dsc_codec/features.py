@@ -58,10 +58,21 @@ class FeatureMap:
             require_int(name, size, 1)
         return _frozen_map(np.zeros((channels, height, width), dtype=np.float32))
 
-    def cell_vectors(self) -> np.ndarray:
-        """Per-cell channel vectors, shape (H*W, C), float64, row-major cells."""
-        c = self.channels
-        return self.values.reshape(c, -1).T.astype(np.float64)
+    def cell_vectors(self, mask: Mask | None = None) -> np.ndarray:
+        """Channel vectors of mask's kept cells, or of every cell without a mask.
+
+        Returns a fresh C-order (n, C) float64 block in row-major cell order,
+        n the mask's kept count or H*W. The kept columns of the float32 map
+        are gathered straight into it, with no float64 copy of every cell.
+        A mask that is not H x W of the map raises ShapeMismatchError.
+        """
+        cols = self.values.reshape(self.channels, -1)
+        if mask is not None:
+            require_spatial_match(self, mask)
+            flat = mask.bits.ravel()
+            if not flat.all():
+                cols = cols[:, flat]
+        return cols.T.astype(np.float64, order="C")
 
 
 def _frozen_map(values: np.ndarray) -> FeatureMap:

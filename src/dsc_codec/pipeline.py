@@ -61,7 +61,6 @@ import numpy as np
 from .codec import (
     CodecParams,
     DecoderFit,
-    _kept_cells,
     decode_latents,
     encode_message,
     fit_conditional_decoder,
@@ -229,9 +228,8 @@ def _fit_codecs(
     block = np.empty((embed_dim, -(-kept // step)))
     start = filled = 0
     for f, m in zip(pooled, itertools.chain.from_iterable(masks)):
-        flat = m.bits.ravel()
-        if flat.any():
-            latents = project_cells(_kept_cells(f, flat), encoder, overwrite=True)
+        if m.bits.any():
+            latents = project_cells(f.cell_vectors(m), encoder, overwrite=True)
             rows = latents[(-start) % step :: step]
             block[:, filled : filled + len(rows)] = rows.T
             filled += len(rows)
@@ -326,7 +324,7 @@ def _scene_links(
     del scene
     pose_seed = derive_seed(cfg.seed, STREAM_POSE, sender, t)
     everywhere = Mask.ones(f_local.height, f_local.width)
-    context = si_context(f_local, codecs[0][0], everywhere) if any(decoders) else None
+    context = si_context(f_local, everywhere) if any(decoders) else None
 
     links = {}
     for si, sigma in enumerate(sigmas):

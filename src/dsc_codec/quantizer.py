@@ -14,15 +14,16 @@ float order: the sum of (x_d - c_d)^2 over d = 0..D-1, which gives scipy's
 argmin of those numbers. The module needs numpy only; the tests keep cdist
 as their reference. Assignment (``_nearest``, behind ``quantize_map`` and
 every Lloyd iteration) returns indices only and runs in blocks of about
-2^18 distances (1 MB of float32), so a block's row count shrinks as K
-grows; a row's result does not depend on the block it is in. Every block is
-first screened with one float32 BLAS product that estimates every distance;
-a row is assigned from the estimate only when a rounding bound proves that
-the estimate picks cdist's answer, and every other row (ties, near-ties,
-values too large or too small for float32, non-finite values) is decided on
-its exact row of distances to every codeword. BLAS never decides an
-assignment that the bound has not proved, so the result is cdist's on every
-platform.
+2^18 float32 values (1 MB): a block's rows times the larger of K and the
+lifted width D + 1, so neither its estimates nor its lifted rows outgrow
+the budget at small K; a row's result does not depend on the block it is
+in. Every block is first screened with one float32 BLAS product that
+estimates every distance; a row is assigned from the estimate only when a
+rounding bound proves that the estimate picks cdist's answer, and every
+other row (ties, near-ties, values too large or too small for float32,
+non-finite values) is decided on its exact row of distances to every
+codeword. BLAS never decides an assignment that the bound has not proved,
+so the result is cdist's on every platform.
 Every distance Lloyd's loop reads comes from the same kernel, one known
 centre per sample with the samples read column by column: the k-means++
 weights, the distortion after each assignment and the reseed pass. So
@@ -57,8 +58,8 @@ from .errors import (
 
 _CDBK_MAGIC = b"CDBK"
 _CDBK_HEADER = struct.Struct("<4sHHQ")
-# Distances per block: 2^18 exact float64 distances (2 MB), or float32
-# estimates (1 MB), stay cache-sized.
+# Values per _nearest block: 2^18 exact float64 distances (2 MB), or float32
+# estimates or lifted rows (1 MB), stay cache-sized.
 _BLOCK_DISTANCES = 1 << 18
 # The float32 screen's unit roundoff, and its bound on the absolute error
 # of one rounding into the subnormal range or to zero (see _nearest).
@@ -107,8 +108,10 @@ class Codebook:
 def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     """Lowest-index argmin of cdist's squared distances, as int32 indices.
 
-    Rows go in blocks of about _BLOCK_DISTANCES distances; a row's result
-    does not depend on its block. Every block is first screened in float32.
+    Rows go in blocks of _BLOCK_DISTANCES // max(K, D + 1), so both a
+    block's (K, rows) estimates and its (rows, D + 1) lifted rows hold about
+    _BLOCK_DISTANCES values; a row's result does not depend on its block.
+    Every block is first screened in float32.
     With x' and c'_j the float32 roundings of a row x and of codeword c_j,
     and h_j = |c'_j|^2 / 2 computed in float32,
 
@@ -189,7 +192,7 @@ def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     n, dim = vectors.shape
     k = codewords.shape[0]
     idx = np.empty(n, dtype=np.int32)
-    rows = max(1, _BLOCK_DISTANCES // k)
+    rows = max(1, _BLOCK_DISTANCES // max(k, dim + 1))
     low_c = codewords.astype(np.float32)
     lifted_c = np.empty((k, dim + 1), dtype=np.float32)
     np.negative(low_c, out=lifted_c[:, :dim])

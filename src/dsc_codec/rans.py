@@ -49,6 +49,9 @@ from .errors import ConfigError, DecodeError, FrequencyTableError, index_array, 
 RANS_L = 1 << 23
 MIN_PRECISION = 8
 MAX_PRECISION = 16
+# build_freq_table's table precision unless asked for another, and the
+# smallest one encode_message gives a message.
+DEFAULT_PRECISION = 12
 # rans_decode bisects the K+1 cumulative starts instead of building the
 # table's 2^p-entry slot lists when n * _BISECT_RATIO < 2^p. Measured with
 # the table build on a 2-core Xeon, bisecting wins below n = 2^p / 10 at
@@ -111,7 +114,7 @@ class FrequencyTable:
         return symbols, freq.tolist(), (np.arange(starts.size) - starts).tolist()
 
 
-def build_freq_table(idx, num_symbols: int, precision: int = 12) -> FrequencyTable:
+def build_freq_table(idx, num_symbols: int, precision: int = DEFAULT_PRECISION) -> FrequencyTable:
     """Scale raw counts to sum 2^precision, flooring occurring symbols at 1.
 
     Largest-remainder rounding restores the exact sum deterministically

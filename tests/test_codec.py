@@ -162,31 +162,27 @@ def test_pca_insufficient_samples():
 # ---------------------------------------------------------------- si context
 
 
-def test_si_context_constant_map_interior(rng):
-    proj, mean = np.eye(3), np.zeros(3)
-    params = make_params(proj, mean)
+def test_si_context_constant_map_interior():
     f = FeatureMap(np.full((3, 8, 8), 2.0, dtype=np.float32))
-    ctx = si_context(f, params, Mask.ones(8, 8)).reshape(8, 8, 3)
+    ctx = si_context(f, Mask.ones(8, 8)).reshape(8, 8, 3)
     interior = ctx[1:-1, 1:-1]
     assert np.allclose(interior, interior[0, 0])
     # With zero padding the border box-means genuinely differ.
     assert not np.allclose(ctx[0, 0], interior[0, 0])
 
 
-def test_si_context_zero_map_gives_zero_context(rng):
-    # The context is the receiver's own channel-space box mean: the encoder's
-    # projection and mean take no part in it.
-    params = make_params(rng.normal(size=(4, 3)), rng.normal(size=3))
-    ctx = si_context(FeatureMap.zeros(3, 6, 6), params, Mask.ones(6, 6))
+def test_si_context_zero_map_gives_zero_context():
+    # The context is the receiver's own channel-space box mean: it reads
+    # nothing of any codec.
+    ctx = si_context(FeatureMap.zeros(3, 6, 6), Mask.ones(6, 6))
     assert ctx.shape == (36, 3)
     assert np.array_equal(ctx, np.zeros((36, 3)))
 
 
 def test_si_context_delta_support_is_box_neighborhood():
-    params = make_params(np.eye(2), np.zeros(2))
     values = np.zeros((2, 9, 9), dtype=np.float32)
     values[:, 4, 4] = 1.0
-    ctx = si_context(FeatureMap(values), params, Mask.ones(9, 9)).reshape(9, 9, 2)
+    ctx = si_context(FeatureMap(values), Mask.ones(9, 9)).reshape(9, 9, 2)
     nonzero = np.any(ctx != 0.0, axis=2)
     expected = np.zeros((9, 9), dtype=bool)
     expected[3:6, 3:6] = True
@@ -208,7 +204,6 @@ def test_si_context_matches_channel_space_box_mean(radius, monkeypatch):
     monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", radius)
     rng = np.random.default_rng(100 + radius)
     c, h, w = 5, 11, 13
-    params = make_params(rng.normal(size=(4, c)), rng.normal(size=c))
     f = FeatureMap(rng.normal(size=(c, h, w)))
     single = np.zeros((h, w), dtype=bool)
     single[5, 6] = True
@@ -223,16 +218,15 @@ def test_si_context_matches_channel_space_box_mean(radius, monkeypatch):
         Mask.ones(h, w),
     ]
     for mask in masks:
-        ctx = si_context(f, params, mask)
+        ctx = si_context(f, mask)
         assert ctx.dtype == np.float64
         assert ctx.shape == (mask.count(), c)
         np.testing.assert_allclose(ctx, _reference_context(f, mask), rtol=1e-12, atol=0.0)
 
 
 def test_si_context_rejects_mask_of_other_shape():
-    params = make_params(np.eye(2), np.zeros(2))
     with pytest.raises(ShapeMismatchError):
-        si_context(FeatureMap.zeros(2, 4, 4), params, Mask.ones(4, 5))
+        si_context(FeatureMap.zeros(2, 4, 4), Mask.ones(4, 5))
 
 
 @pytest.mark.parametrize("radius", [1, 2])
@@ -244,7 +238,6 @@ def test_si_context_gather_and_slices_are_bit_identical(radius, monkeypatch):
     monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", radius)
     rng = np.random.default_rng(7 + radius)
     c, h, w = 3, 16, 20
-    params = make_params(rng.normal(size=(2, c)), rng.normal(size=c))
     # Values over 2^-40..2^40 make float64 window sums round, so a change
     # in the order of the adds changes their bits.
     f = FeatureMap(rng.normal(size=(c, h, w)) * np.exp2(rng.integers(-40, 41, size=(c, h, w))))
@@ -257,14 +250,14 @@ def test_si_context_gather_and_slices_are_bit_identical(radius, monkeypatch):
     below, above = Mask(below.reshape(h, w)), Mask(above.reshape(h, w))
     assert below.count() < _GATHER_MAX_SHARE * h * w <= above.count()
 
-    everywhere = si_context(f, params, Mask.ones(h, w))
+    everywhere = si_context(f, Mask.ones(h, w))
     for mask in (below, above):
-        chosen = si_context(f, params, mask)
+        chosen = si_context(f, mask)
         with monkeypatch.context() as patch:
             patch.setattr(codec_module, "_GATHER_MAX_SHARE", 2.0)
-            gathered = si_context(f, params, mask)
+            gathered = si_context(f, mask)
             patch.setattr(codec_module, "_GATHER_MAX_SHARE", 0.0)
-            sliced = si_context(f, params, mask)
+            sliced = si_context(f, mask)
         assert chosen.dtype == gathered.dtype == sliced.dtype == np.float64
         assert np.array_equal(gathered, sliced)
         assert np.array_equal(chosen, sliced)
@@ -279,13 +272,12 @@ def test_whole_map_context_gathered_at_a_mask_equals_si_context(radius, monkeypa
     monkeypatch.setattr(codec_module, "_CONTEXT_RADIUS", radius)
     rng = np.random.default_rng(40 + radius)
     c, h, w = 4, 16, 20
-    params = make_params(rng.normal(size=(3, c)), rng.normal(size=c))
     # Rows 0-2 and columns w-2, w-1 are zero after the shift. Values over
     # 2^-40..2^40 make float64 window sums round, so the gather and slice
     # branches must add in the same order to agree.
     values = rng.normal(size=(c, h, w)) * np.exp2(rng.integers(-40, 41, size=(c, h, w)))
     f = translate(FeatureMap(values), 3, -2)
-    everywhere = si_context(f, params, Mask.ones(h, w))
+    everywhere = si_context(f, Mask.ones(h, w))
     forced = [0, w - 1, (h - 1) * w, h * w - 1, 1 * w + 5, 8 * w + w - 1, 9 * w]
     rest = [cell for cell in rng.permutation(h * w) if cell not in forced]
     order = forced + rest
@@ -295,7 +287,7 @@ def test_whole_map_context_gathered_at_a_mask_equals_si_context(radius, monkeypa
         bits[order[:count]] = True
         mask = Mask(bits.reshape(h, w))
         assert (count < _GATHER_MAX_SHARE * h * w) == (count == switch - 1)
-        assert np.array_equal(everywhere[mask.bits.ravel()], si_context(f, params, mask))
+        assert np.array_equal(everywhere[mask.bits.ravel()], si_context(f, mask))
 
 
 # ------------------------------------------------------------ encode / decode
@@ -338,6 +330,18 @@ def test_encoder_is_independent_of_receiver(small_cfg, small_fitted, rng):
         assert encode_message(f, mask, params, cb).to_bytes() == reference
 
 
+@pytest.mark.parametrize("share", [0.05, 0.5])
+def test_encoder_reads_only_the_kept_cells(small_cfg, small_fitted, rng, share):
+    # Pruned cells never reach the wire: an unpruned map and its pruned copy
+    # code to the same bytes.
+    params, cb = small_fitted.params, small_fitted.codebook
+    f = FeatureMap(rng.normal(size=(small_cfg.channels, small_cfg.height, small_cfg.width)))
+    mask = Mask(rng.random((small_cfg.height, small_cfg.width)) < share)
+    assert encode_message(f, mask, params, cb).to_bytes() == encode_message(
+        apply_mask(f, mask), mask, params, cb
+    ).to_bytes()
+
+
 def test_decode_is_deterministic(small_cfg, small_fitted, rng):
     params, cb = small_fitted.params, small_fitted.codebook
     f = FeatureMap(rng.normal(size=(small_cfg.channels, small_cfg.height, small_cfg.width)))
@@ -354,7 +358,7 @@ def _single_stage_decode(msg, params, cb, f_local):
     if msg.num_symbols:
         table = FrequencyTable(msg.freqs, msg.precision)
         deq = dequantize(rans_decode(msg.payload, table, msg.num_symbols, msg.final_state), cb)
-        blocks = [deq] if f_local is None else [deq, si_context(f_local, params, msg.mask)]
+        blocks = [deq] if f_local is None else [deq, si_context(f_local, msg.mask)]
         w = params.w_uncond if f_local is None else params.w_cond
         recon = np.concatenate(blocks + [np.ones((len(deq), 1))], axis=1) @ w
         out.reshape(msg.channels, -1)[:, msg.mask.bits.ravel()] = recon.T.astype(np.float32)
@@ -375,7 +379,7 @@ def test_decode_message_is_reconstruct_of_decode_latents(small_cfg, small_fitted
 
     latents = decode_latents(msg, params, cb)
     assert latents.shape == (mask.count(), params.embed_dim)
-    context = si_context(local, params, mask) if conditional else None
+    context = si_context(local, mask) if conditional else None
     staged = reconstruct(msg, latents, params, context)
     whole = decode_message(msg, params, cb, f_local=f_local)
     assert np.array_equal(whole.values, staged.values)
@@ -418,7 +422,7 @@ def test_reconstruct_bands_equal_the_whole_product_bit_for_bit(n, full, conditio
     msg = encode_message(apply_mask(f, mask), mask, params, cb)
     latents = decode_latents(msg, params, cb)
     local = FeatureMap(rng.normal(size=f.shape))
-    context = si_context(local, params, mask) if conditional else None
+    context = si_context(local, mask) if conditional else None
     w = params.w_cond if conditional else params.w_uncond
     rows = (codec_module._design(latents, context) @ w).astype(np.float32)
     expected = np.zeros(f.shape, dtype=np.float32)
@@ -470,7 +474,7 @@ def test_reconstruct_checks_its_rows_and_decoder(small_cfg, small_fitted):
     mask = mask_from_scores(score_map(sender), 0.5)
     msg = encode_message(apply_mask(sender, mask), mask, params, cb)
     latents = decode_latents(msg, params, cb)
-    context = si_context(local, params, mask)
+    context = si_context(local, mask)
     with pytest.raises(ShapeMismatchError, match="latents must have shape"):
         reconstruct(msg, latents[1:], params, context)
     with pytest.raises(ShapeMismatchError, match="context must have shape"):
@@ -559,7 +563,7 @@ def test_overflowing_decoder_raises_config_error_without_warning(scale, full):
         with pytest.raises(ConfigError, match="feature map contains non-finite values"):
             decode_message(msg, params, cb, f_local=local)
     with pytest.raises(ConfigError, match="feature map contains non-finite values"):
-        reconstruct(msg, latents, params, si_context(f, params, mask))
+        reconstruct(msg, latents, params, si_context(f, mask))
 
 
 def test_codebook_hash_is_computed_once_per_codebook(monkeypatch, small_cfg, small_fitted):
@@ -993,7 +997,7 @@ def _stacked_ridge_reference(pairs, params, cb, lam):
     for sender, mask, receiver in pairs:
         y = sender.cell_vectors()[mask.bits.ravel()]
         deq = dequantize(quantize_map(project_cells(y, params), cb), cb)
-        ctx = si_context(receiver, params, mask)
+        ctx = si_context(receiver, mask)
         rows.append(np.concatenate([deq, ctx, np.ones((len(y), 1))], axis=1))
         targets.append(y)
     x, y = np.concatenate(rows), np.concatenate(targets)
@@ -1094,9 +1098,9 @@ def test_one_pass_fit_builds_a_pair_context_once_per_pair(rng, monkeypatch):
     calls = []
     original = codec_module.si_context
 
-    def counting(f_local, params, mask):
+    def counting(f_local, mask):
         calls.append(id(f_local))
-        return original(f_local, params, mask)
+        return original(f_local, mask)
 
     monkeypatch.setattr(codec_module, "si_context", counting)
     fit_conditional_decoder(pairs, codecs)
@@ -1197,7 +1201,7 @@ def test_per_cell_reconstruction_error_is_finite_and_bounded(small_cfg, small_fi
     from dsc_codec.quantizer import dequantize
 
     quant_gap = np.linalg.norm(latents - dequantize(quantize_map(latents, cb), cb), axis=1)
-    ctx_norm = np.linalg.norm(si_context(local, params, mask), axis=1)
+    ctx_norm = np.linalg.norm(si_context(local, mask), axis=1)
     input_mag = np.sqrt(
         np.linalg.norm(latents, axis=1) ** 2 + ctx_norm**2 + 1.0
     )
@@ -1258,7 +1262,7 @@ def test_finetune_loss_uses_the_decoder_context(rng):
     z = project_cells(v, params)
     assignments = quantize_map(z, cb)
     codewords = dequantize(assignments, cb)
-    ctx = np.concatenate([si_context(r, params, Mask.ones(h, w)) for _, r in batch], axis=0)
+    ctx = np.concatenate([si_context(r, Mask.ones(h, w)) for _, r in batch], axis=0)
     x = np.concatenate([codewords, ctx, np.ones((len(v), 1))], axis=1)
     resid = x @ params.w_cond - v
     gap = z - codewords

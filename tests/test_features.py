@@ -139,6 +139,41 @@ def test_mse_matches_two_copy_float64_formula_bit_for_bit(data):
     assert mse(FeatureMap(a), FeatureMap(b)) == float(np.mean(diff * diff))
 
 
+@st.composite
+def masked_maps(draw):
+    """A finite float32 map and an empty, one-cell, sparse or full mask of its grid."""
+    c, h, w = draw(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)))
+    elements = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    f = FeatureMap(draw(arrays(np.float32, (c, h, w), elements=elements)))
+    kind = draw(st.sampled_from(["empty", "one", "sparse", "full"]))
+    bits = np.zeros(h * w, dtype=bool)
+    if kind == "one":
+        bits[draw(st.integers(0, h * w - 1))] = True
+    elif kind == "sparse":
+        bits[draw(st.lists(st.integers(0, h * w - 1), max_size=max(1, h * w // 4)))] = True
+    elif kind == "full":
+        bits[:] = True
+    return f, Mask(bits.reshape(h, w))
+
+
+@given(masked_maps())
+@settings(max_examples=100, deadline=None)
+def test_cell_vectors_at_a_mask_are_the_kept_rows_of_every_cell(case):
+    f, mask = case
+    every = f.cell_vectors()
+    assert every.flags.c_contiguous and every.flags.owndata
+    assert np.array_equal(every, f.values.astype(np.float64).reshape(f.channels, -1).T)
+    kept = f.cell_vectors(mask)
+    assert kept.dtype == np.float64
+    assert kept.flags.c_contiguous and kept.flags.owndata
+    assert kept.shape == (mask.count(), f.channels)
+    # Bit for bit, the sign of zero included.
+    assert kept.tobytes() == every[mask.bits.ravel()].tobytes()
+    assert not np.shares_memory(kept, f.values)
+    with pytest.raises(ShapeMismatchError):
+        f.cell_vectors(Mask.ones(f.height + 1, f.width))
+
+
 def test_raw_payload_bytes_values():
     # 64 * 256 * 256 * 32 bits = 16 MiB exactly.
     assert raw_payload_bytes(64, 256, 256, 32) == 16_777_216

@@ -120,7 +120,7 @@ def test_library_maps_are_frozen_float32_and_own_their_memory(small_cfg, small_f
         _assert_built_in_place(translate(sender, dh, dw), sender.values)
 
     latents = decode_latents(msg, params, cb)
-    context = si_context(local, params, mask)
+    context = si_context(local, mask)
     cond = reconstruct(msg, latents, params, context)
     uncond = reconstruct(msg, latents, params)
     weights = (params.w_cond, params.w_uncond)

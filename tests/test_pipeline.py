@@ -567,7 +567,7 @@ def test_scene_builds_one_context_for_every_codec(monkeypatch, small_cfg, small_
     links = pipeline._scene_links(
         small_cfg, DEFAULT_EVAL_T, 1, 0, codecs, (0.0, 0.8), (0.0,), (0,), None, (True,)
     )
-    assert len(contexts) == 1 and contexts[0][2].bits.all()
+    assert len(contexts) == 1 and contexts[0][1].bits.all()
     assert links[(0, 1, 0, 0, True)] == links[(2, 1, 0, 0, True)]
     assert links[(0, 1, 0, 0, True)] != links[(1, 1, 0, 0, True)]
     # No conditional decoder, no context.

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,24 @@ def test_nearest_does_not_depend_on_block_size(monkeypatch, k):
     want = _nearest(x, centers)
     monkeypatch.setattr(quantizer, "_BLOCK_DISTANCES", 5)
     assert np.array_equal(_nearest(x, centers), want)
+
+
+def test_kmeans_fit_at_small_k_peaks_no_higher_than_at_larger_k():
+    # _nearest's blocks are sized by the larger of K and the lifted width
+    # D + 1, so at K < D + 1 the float32 lifted rows stay within the block
+    # budget too, and the fit's traced peak does not rise as K falls.
+    block = np.random.default_rng(16).normal(size=(16, 1 << 16))
+
+    def peak(k: int) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kmeans_fit(block.T, k, 25, 1)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= peak(64) + 0.1 * 2**20
 
 
 def _reference_sqdist(vectors, center):
