@@ -10,7 +10,11 @@ Subcommands:
   report       summarize a sweep CSV
 
 The seed is taken from --seed, else the DSC_SEED environment variable, else
-the scenario file. Identical invocations produce byte-identical outputs.
+the scenario file. Identical invocations on one machine and one OpenBLAS
+kernel produce byte-identical outputs. Across kernels (OPENBLAS_CORETYPE),
+fit's codec.dccp differs in its last bits: the projection and the decoder
+weights are summed by BLAS in a kernel-dependent order (the mean and the
+codebook are the same).
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
+    require_int("frame index", args.t, 0)
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

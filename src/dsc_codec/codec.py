@@ -59,6 +59,7 @@ from .errors import (
     ShapeMismatchError,
     StepRejectedError,
     frozen_array,
+    index_array,
     read_container,
     require_int,
     require_nonnegative,
@@ -635,8 +636,7 @@ def finetune_step(
             raise ShapeMismatchError(
                 f"assignments must have one entry per cell ({m}), got {assign.shape}"
             )
-        if not np.issubdtype(assign.dtype, np.integer):
-            raise ConfigError(f"assignments must be integer indices, got dtype {assign.dtype}")
+        assign = index_array("assignments", assign)
         if assign.min() < 0 or assign.max() >= cb.size:
             raise ConfigError(f"assignments must be in [0, {cb.size}) for this codebook")
     z = project_cells(v, params)

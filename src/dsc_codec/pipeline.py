@@ -19,8 +19,15 @@ encodes each (codec, tau, pose noise, delay) message once. The receiver side
 does the same: each message's symbols are rANS-decoded and dequantized once
 and feed every requested decoder, conditional and unconditional, and the
 receiver's context is built once per scene over the whole map and gathered
-at each message's coded cells. A single link (run_link) is the routine on a
-one-point grid; each sweep runs it once per scene over its whole grid.
+at each message's coded cells. The routine returns the scene's links as one
+list in walk order: the (pose noise, delay) views in grid order, each view's
+links in (tau, codec, decoder) order. A message over budget, or whose
+symbols fail to decode, gives one no-link result that every decoder shares.
+A single link (run_link) is the routine on a one-point grid; each sweep runs
+it once per scene over its whole grid and reads its rows, in (codec, tau,
+pose noise, delay, decoder) order, through one fixed permutation of that
+list. The entry point - run_link or a sweep - checks the arguments once,
+before anything is simulated; the routine does not check them again.
 
 A codec fit has a K-independent part - training scenes, their observations,
 the PCA projection, the pruning masks and the k-means sample - and a per-K
@@ -287,29 +294,22 @@ def _scene_links(
     delays: Sequence[int],
     budget: int | None,
     decoders: Sequence[bool],
-) -> dict[tuple[int, int, int, int, bool], LinkResult]:
-    """Every (codec, tau, sigma, delay, conditional) link of one scene at frame t.
+) -> list[LinkResult]:
+    """Every (sigma, delay, tau, codec, decoder) link of one scene at frame t, in that order.
 
-    Results are keyed by grid position (codec, tau, sigma and delay index)
-    and decoder flag, so repeated grid entries give repeated links.
-    Arguments are validated before any simulation. The chain is walked once,
-    holding one latent frame at a time: the receiver is observed once and
-    the sender once per distinct frame max(0, t - delay), each as its frame
-    is made. Each (sigma, delay) sender view is scored once (_view_links),
-    each (codec, tau, sigma, delay) message is encoded once, its latents are
-    decoded once and reconstructed by every decoder in decoders. When a
-    conditional decoder is requested, the receiver's context is built once
-    at every cell for all codecs; a link takes the rows at its coded cells
-    (the whole context when every cell is coded), which equal si_context at
-    its mask bit for bit. A message whose latents fail to decode fails every
-    decoder's link.
+    The list is the walk order: the (sigma, delay) views in grid order, each
+    view's links in (tau, codec, decoder) order (_view_links), so repeated
+    grid entries give repeated links. The caller has checked the arguments.
+    The chain is walked once, holding one latent frame at a time: the
+    receiver is observed once and the sender once per distinct frame
+    max(0, t - delay), each as its frame is made. Each (sigma, delay) sender
+    view is scored once, each (sigma, delay, tau, codec) message is encoded
+    once, its latents are decoded once and reconstructed by every decoder in
+    decoders. When a conditional decoder is requested, the receiver's context
+    is built once at every cell for all codecs; a link takes the rows at its
+    coded cells (the whole context when every cell is coded), which equal
+    si_context at its mask bit for bit.
     """
-    require_int("t", t, 0)
-    require_int("sender", sender, 0, cfg.num_agents - 1)
-    require_int("receiver", receiver, 0, cfg.num_agents - 1)
-    if sender == receiver:
-        raise ConfigError("sender and receiver must differ")
-    _check_grid(cfg, taus, sigmas, delays, budget)
     delays = [int(delay) for delay in delays]
 
     # One walk of the chain, holding one latent frame: each frame is
@@ -326,15 +326,13 @@ def _scene_links(
     everywhere = Mask.ones(f_local.height, f_local.width)
     context = si_context(f_local, everywhere) if any(decoders) else None
 
-    links = {}
-    for si, sigma in enumerate(sigmas):
-        for di, delay in enumerate(delays):
-            view = _view_links(
+    links = []
+    for sigma in sigmas:
+        for delay in delays:
+            links += _view_links(
                 f_local, stale[max(0, t - delay)], sigma, pose_seed, context, codecs, taus,
                 budget, decoders,
             )
-            for (ci, ti, conditional), link in view.items():
-                links[(ci, ti, si, di, conditional)] = link
     return links
 
 
@@ -348,52 +346,45 @@ def _view_links(
     taus: Sequence[float],
     budget: int | None,
     decoders: Sequence[bool],
-) -> dict[tuple[int, int, bool], LinkResult]:
-    """Every (codec, tau, conditional) link of one sender view, keyed by that triple.
+) -> list[LinkResult]:
+    """Every (tau, codec, decoder) link of one sender view, in that order.
 
     The view is f_stale shifted by the pose noise sigma. What a view builds
     (its maps, messages and reconstructions) is freed on return, before the
-    next view is built.
+    next view is built. A message over budget, or whose latents fail to
+    decode, gives one no-link result that every decoder shares: the receiver
+    keeps its own feature and the reconstruction counts as zero.
     """
     f_sender = perturb_pose(f_stale, sigma, pose_seed)
     scores = score_map(f_sender)
     oracle = fuse_all(f_local, [f_sender])
-    links = {}
-    for ti, tau in enumerate(taus):
+    links = []
+    for tau in taus:
         mask = mask_from_scores(scores, tau)
         pruned = apply_mask(f_sender, mask)
-        for ci, (params, cb) in enumerate(codecs):
+        for params, cb in codecs:
             msg = encode_message(pruned, mask, params, cb)
             payload = len(msg.to_bytes())
             within = budget is None or payload <= budget
-            failed = False
-            recons = {}
-            if within:
-                try:
-                    latents = decode_latents(msg, params, cb)
-                except DecodeError:
-                    failed = True
-                else:
-                    flat = mask.bits.ravel()
-                    rows = context if context is None or flat.all() else context[flat]
-                    recons = {
-                        conditional: reconstruct(
-                            msg, latents, params, rows if conditional else None
-                        )
-                        for conditional in decoders
-                    }
-            for conditional in decoders:
-                recon = recons.get(conditional)
-                fused = fuse_all(f_local, [] if recon is None else [recon])
-                if recon is None:
-                    recon = FeatureMap.zeros(*f_sender.shape)
-                links[(ci, ti, conditional)] = LinkResult(
-                    payload_bytes=payload,
-                    within_budget=within,
-                    recon_mse=mse(recon, pruned),
-                    fusion_mse=mse(fused, oracle),
-                    failed=failed,
-                )
+            try:
+                latents = decode_latents(msg, params, cb) if within else None
+            except DecodeError:
+                latents = None
+            if latents is None:
+                # A message sent within budget failed to decode; one over budget was dropped.
+                recon_mse = mse(FeatureMap.zeros(*f_sender.shape), pruned)
+                no_link = LinkResult(payload, within, recon_mse, mse(f_local, oracle), within)
+                links += [no_link] * len(decoders)
+                continue
+            flat = mask.bits.ravel()
+            rows = context if context is None or flat.all() else context[flat]
+            recons = [
+                reconstruct(msg, latents, params, rows if conditional else None)
+                for conditional in decoders
+            ]
+            for recon in recons:
+                fused = fuse_all(f_local, [recon])
+                links.append(LinkResult(payload, True, mse(recon, pruned), mse(fused, oracle)))
     return links
 
 
@@ -423,11 +414,17 @@ def run_link(
     integer >= 0, or a cfg grid of more than wire.MAX_CELLS cells raises
     ConfigError before anything is simulated.
     """
-    links = _scene_links(
+    require_int("t", t, 0)
+    require_int("sender", sender, 0, cfg.num_agents - 1)
+    require_int("receiver", receiver, 0, cfg.num_agents - 1)
+    if sender == receiver:
+        raise ConfigError("sender and receiver must differ")
+    _check_grid(cfg, (tau,), (sigma_pose,), (delay,), budget)
+    [link] = _scene_links(
         cfg, t, sender, receiver, [(params, cb)], (tau,), (sigma_pose,), (delay,), budget,
         (conditional,),
     )
-    return links[(0, 0, 0, 0, conditional)]
+    return link
 
 
 def _sweep(
@@ -443,9 +440,11 @@ def _sweep(
     """The scene-order mean row of every (codec, tau, sigma, delay, decoder) point.
 
     Runs _scene_links once per evaluation scene at DEFAULT_EVAL_T for sender
-    1 -> receiver 0 and returns the rows in that grid order. scenes that is
-    not an integer >= 1 raises ConfigError; the grid is validated before any
-    simulation.
+    1 -> receiver 0 and returns the rows in (codec, tau, sigma, delay,
+    decoder) order; a row reads its link of each scene's walk-order list
+    (sigma, delay, tau, codec, decoder) through one fixed permutation.
+    scenes that is not an integer >= 1 raises ConfigError; the grid is
+    validated before any simulation.
     """
     _check_grid(cfg, taus, sigmas, delays, budget, scenes)
     per_scene = [
@@ -455,12 +454,12 @@ def _sweep(
         )
         for s in range(scenes)
     ]
-    grid = itertools.product(
-        enumerate(codecs), enumerate(taus), enumerate(sigmas), enumerate(delays), decoders
-    )
+    walk = (len(sigmas), len(delays), len(taus), len(codecs), len(decoders))
+    order = np.arange(np.prod(walk)).reshape(walk).transpose(3, 2, 0, 1, 4).ravel()
+    grid = itertools.product(codecs, taus, sigmas, delays, decoders)
     rows = []
-    for (ci, (params, cb)), (ti, tau), (si, sigma), (di, delay), conditional in grid:
-        links = [scene[(ci, ti, si, di, conditional)] for scene in per_scene]
+    for ((params, cb), tau, sigma, delay, conditional), i in zip(grid, order):
+        links = [scene[i] for scene in per_scene]
         rows.append(
             SweepRow(
                 tau=float(tau),

@@ -96,16 +96,6 @@ def pack_mask(mask: Mask) -> bytes:
     return np.packbits(mask.bits.ravel(), bitorder="little").tobytes()
 
 
-def unpack_mask(data: bytes, height: int, width: int) -> Mask:
-    if height < 1 or width < 1:
-        raise MessageParseError(f"mask dimensions must be >= 1, got {height}x{width}")
-    expected = (height * width + 7) // 8
-    if len(data) != expected:
-        raise MessageParseError(f"mask section is {len(data)} bytes, expected {expected}")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=height * width, bitorder="little")
-    return Mask(bits.astype(bool).reshape(height, width))
-
-
 def encode_mask(mask: Mask) -> bytes:
     """The mask section: the run form when the rule picks it, else packed bits."""
     cells = mask.height * mask.width
@@ -126,9 +116,11 @@ def decode_mask(data: bytes, height: int, width: int) -> Mask:
     """
     if height < 1 or width < 1:
         raise MessageParseError(f"mask dimensions must be >= 1, got {height}x{width}")
-    if len(data) == (height * width + 7) // 8:
-        return unpack_mask(data, height, width)
-    return Mask(_parse_run_form(data, height * width).reshape(height, width))
+    cells = height * width
+    if len(data) == (cells + 7) // 8:
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=cells, bitorder="little")
+        return Mask(bits.astype(bool).reshape(height, width))
+    return Mask(_parse_run_form(data, cells).reshape(height, width))
 
 
 _RUN_HEADER = struct.Struct("<BBBI")  # first, k0, k1, R

@@ -174,6 +174,14 @@ def test_encode_rejects_negative_budget_before_reading_or_writing(tmp_path, monk
     assert not msg_path.exists()
 
 
+def test_gen_rejects_a_negative_frame_before_writing(tmp_path, scenario_file, capsys):
+    out = tmp_path / "fixtures"
+    status = cli_dispatch(["gen", "--scenario", str(scenario_file), "--t", "-1", "--out", str(out)])
+    assert status == 1
+    assert capsys.readouterr().err == "error: frame index must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_sweep_rd_csv_schema(tmp_path, scenario_file):
     csv_path = tmp_path / "rd.csv"
     status = cli_dispatch(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -568,8 +569,9 @@ def test_scene_builds_one_context_for_every_codec(monkeypatch, small_cfg, small_
         small_cfg, DEFAULT_EVAL_T, 1, 0, codecs, (0.0, 0.8), (0.0,), (0,), None, (True,)
     )
     assert len(contexts) == 1 and contexts[0][1].bits.all()
-    assert links[(0, 1, 0, 0, True)] == links[(2, 1, 0, 0, True)]
-    assert links[(0, 1, 0, 0, True)] != links[(1, 1, 0, 0, True)]
+    # Walk order (tau, codec) with one view and one decoder: tau 0.8 is 3..5.
+    assert links[3] == links[5]
+    assert links[3] != links[4]
     # No conditional decoder, no context.
     pipeline._scene_links(
         small_cfg, DEFAULT_EVAL_T, 1, 0, codecs, (0.0,), (0.0,), (0,), None, (False,)
@@ -591,14 +593,33 @@ def test_failed_symbol_decode_fails_every_decoder_and_falls_back_to_local(
 
     monkeypatch.setattr(pipeline, "decode_latents", corrupt)
     links = pipeline._scene_links(*grid, None, (True, False))
-    assert links.keys() == dropped.keys() and len(links) == 16
-    for key, link in links.items():
+    assert len(links) == len(dropped) == 16
+    for link, no_link in zip(links, dropped):
         assert link.failed and link.within_budget
-        no_link = dropped[key]
         assert not no_link.failed and not no_link.within_budget
         assert link.fusion_mse == no_link.fusion_mse
         assert link.recon_mse == no_link.recon_mse
         assert link.payload_bytes == no_link.payload_bytes
+
+
+def test_scene_links_are_run_link_at_each_point_in_walk_order(small_cfg, small_fitted):
+    # One list per scene, in (sigma, delay, tau, codec, decoder) order; each
+    # entry is the link run_link evaluates at its point.
+    params, cb = small_fitted.params, small_fitted.codebook
+    halved = dataclasses.replace(params, w_cond=params.w_cond / 2)
+    codecs = [(params, cb), (halved, cb)]
+    cfg_s = scene_config(small_cfg, 2, stream="eval")
+    sigmas, delays, taus, decoders = (0.0, 1.5), (0, 3), (0.0, 0.8), (True, False)
+    links = pipeline._scene_links(
+        cfg_s, DEFAULT_EVAL_T, 1, 0, codecs, taus, sigmas, delays, None, decoders
+    )
+    points = list(itertools.product(sigmas, delays, taus, codecs, decoders))
+    assert len(links) == len(points) == 32
+    for link, (sigma, delay, tau, (p, c), conditional) in zip(links, points):
+        assert link == run_link(
+            cfg_s, DEFAULT_EVAL_T, 1, 0, p, c, tau=tau, sigma_pose=sigma, delay=delay,
+            conditional=conditional,
+        )
 
 
 def _csv_sha256(rows) -> str:

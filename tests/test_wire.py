@@ -21,7 +21,7 @@ from dsc_codec import (
 )
 from dsc_codec import wire
 from dsc_codec.rans import RANS_L
-from dsc_codec.wire import MAX_CELLS, decode_mask, encode_mask, pack_mask, unpack_mask
+from dsc_codec.wire import MAX_CELLS, decode_mask, encode_mask, pack_mask
 
 
 def make_message(n_height=4, n_width=6, k=8, with_payload=True, bits=None) -> Message:
@@ -194,7 +194,7 @@ def test_mask_packing_roundtrip():
         mask = Mask(rng.random((h, w)) < 0.4)
         packed = pack_mask(mask)
         assert len(packed) == (h * w + 7) // 8
-        assert np.array_equal(unpack_mask(packed, h, w).bits, mask.bits)
+        assert np.array_equal(decode_mask(packed, h, w).bits, mask.bits)
 
 
 def test_mask_bits_are_lsb_first():
